@@ -16,12 +16,10 @@ from .backward import (
     run_backward,
 )
 from .concretize import (
-    DpTable,
     brute_force_synonym,
     concretize_bounds,
     concretize_lp,
     concretize_synonym_dp,
-    synonym_dp,
 )
 from .errors import DomainError, GraphError
 from .forward import forward_lirpa, forward_oracle
@@ -88,7 +86,6 @@ __all__ = [
     "BoundStrategy",
     "Constant",
     "DomainError",
-    "DpTable",
     "Exp",
     "FusedLossReport",
     "Graph",
@@ -142,7 +139,6 @@ __all__ = [
     "sample_spec",
     "serialize_problem",
     "spec_center",
-    "synonym_dp",
     "topological_order",
     "unary_relaxation",
     "weight_perturbed_graph",

@@ -16,7 +16,7 @@ import numpy as np
 
 from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import forward_lirpa, forward_oracle
+from .forward import _forward_pass, forward_lirpa, forward_oracle
 from .graph import (
     Add,
     Affine,
@@ -34,7 +34,7 @@ from .graph import (
 from .interval import IntervalBounds, ibp_propagate, input_interval
 from .linear import InputLayout, LinearBounds
 from .perturb import Constant, PerturbationSpec
-from .relaxation import ReluLowerMode, mul_relaxation, unary_relaxation
+from .relaxation import ReluLowerMode, _inverted, mul_relaxation, unary_relaxation
 
 __all__ = [
     "BoundStrategy",
@@ -330,12 +330,9 @@ def intermediate_intervals(
     if strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD):
         return ibp_propagate(g, specs)
     if strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
-        layout = InputLayout.from_specs(g, specs)
-        fwd = forward_lirpa(g, specs, relu_mode)
-        return {
-            j: concretize_bounds(fwd[j], layout, specs)
-            for j in sorted(_nonlinear_operand_ids(g, target))
-        }
+        # the forward pass concretized every nonlinear operand in the graph
+        fwd_intervals = _forward_pass(g, specs, relu_mode)[1]
+        return {j: fwd_intervals[j] for j in sorted(_nonlinear_operand_ids(g, target))}
     if strategy is BoundStrategy.BACKWARD:
         return _backward_intermediates(g, specs, target, relu_mode)
     raise GraphError(f"unknown bound strategy {strategy!r}")
@@ -353,7 +350,8 @@ def compute_bounds(
 
     Returns the strategy's native bound object plus its concretized
     interval. Hybrid strategies take intermediate intervals from the cheap
-    supplier and run one backward pass for the target.
+    supplier and run one backward pass for the target. Raises DomainError
+    when the interval has a NaN or is inverted beyond float noise.
     """
     if target is None:
         target = g.output
@@ -363,15 +361,17 @@ def compute_bounds(
         box = ibp_propagate(g, specs)[target]
         if out_coeff is not None:
             box = _apply_out_coeff_interval(box, np.asarray(out_coeff, dtype=np.float64))
-        return box, box
-
-    if strategy is BoundStrategy.FORWARD:
-        lb = forward_lirpa(g, specs, relu_mode)[target]
+        native = box
+    elif strategy is BoundStrategy.FORWARD:
+        native = forward_lirpa(g, specs, relu_mode)[target]
         if out_coeff is not None:
             coeff_op = Affine(out_coeff, np.zeros(np.asarray(out_coeff).shape[0]))
-            lb = forward_oracle(coeff_op, [lb])
-        return lb, concretize_bounds(lb, layout, specs)
-
-    intermediate = intermediate_intervals(g, specs, strategy, target, relu_mode)
-    lb = backward_lirpa(g, target, intermediate, specs, out_coeff, relu_mode)
-    return lb, concretize_bounds(lb, layout, specs)
+            native = forward_oracle(coeff_op, [native])
+        box = concretize_bounds(native, layout, specs)
+    else:
+        intermediate = intermediate_intervals(g, specs, strategy, target, relu_mode)
+        native = backward_lirpa(g, target, intermediate, specs, out_coeff, relu_mode)
+        box = concretize_bounds(native, layout, specs)
+    if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
+        raise DomainError(f"node {target}: {strategy.value} bounds are NaN or inverted")
+    return native, box

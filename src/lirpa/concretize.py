@@ -1,13 +1,13 @@
 """Concretization: solving min/max of linear bounds over perturbation regions.
 
-lp balls admit a dual-norm closed form; bounded synonym substitution is
-solved exactly by a dynamic program over (position, replacements-used)
-states. A brute-force enumerator over all substitution assignments serves
-as the independent oracle for the DP.
+lp balls admit a dual-norm closed form. Under bounded synonym substitution
+the exact extreme is the clean sentence's value plus the delta best
+per-position gains, from one batched product against the option table that
+each (immutable) ``Synonym`` builds once. A brute-force enumerator over all
+substitution assignments serves as the independent oracle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -18,9 +18,7 @@ from .linear import InputLayout, LinearBounds
 from .perturb import LpBall, PerturbationSpec, Synonym
 
 __all__ = [
-    "DpTable",
     "concretize_lp",
-    "synonym_dp",
     "concretize_synonym_dp",
     "brute_force_synonym",
     "concretize_bounds",
@@ -54,79 +52,39 @@ def concretize_lp(lb: LinearBounds, spec: LpBall) -> IntervalBounds:
     )
 
 
-def _position_contributions(w: np.ndarray, spec: Synonym, t: int) -> tuple[np.ndarray, np.ndarray]:
-    """(clean contribution, per-candidate contributions) of position t.
+def _synonym_extremes(
+    wl: np.ndarray, bl: np.ndarray, wu: np.ndarray, bu: np.ndarray, spec: Synonym
+) -> tuple[np.ndarray, np.ndarray]:
+    """Min of wl @ x + bl and max of wu @ x + bu over the sentences x allowed.
 
-    Contributions are W_t @ e(word) where W_t is the column block of w for
-    position t; candidate rows follow the substitution-set order.
+    w @ x is a sum of per-position terms, so its minimum is the clean value
+    plus the ``budget`` most negative gains, a gain being a position's best
+    option term minus its clean term. The max of wu @ x is minus the min of
+    -wu @ x, exactly in floats, so both sides share one product.
     """
-    d = spec.embedding_dim
-    wt = w[:, t * d:(t + 1) * d]
-    clean = wt @ spec.embedding(spec.words[t])
-    cands = spec.candidates(t)
-    if cands:
-        subs = np.stack([wt @ spec.embedding(word) for word in cands])
-    else:
-        subs = np.empty((0, w.shape[0]))
-    return clean, subs
-
-
-def _dp_table(w: np.ndarray, init: np.ndarray, spec: Synonym, minimize: bool) -> np.ndarray:
-    """Fill the (position, replacements) table for one bound side.
-
-    Cell [i, j] is the extreme of init + sum_{t<=i} W_t e(w_t) over actual
-    words with exactly j of the first i words replaced; unreachable states
-    (j > i, or no substitutable position available) stay at +/- infinity.
-    """
-    n = spec.length
-    budget = min(spec.budget, n)
-    s = w.shape[0]
-    unreachable = np.inf if minimize else -np.inf
-    pick = np.minimum if minimize else np.maximum
-    reduce_cands = (lambda a: a.min(axis=0)) if minimize else (lambda a: a.max(axis=0))
-    table = np.full((n + 1, budget + 1, s), unreachable)
-    table[0, 0] = init
-    for i in range(1, n + 1):
-        clean, subs = _position_contributions(w, spec, i - 1)
-        best_sub = reduce_cands(subs) if subs.shape[0] else None
-        for j in range(budget + 1):
-            cell = table[i - 1, j] + clean
-            if j > 0 and best_sub is not None:
-                cell = pick(cell, table[i - 1, j - 1] + best_sub)
-            table[i, j] = cell
-    return table
-
-
-@dataclass(frozen=True)
-class DpTable:
-    """Both DP tables, shaped (length+1, budget+1, output_dim)."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-
-def synonym_dp(lb: LinearBounds, spec: Synonym) -> DpTable:
-    """Build the substitution DP tables for both bound sides."""
-    if lb.input_dim != spec.length * spec.embedding_dim:
-        raise GraphError(
-            f"bound has {lb.input_dim} columns but spec spans "
-            f"{spec.length * spec.embedding_dim} embedding coordinates"
-        )
-    return DpTable(
-        _dp_table(lb.lower_w, lb.lower_b, spec, minimize=True),
-        _dp_table(lb.upper_w, lb.upper_b, spec, minimize=False),
-    )
+    n, _, d = spec.option_table.shape
+    w = np.concatenate([wl, -wu])
+    # terms[t, k, r] = w[r, block t] @ (option k at position t)
+    terms = np.matmul(spec.option_table, w.reshape(-1, n, d).transpose(1, 2, 0))
+    clean = terms[:, 0]
+    gains = terms.min(axis=1) - clean
+    if spec.budget < n:
+        gains = np.partition(gains, spec.budget, axis=0)[:spec.budget]
+    best = clean.sum(axis=0) + gains.sum(axis=0)
+    return bl + best[:len(wl)], bu - best[len(wl):]
 
 
 def concretize_synonym_dp(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
     """Exact min/max of the linear bounds under bounded word substitution.
 
-    Reduces the DP tables over all replacement counts up to the budget;
-    output coordinates are treated independently (the recurrence is
-    elementwise).
+    Output coordinates are treated independently.
     """
-    table = synonym_dp(lb, spec)
-    return IntervalBounds(table.lower[-1].min(axis=0), table.upper[-1].max(axis=0))
+    if lb.input_dim != spec.length * spec.embedding_dim:
+        raise GraphError(
+            f"bound has {lb.input_dim} columns but spec spans "
+            f"{spec.length * spec.embedding_dim} embedding coordinates"
+        )
+    return IntervalBounds(*_synonym_extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b, spec))
 
 
 def _enumerate_assignments(spec: Synonym) -> np.ndarray:
@@ -144,18 +102,21 @@ def _enumerate_assignments(spec: Synonym) -> np.ndarray:
 def brute_force_synonym(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
     """Oracle: enumerate every substitution assignment within the budget.
 
-    Accumulates per-position contributions left to right, the same
-    summation order the DP uses.
+    Accumulates per-position contributions left to right, each computed
+    from the spec's embeddings directly rather than from its option table.
     """
     combos = _enumerate_assignments(spec)
     within_budget = (combos > 0).sum(axis=1) <= min(spec.budget, spec.length)
     combos = combos[within_budget]
 
+    d = spec.embedding_dim
+
     def extreme(w: np.ndarray, b: np.ndarray, reduce_rows) -> np.ndarray:
         acc = np.tile(b, (combos.shape[0], 1))
         for t in range(spec.length):
-            clean, subs = _position_contributions(w, spec, t)
-            options = np.concatenate([clean[None, :], subs], axis=0)
+            wt = w[:, t * d:(t + 1) * d]
+            words = (spec.words[t],) + spec.candidates(t)
+            options = np.stack([wt @ spec.embedding(word) for word in words])
             acc = acc + options[combos[:, t]]
         return reduce_rows(acc)
 
@@ -189,8 +150,7 @@ def concretize_bounds(
             lower = lower + _lp_lower(wl, zero, spec)
             upper = upper + _lp_upper(wu, zero, spec)
         elif isinstance(spec, Synonym):
-            lower = lower + _dp_table(wl, zero, spec, minimize=True)[-1].min(axis=0)
-            upper = upper + _dp_table(wu, zero, spec, minimize=False)[-1].max(axis=0)
+            lower, upper = _synonym_extremes(wl, lower, wu, upper, spec)
         else:
             raise GraphError(f"node {i} is not a perturbed input")
     return IntervalBounds(lower, upper)

@@ -128,18 +128,10 @@ def _input_bounds(layout: InputLayout, node_id: int, spec: PerturbationSpec, dim
     return LinearBounds(w, zeros, w.copy(), zeros.copy())
 
 
-def forward_lirpa(
-    g: Graph,
-    specs: Mapping[int, PerturbationSpec],
-    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
-) -> dict[int, LinearBounds]:
-    """Linear bounds of every node w.r.t. the perturbed independent nodes.
-
-    Perturbed inputs start from identity coefficients on their own column
-    block; constant inputs fold into the bias. Intervals needed by
-    relaxations come from concretizing the already-computed forward bounds
-    of the operands.
-    """
+def _forward_pass(
+    g: Graph, specs: Mapping[int, PerturbationSpec], relu_mode: ReluLowerMode
+) -> tuple[dict[int, LinearBounds], dict[int, IntervalBounds]]:
+    """``forward_lirpa``'s bounds plus the nonlinear-operand intervals it concretized."""
     layout = InputLayout.from_specs(g, specs)
     bounds: dict[int, LinearBounds] = {}
     intervals: dict[int, IntervalBounds] = {}
@@ -159,4 +151,19 @@ def forward_lirpa(
             [interval_of(j) for j in node.inputs] if is_nonlinear(node.op) else None
         )
         bounds[i] = forward_oracle(node.op, child_bounds, child_intervals, relu_mode)
-    return bounds
+    return bounds, intervals
+
+
+def forward_lirpa(
+    g: Graph,
+    specs: Mapping[int, PerturbationSpec],
+    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
+) -> dict[int, LinearBounds]:
+    """Linear bounds of every node w.r.t. the perturbed independent nodes.
+
+    Perturbed inputs start from identity coefficients on their own column
+    block; constant inputs fold into the bias. Intervals needed by
+    relaxations come from concretizing the already-computed forward bounds
+    of the operands.
+    """
+    return _forward_pass(g, specs, relu_mode)[0]

@@ -374,6 +374,15 @@ def get_out_degree(g: Graph, o: int) -> dict[int, int]:
     return degree
 
 
+def _is_node_id(x) -> bool:
+    # bool is a subclass of int, but true is no node id
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _reject_constant(name: str):
+    raise GraphError(f"non-finite number {name} in document")
+
+
 def _parse_node(idx: int, obj: dict) -> Node:
     if not isinstance(obj, dict):
         raise GraphError(f"node {idx}: expected an object")
@@ -388,11 +397,16 @@ def _parse_node(idx: int, obj: dict) -> Node:
     if cls is Affine:
         if "weight" not in obj:
             raise GraphError(f"node {idx}: affine node requires a 'weight' matrix")
-        op: OpKind = Affine(obj["weight"], obj.get("bias"))
+        try:
+            op: OpKind = Affine(obj["weight"], obj.get("bias"))
+        except (TypeError, ValueError) as exc:
+            raise GraphError(f"node {idx}: {exc}") from exc
+        if not (np.all(np.isfinite(op.weight)) and np.all(np.isfinite(op.bias))):
+            raise GraphError(f"node {idx}: affine weight and bias must be finite")
     else:
         op = cls()
     inputs = obj.get("inputs", [])
-    if not isinstance(inputs, list) or not all(isinstance(j, int) for j in inputs):
+    if not isinstance(inputs, list) or not all(_is_node_id(j) for j in inputs):
         raise GraphError(f"node {idx}: 'inputs' must be a list of node ids")
     return Node(idx, op, tuple(inputs), dim)
 
@@ -400,27 +414,30 @@ def _parse_node(idx: int, obj: dict) -> Node:
 def parse_problem(text: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
     """Parse a graph document into a validated Graph plus per-node specs."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise GraphError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("document must be an object with a 'nodes' array")
     if "output" not in doc:
         raise GraphError("missing output node")
-    if not isinstance(doc["output"], int):
+    if not _is_node_id(doc["output"]):
         raise GraphError("output must be a single node id")
     nodes = tuple(_parse_node(i, obj) for i, obj in enumerate(doc["nodes"]))
 
     specs: dict[int, PerturbationSpec] = {}
     for entry in doc.get("perturbations", []):
-        if not isinstance(entry, dict) or "node" not in entry:
+        if not isinstance(entry, dict) or not _is_node_id(entry.get("node")):
             raise GraphError("perturbation entry must carry a 'node' id")
-        i = int(entry["node"])
+        i = entry["node"]
         if not 0 <= i < len(nodes) or not isinstance(nodes[i].op, Input):
             raise GraphError(f"perturbation attached to non-input node {i}")
         if i in specs:
             raise GraphError(f"duplicate perturbation for node {i}")
-        spec = parse_perturbation(entry)
+        try:
+            spec = parse_perturbation(entry)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise GraphError(f"node {i}: malformed perturbation: {exc}") from exc
         if spec_dim(spec) != nodes[i].dim:
             raise GraphError(
                 f"perturbation dim {spec_dim(spec)} does not match node {i} dim {nodes[i].dim}"

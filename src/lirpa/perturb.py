@@ -7,7 +7,9 @@ per-position substitution sets and a replacement budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -31,6 +33,9 @@ def _vector(x, what: str) -> np.ndarray:
     v = np.array(x, dtype=np.float64)
     if v.ndim != 1:
         raise GraphError(f"{what} must be a flat vector, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise GraphError(f"{what} must be finite")
+    v.flags.writeable = False
     return v
 
 
@@ -59,8 +64,8 @@ class LpBall:
         object.__setattr__(self, "center", _vector(self.center, "ball center"))
         object.__setattr__(self, "eps", float(self.eps))
         object.__setattr__(self, "p", float(self.p))
-        if self.eps < 0:
-            raise GraphError(f"ball radius must be nonnegative, got {self.eps}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise GraphError(f"ball radius must be finite and nonnegative, got {self.eps}")
         if self.p < 1:
             raise GraphError(f"lp ball requires p >= 1, got {self.p}")
 
@@ -84,7 +89,7 @@ class LpBall:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Synonym:
     """Bounded word substitution over a fixed sequence.
 
@@ -92,37 +97,46 @@ class Synonym:
     any word in ``substitutions.get(t, ())``; at most ``budget`` positions may
     differ from the clean sequence. Node coordinates are the concatenated
     embeddings of the actual words, so the node dimension is
-    ``len(words) * embedding_dim``.
+    ``len(words) * embedding_dim``. ``option_table[t]`` holds the clean word's
+    embedding, then the candidates', padded with the clean word's.
+
+    Immutable, like every spec (read-only mappings, arrays not writeable), so
+    it is safe to share and ``option_table`` always matches the words.
     """
 
     words: tuple[str, ...]
-    substitutions: dict[int, tuple[str, ...]]
-    embeddings: dict[str, np.ndarray]
+    substitutions: Mapping[int, tuple[str, ...]]
+    embeddings: Mapping[str, np.ndarray]
     budget: int
+    option_table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.words = tuple(self.words)
-        self.substitutions = {
-            int(t): tuple(ws) for t, ws in self.substitutions.items() if len(ws) > 0
-        }
-        self.embeddings = {w: _vector(e, f"embedding of {w!r}") for w, e in self.embeddings.items()}
-        self.budget = min(int(self.budget), len(self.words))
-        if self.budget < 0:
+        words = tuple(self.words)
+        subs = {int(t): tuple(ws) for t, ws in self.substitutions.items() if len(ws) > 0}
+        embeddings = {w: _vector(e, f"embedding of {w!r}") for w, e in self.embeddings.items()}
+        budget = min(int(self.budget), len(words))
+        if budget < 0:
             raise GraphError("substitution budget must be nonnegative")
-        if not self.words:
+        if not words:
             raise GraphError("synonym spec requires at least one word")
-        dims = {e.shape[0] for e in self.embeddings.values()}
+        dims = {e.shape[0] for e in embeddings.values()}
         if len(dims) != 1:
             raise GraphError(f"embeddings must share one dimension, got {sorted(dims)}")
-        for t, ws in self.substitutions.items():
-            if not 0 <= t < len(self.words):
+        for t in subs:
+            if not 0 <= t < len(words):
                 raise GraphError(f"substitution position {t} out of range")
-            for w in ws:
-                if w not in self.embeddings:
-                    raise GraphError(f"no embedding for substitution word {w!r}")
-        for w in self.words:
-            if w not in self.embeddings:
-                raise GraphError(f"no embedding for clean word {w!r}")
+        slots = 1 + max(map(len, subs.values()), default=0)
+        options = [((w,) + subs.get(t, ()) + (w,) * slots)[:slots] for t, w in enumerate(words)]
+        missing = {w for row in options for w in row} - embeddings.keys()
+        if missing:
+            raise GraphError(f"no embedding for words {sorted(missing)}")
+        table = np.array([[embeddings[w] for w in row] for row in options])
+        table.flags.writeable = False
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "substitutions", MappingProxyType(subs))
+        object.__setattr__(self, "embeddings", MappingProxyType(embeddings))
+        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "option_table", table)
 
     @property
     def length(self) -> int:

@@ -60,16 +60,20 @@ class BinaryRelaxation:
     upper_const: np.ndarray
 
 
+def _inverted(l: np.ndarray, u: np.ndarray) -> bool:
+    """Whether l exceeds u by more than the few ulps exact bounds can cross by."""
+    scale = np.maximum(1.0, np.maximum(np.abs(l), np.abs(u)))
+    return bool(np.any(l - u > 1e-9 * scale))
+
+
 def _check_interval(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     l = np.asarray(l, dtype=np.float64)
     u = np.asarray(u, dtype=np.float64)
     if l.shape != u.shape:
         raise ValueError(f"interval endpoint shapes differ: {l.shape} vs {u.shape}")
     if np.any(l > u):
-        # two-sided bounds of an exactly-determined value can cross by a few
-        # ulps; collapse that float noise to a point, reject real inversions
-        scale = np.maximum(1.0, np.maximum(np.abs(l), np.abs(u)))
-        if np.any(l - u > 1e-9 * scale):
+        # collapse float noise to a point, reject real inversions
+        if _inverted(l, u):
             raise ValueError("interval lower bound exceeds upper bound")
         u = np.maximum(l, u)
     return l, u

@@ -7,16 +7,23 @@ from helpers import demo_net, random_graph, assert_sound
 from lirpa import (
     Affine,
     BoundStrategy,
+    DomainError,
+    Exp,
     Graph,
     Input,
+    InputLayout,
     IntervalBounds,
     LpBall,
+    MulElementwise,
     Node,
     ReLU,
     ReluLowerMode,
+    Synonym,
     backward_lirpa,
     backward_oracle,
     compute_bounds,
+    concretize_bounds,
+    forward_lirpa,
     ibp_propagate,
     intermediate_intervals,
     run_backward,
@@ -438,3 +445,46 @@ def test_intermediate_intervals_backward_supplier_matches_manual():
     assert supplied[1].upper == pytest.approx([7.0, 18.0], abs=1e-9)
     assert supplied[3].lower == pytest.approx([-36.0, 0.0], abs=1e-9)
     assert supplied[3].upper == pytest.approx([28.0, 170.0 / 7.0], abs=1e-9)
+
+
+def _synonym_mul_graph(rng):
+    emb = {w: rng.uniform(-1, 1, 2) for w in ("a", "b", "a1", "a2", "b1")}
+    spec = Synonym(("a", "b"), {0: ("a1", "a2"), 1: ("b1",)}, emb, budget=1)
+    nodes = (
+        Node(0, Input(), (), 4),
+        Node(1, Affine(rng.uniform(-1, 1, (3, 4)), rng.uniform(-1, 1, 3)), (0,), 3),
+        Node(2, ReLU(), (1,), 3),
+        Node(3, Affine(rng.uniform(-1, 1, (3, 3)), np.zeros(3)), (2,), 3),
+        Node(4, MulElementwise(), (2, 3), 3),
+    )
+    return Graph(nodes, 4, frozenset({0})), {0: spec}
+
+
+def test_forward_supplier_reuses_forward_pass_intervals():
+    rng = np.random.default_rng(23)
+    problems = [random_graph(rng) for _ in range(30)] + [_synonym_mul_graph(rng)]
+    for g, specs in problems:
+        layout = InputLayout.from_specs(g, specs)
+        fwd = forward_lirpa(g, specs, ReluLowerMode.ZERO)
+        for strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
+            supplied = intermediate_intervals(g, specs, strategy, relu_mode=ReluLowerMode.ZERO)
+            for j, box in supplied.items():
+                want = concretize_bounds(fwd[j], layout, specs)
+                assert np.array_equal(box.lower, want.lower)
+                assert np.array_equal(box.upper, want.upper)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_nan_bounds_raise_domain_error(strategy):
+    # exp overflows to inf and a zero weight turns it into 0 * inf = NaN
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Affine([[1000.0]], [0.0]), (0,), 1),
+        Node(2, Exp(), (1,), 1),
+        Node(3, Affine([[0.0]], [0.0]), (2,), 1),
+    )
+    g = Graph(nodes, 3, frozenset({0}))
+    specs = {0: LpBall([0.0], 1.0, math.inf)}
+    with pytest.raises(DomainError, match="NaN or inverted"):
+        compute_bounds(g, specs, strategy)

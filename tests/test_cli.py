@@ -88,6 +88,18 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_document_exit_code(capsys, tmp_path):
+    doc = {
+        "nodes": [{"op": "input", "inputs": [], "dim": 1}],
+        "output": 0,
+        "perturbations": [{"node": 0, "type": "lp", "center": [0.5], "eps": "TOKEN", "p": "inf"}],
+    }
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc).replace('"TOKEN"', "NaN"))
+    assert main(["bounds", str(bad)]) == 1
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     assert main(["bounds", str(tmp_path / "nope.json")]) == 1
     capsys.readouterr()

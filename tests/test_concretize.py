@@ -6,15 +6,18 @@ import pytest
 
 from helpers import random_synonym_instance
 from lirpa import (
+    Graph,
     GraphError,
+    Input,
     InputLayout,
     LinearBounds,
     LpBall,
+    Node,
     Synonym,
     brute_force_synonym,
+    concretize_bounds,
     concretize_lp,
     concretize_synonym_dp,
-    synonym_dp,
 )
 
 
@@ -130,6 +133,35 @@ def test_synonym_dp_matches_brute_force():
         assert dp.upper == pytest.approx(brute.upper, abs=1e-9)
 
 
+def test_synonym_closed_form_edge_cases_match_brute_force():
+    # ragged and empty substitution sets, budgets from 0 past the sentence
+    # length, and many output rows at once
+    rng = np.random.default_rng(10)
+    seen = set()
+    for _ in range(300):
+        rows = int(rng.choice([1, 3, 40]))
+        lb, spec = random_synonym_instance(
+            rng, max_words=5, max_subs=4, max_budget=7, max_emb=3, rows=rows
+        )
+        counts = {len(spec.candidates(t)) for t in range(spec.length)}
+        seen.update(
+            name
+            for name, hit in [
+                ("no candidates", 0 in counts),
+                ("ragged", len(counts - {0}) > 1),
+                ("budget 0", spec.budget == 0),
+                ("budget >= length", spec.budget == spec.length),
+                ("many rows", rows == 40),
+            ]
+            if hit
+        )
+        box = concretize_synonym_dp(lb, spec)
+        brute = brute_force_synonym(lb, spec)
+        assert box.lower == pytest.approx(brute.lower, abs=1e-9)
+        assert box.upper == pytest.approx(brute.upper, abs=1e-9)
+    assert len(seen) == 5
+
+
 def test_synonym_full_budget_is_per_position_extreme():
     rng = np.random.default_rng(5)
     lb, spec = random_synonym_instance(rng, max_words=4)
@@ -183,16 +215,21 @@ def test_synonym_budget_monotonicity():
 
 
 def test_dp_table_clean_prefix_row():
+    # with no substitutions allowed, every prefix of the sentence is bounded
+    # by its clean value, accumulated left to right
     rng = np.random.default_rng(9)
     lb, spec = random_synonym_instance(rng)
-    table = synonym_dp(lb, spec)
     d = spec.embedding_dim
     acc = lb.lower_b.copy()
-    assert table.lower[0, 0] == pytest.approx(acc, abs=0.0)
     for i in range(1, spec.length + 1):
         wt = lb.lower_w[:, (i - 1) * d:i * d]
         acc = acc + wt @ spec.embedding(spec.words[i - 1])
-        assert table.lower[i, 0] == pytest.approx(acc, abs=0.0)
+        subs = {t: ws for t, ws in spec.substitutions.items() if t < i}
+        prefix = Synonym(spec.words[:i], subs, spec.embeddings, 0)
+        w = lb.lower_w[:, :i * d]
+        box = concretize_synonym_dp(_bounds(w, lb.lower_b), prefix)
+        assert box.lower == pytest.approx(acc, abs=1e-12)
+        assert box.upper == pytest.approx(acc, abs=1e-12)
 
 
 def test_concretize_rejects_mismatched_columns():
@@ -219,7 +256,7 @@ def test_brute_force_guard_trips():
 
 
 def test_concretize_bounds_mixes_heterogeneous_blocks():
-    from lirpa import Constant, Graph, Input, Node, concretize_bounds
+    from lirpa import Constant
 
     spec_syn = Synonym(
         ("a", "b"),
@@ -252,3 +289,91 @@ def test_concretize_bounds_mixes_heterogeneous_blocks():
     # lower: -2 + min(1+0, -1+0, 1+2 -> swap to -1 or d) = -2 + (-1)
     assert box.lower[0] == pytest.approx(-2.0 + -1.0)
     assert box.upper[0] == pytest.approx(2.0 + 3.0)
+
+
+def test_concretize_bounds_is_sum_of_per_block_concretizers():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        syn_lb, spec = random_synonym_instance(rng, rows=4)
+        m = int(rng.integers(1, 5))
+        p = float(rng.choice([1.0, 2.0, math.inf]))
+        ball = LpBall(rng.uniform(-1, 1, m), float(rng.uniform(0, 1)), p)
+        wl, wu = rng.uniform(-1, 1, (2, 4, m))
+        g = Graph((Node(0, Input(), (), m), Node(1, Input(), (), syn_lb.input_dim)), 0)
+        specs = {0: ball, 1: spec}
+        lb = LinearBounds(
+            np.hstack([wl, syn_lb.lower_w]),
+            syn_lb.lower_b,
+            np.hstack([wu, syn_lb.upper_w]),
+            syn_lb.upper_b,
+        )
+        box = concretize_bounds(lb, InputLayout.from_specs(g, specs), specs)
+        lp = concretize_lp(LinearBounds(wl, np.zeros(4), wu, np.zeros(4)), ball)
+        syn = concretize_synonym_dp(syn_lb, spec)
+        assert box.lower == pytest.approx(lp.lower + syn.lower, abs=1e-12)
+        assert box.upper == pytest.approx(lp.upper + syn.upper, abs=1e-12)
+
+
+def _two_word_spec():
+    return Synonym(("a", "b"), {0: ("c",)}, {w: np.ones(2) for w in "abc"}, budget=1)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("budget", 5),
+        ("words", ("a",)),
+        ("substitutions", {}),
+        ("embeddings", {}),
+        ("option_table", None),
+    ],
+)
+def test_synonym_rejects_attribute_assignment(field, value):
+    spec = _two_word_spec()
+    with pytest.raises(AttributeError):
+        setattr(spec, field, value)
+
+
+def test_synonym_mappings_and_arrays_are_read_only():
+    spec = _two_word_spec()
+    with pytest.raises(TypeError):
+        spec.embeddings["a"] = np.zeros(2)
+    with pytest.raises(TypeError):
+        spec.substitutions[1] = ("c",)
+    with pytest.raises(ValueError, match="read-only"):
+        spec.embeddings["a"][0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        spec.option_table[0, 0, 0] = np.nan
+
+
+def test_synonym_copies_caller_data():
+    emb = {w: np.ones(2) for w in "abc"}
+    subs = {0: ("c",)}
+    spec = Synonym(("a", "b"), subs, emb, budget=1)
+    emb["a"][0] = 7.0
+    subs[1] = ("c",)
+    assert spec.embeddings["a"][0] == 1.0
+    assert spec.candidates(1) == ()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_specs_reject_non_finite_numbers(bad):
+    from lirpa import Constant
+
+    with pytest.raises(GraphError, match="finite"):
+        Constant([bad])
+    with pytest.raises(GraphError, match="finite"):
+        Synonym(("a",), {}, {"a": np.array([1.0, bad])}, 0)
+    with pytest.raises(GraphError, match="finite"):
+        LpBall([0.0, bad], 1.0, math.inf)
+    with pytest.raises(GraphError, match="finite"):
+        LpBall([0.0], bad, math.inf)
+
+
+def test_lp_and_constant_arrays_are_read_only():
+    from lirpa import Constant
+
+    with pytest.raises(ValueError, match="read-only"):
+        LpBall([0.0], 1.0, 2.0).center[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        Constant([0.0]).value[0] = 1.0

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -57,6 +58,11 @@ def test_parse_rejects_dimension_mismatch():
         (lambda d: d.pop("output"), "missing output"),
         (lambda d: d["nodes"][2].__setitem__("op", "gelu"), "unknown op"),
         (lambda d: d["nodes"][1].__setitem__("inputs", [9]), "out of range"),
+        (lambda d: d.__setitem__("output", True), "output must be a single node id"),
+        (lambda d: d["nodes"][1].__setitem__("inputs", [True]), "list of node ids"),
+        (lambda d: d["perturbations"][0].__setitem__("node", True), "carry a 'node' id"),
+        (lambda d: d["perturbations"][0].pop("center"), "node 0: malformed perturbation"),
+        (lambda d: d["nodes"][1].__setitem__("weight", [["a", 1]]), "node 1: could not convert"),
     ],
 )
 def test_parse_rejects_bad_documents(mutate, message):
@@ -64,6 +70,49 @@ def test_parse_rejects_bad_documents(mutate, message):
     mutate(doc)
     with pytest.raises(GraphError, match=message):
         parse_graph(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "path, token, message",
+    [
+        (("perturbations", 0, "eps"), "NaN", "non-finite number NaN"),
+        (("nodes", 1, "weight", 0, 1), "-Infinity", "non-finite number -Infinity"),
+        (("nodes", 1, "weight", 0, 1), "1e999", "node 1: affine weight and bias must be finite"),
+        (("nodes", 3, "bias", 1), "-1e999", "node 3: affine weight and bias must be finite"),
+        (("perturbations", 0, "center", 0), "1e999", "node 0: .*center must be finite"),
+        (("perturbations", 0, "eps"), "1e999", "node 0: .*radius must be finite"),
+    ],
+)
+def test_parse_rejects_non_finite_numbers(path, token, message):
+    doc = json.loads(demo_doc())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = "TOKEN"
+    # NaN, Infinity and overflowing literals only exist in raw document text
+    text = json.dumps(doc).replace('"TOKEN"', token)
+    with pytest.raises(GraphError, match=message):
+        parse_problem(text)
+
+
+def test_parse_rejects_non_finite_embedding():
+    doc = {
+        "nodes": [{"op": "input", "inputs": [], "dim": 2}],
+        "output": 0,
+        "perturbations": [
+            {
+                "node": 0,
+                "type": "synonym",
+                "delta": 1,
+                "words": ["a"],
+                "substitutions": {"0": ["b"]},
+                "embeddings": {"a": [1.0, 0.0], "b": [0.0, "TOKEN"]},
+            }
+        ],
+    }
+    text = json.dumps(doc).replace('"TOKEN"', "1e999")
+    with pytest.raises(GraphError, match=re.escape("node 0: malformed perturbation: embedding of 'b'")):
+        parse_problem(text)
 
 
 def test_parse_rejects_syntax_error():
