@@ -1,7 +1,7 @@
 """Backward-mode linear bound propagation and the strategy driver.
 
-A BFS from the output node pushes coefficient matrices through per-op
-oracle rules until only independent nodes carry nonzero coefficients.
+A BFS from the output node pushes coefficient matrices through each op's
+``backward`` rule until only independent nodes carry nonzero coefficients.
 Out-degree bookkeeping guarantees each dependent node is relaxed exactly
 once, with its full accumulated coefficient.
 """
@@ -16,25 +16,12 @@ import numpy as np
 
 from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import _forward_pass, forward_lirpa, forward_oracle
-from .graph import (
-    Add,
-    Affine,
-    Graph,
-    Input,
-    MulElementwise,
-    Neg,
-    OpKind,
-    Sub,
-    SumReduce,
-    get_out_degree,
-    is_nonlinear,
-    topological_order,
-)
+from .forward import _forward_pass, forward_oracle
+from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
 from .interval import IntervalBounds, ibp_propagate, input_interval
 from .linear import InputLayout, LinearBounds
 from .perturb import Constant, PerturbationSpec
-from .relaxation import ReluLowerMode, _inverted, mul_relaxation, unary_relaxation
+from .relaxation import ReluLowerMode, _inverted
 
 __all__ = [
     "BoundStrategy",
@@ -74,10 +61,6 @@ class BackwardState:
     pop_order: tuple[int, ...]
 
 
-def _posneg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    return np.maximum(a, 0.0), np.minimum(a, 0.0)
-
-
 def backward_oracle(
     op: OpKind,
     lower_coeff: np.ndarray,
@@ -92,59 +75,9 @@ def backward_oracle(
     plus the bias increments for both sides. ``in_dim`` is only consulted by
     sum_reduce, whose expansion width is not visible in the coefficients.
     """
-    rows = lower_coeff.shape[0]
-    zero_bias = np.zeros(rows)
-    if isinstance(op, Affine):
-        return (
-            [(lower_coeff @ op.weight, upper_coeff @ op.weight)],
-            lower_coeff @ op.bias,
-            upper_coeff @ op.bias,
-        )
-    if isinstance(op, Neg):
-        return [(-lower_coeff, -upper_coeff)], zero_bias, zero_bias.copy()
-    if isinstance(op, Add):
-        return (
-            [(lower_coeff, upper_coeff), (lower_coeff.copy(), upper_coeff.copy())],
-            zero_bias,
-            zero_bias.copy(),
-        )
-    if isinstance(op, Sub):
-        return (
-            [(lower_coeff, upper_coeff), (-lower_coeff, -upper_coeff)],
-            zero_bias,
-            zero_bias.copy(),
-        )
-    if isinstance(op, SumReduce):
-        if in_dim is None:
-            raise GraphError("sum_reduce backward rule needs the input dimension")
-        ones = np.ones((1, in_dim))
-        return [(lower_coeff @ ones, upper_coeff @ ones)], zero_bias, zero_bias.copy()
-    if input_intervals is None:
+    if op.relaxed and input_intervals is None:
         raise DomainError(f"missing intermediate bounds at nonlinear op {op.kind!r}")
-    lo_pos, lo_neg = _posneg(lower_coeff)
-    up_pos, up_neg = _posneg(upper_coeff)
-    if isinstance(op, MulElementwise):
-        ix, iy = input_intervals
-        rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
-        lam_x = (
-            lo_pos * rel.lower_x + lo_neg * rel.upper_x,
-            up_pos * rel.upper_x + up_neg * rel.lower_x,
-        )
-        lam_y = (
-            lo_pos * rel.lower_y + lo_neg * rel.upper_y,
-            up_pos * rel.upper_y + up_neg * rel.lower_y,
-        )
-        d_lo = lo_pos @ rel.lower_const + lo_neg @ rel.upper_const
-        d_up = up_pos @ rel.upper_const + up_neg @ rel.lower_const
-        return [lam_x, lam_y], d_lo, d_up
-    rel = unary_relaxation(op, input_intervals[0].lower, input_intervals[0].upper, relu_mode)
-    lam = (
-        lo_pos * rel.lower_slope + lo_neg * rel.upper_slope,
-        up_pos * rel.upper_slope + up_neg * rel.lower_slope,
-    )
-    d_lo = lo_pos @ rel.lower_intercept + lo_neg @ rel.upper_intercept
-    d_up = up_pos @ rel.upper_intercept + up_neg @ rel.lower_intercept
-    return [lam], d_lo, d_up
+    return op.backward(lower_coeff, upper_coeff, input_intervals, relu_mode, in_dim)
 
 
 def run_backward(
@@ -184,7 +117,7 @@ def run_backward(
         if isinstance(node.op, Input):
             continue
         intervals = None
-        if is_nonlinear(node.op):
+        if node.op.relaxed:
             try:
                 intervals = [intermediate[j] for j in node.inputs]
             except KeyError as exc:
@@ -219,12 +152,17 @@ def run_backward(
     return BackwardState(lower, upper, d_lower, d_upper, degree, tuple(pops))
 
 
-def _state_to_linear(
-    state: BackwardState,
+def _backward_linear(
     g: Graph,
-    layout: InputLayout,
+    o: int,
+    intermediate: Mapping[int, IntervalBounds],
     specs: Mapping[int, PerturbationSpec],
+    out_coeff: np.ndarray | None,
+    relu_mode: ReluLowerMode,
+    layout: InputLayout,
 ) -> LinearBounds:
+    """``backward_lirpa`` over the layout its caller already built."""
+    state = run_backward(g, o, intermediate, out_coeff, relu_mode)
     rows = state.lower_bias.shape[0]
     lw = np.zeros((rows, layout.dim))
     uw = np.zeros((rows, layout.dim))
@@ -260,8 +198,7 @@ def backward_lirpa(
     to o. Coefficients accumulated on constant inputs fold into the bias.
     """
     layout = InputLayout.from_specs(g, specs)
-    state = run_backward(g, o, intermediate, out_coeff, relu_mode)
-    return _state_to_linear(state, g, layout, specs)
+    return _backward_linear(g, o, intermediate, specs, out_coeff, relu_mode, layout)
 
 
 def _ancestors(g: Graph, target: int) -> set[int]:
@@ -279,38 +216,13 @@ def _nonlinear_operand_ids(g: Graph, target: int) -> set[int]:
     scope = _ancestors(g, target)
     needed: set[int] = set()
     for i in scope:
-        if is_nonlinear(g.nodes[i].op):
+        if g.nodes[i].op.relaxed:
             needed.update(g.nodes[i].inputs)
     return needed
 
 
-def _backward_intermediates(
-    g: Graph,
-    specs: Mapping[int, PerturbationSpec],
-    target: int,
-    relu_mode: ReluLowerMode,
-) -> dict[int, IntervalBounds]:
-    """Intervals for relaxation operands, each from its own backward pass.
-
-    Computed lazily in topological order so every pass only needs intervals
-    that are already available; memoized for the duration of the query.
-    """
-    needed = _nonlinear_operand_ids(g, target)
-    layout = InputLayout.from_specs(g, specs)
-    intervals: dict[int, IntervalBounds] = {}
-    for j in topological_order(g):
-        if j not in needed:
-            continue
-        if isinstance(g.nodes[j].op, Input):
-            intervals[j] = input_interval(specs[j], g.nodes[j])
-        else:
-            lb = backward_lirpa(g, j, intervals, specs, relu_mode=relu_mode)
-            intervals[j] = concretize_bounds(lb, layout, specs)
-    return intervals
-
-
 def _apply_out_coeff_interval(bounds: IntervalBounds, c: np.ndarray) -> IntervalBounds:
-    c_pos, c_neg = _posneg(c)
+    c_pos, c_neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
     return IntervalBounds(
         c_pos @ bounds.lower + c_neg @ bounds.upper,
         c_pos @ bounds.upper + c_neg @ bounds.lower,
@@ -325,17 +237,40 @@ def intermediate_intervals(
     relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
 ) -> dict[int, IntervalBounds]:
     """Intervals the backward pass needs, produced by the strategy's supplier."""
-    if target is None:
-        target = g.output
+    layout = InputLayout.from_specs(g, specs)
+    return _intermediate_intervals(g, specs, strategy, target, relu_mode, layout)
+
+
+def _intermediate_intervals(
+    g: Graph,
+    specs: Mapping[int, PerturbationSpec],
+    strategy: BoundStrategy,
+    target: int | None,
+    relu_mode: ReluLowerMode,
+    layout: InputLayout,
+) -> dict[int, IntervalBounds]:
+    """``intermediate_intervals`` over the layout its caller already built."""
     if strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD):
         return ibp_propagate(g, specs)
+    needed = _nonlinear_operand_ids(g, g.output if target is None else target)
     if strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
         # the forward pass concretized every nonlinear operand in the graph
-        fwd_intervals = _forward_pass(g, specs, relu_mode)[1]
-        return {j: fwd_intervals[j] for j in sorted(_nonlinear_operand_ids(g, target))}
-    if strategy is BoundStrategy.BACKWARD:
-        return _backward_intermediates(g, specs, target, relu_mode)
-    raise GraphError(f"unknown bound strategy {strategy!r}")
+        fwd_intervals = _forward_pass(g, specs, relu_mode, layout)[1]
+        return {j: fwd_intervals[j] for j in sorted(needed)}
+    if strategy is not BoundStrategy.BACKWARD:
+        raise GraphError(f"unknown bound strategy {strategy!r}")
+    # each operand from its own backward pass, in topological order so every
+    # pass only needs intervals that are already available
+    intervals: dict[int, IntervalBounds] = {}
+    for j in topological_order(g):
+        if j not in needed:
+            continue
+        if isinstance(g.nodes[j].op, Input):
+            intervals[j] = input_interval(specs[j], g.nodes[j])
+        else:
+            lb = _backward_linear(g, j, intervals, specs, None, relu_mode, layout)
+            intervals[j] = concretize_bounds(lb, layout, specs)
+    return intervals
 
 
 def compute_bounds(
@@ -363,14 +298,14 @@ def compute_bounds(
             box = _apply_out_coeff_interval(box, np.asarray(out_coeff, dtype=np.float64))
         native = box
     elif strategy is BoundStrategy.FORWARD:
-        native = forward_lirpa(g, specs, relu_mode)[target]
+        native = _forward_pass(g, specs, relu_mode, layout)[0][target]
         if out_coeff is not None:
             coeff_op = Affine(out_coeff, np.zeros(np.asarray(out_coeff).shape[0]))
             native = forward_oracle(coeff_op, [native])
         box = concretize_bounds(native, layout, specs)
     else:
-        intermediate = intermediate_intervals(g, specs, strategy, target, relu_mode)
-        native = backward_lirpa(g, target, intermediate, specs, out_coeff, relu_mode)
+        intermediate = _intermediate_intervals(g, specs, strategy, target, relu_mode, layout)
+        native = _backward_linear(g, target, intermediate, specs, out_coeff, relu_mode, layout)
         box = concretize_bounds(native, layout, specs)
     if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
         raise DomainError(f"node {target}: {strategy.value} bounds are NaN or inverted")

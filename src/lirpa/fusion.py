@@ -15,11 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backward import (
-    BoundStrategy,
-    backward_lirpa,
-    intermediate_intervals,
-)
+from .backward import BoundStrategy, _backward_linear, _intermediate_intervals
 from .concretize import concretize_bounds
 from .errors import GraphError
 from .graph import (
@@ -108,7 +104,7 @@ def build_fused_loss_graph(g: Graph, margin: MarginSpec) -> Graph:
         Node(n + 1, Exp(), (n,), k),
         Node(n + 2, SumReduce(), (n + 1,), 1),
     )
-    return Graph(nodes, n + 2, g.perturbed_inputs)
+    return Graph(nodes, n + 2)
 
 
 def _cross_entropy_from_neg_margins(neg_margins: np.ndarray) -> float:
@@ -124,9 +120,9 @@ def _margin_interval(
 ) -> IntervalBounds:
     """Both margin bounds via one backward pass with the margin transform."""
     coeff = margin_transform(margin.label, margin.num_classes)
-    intermediate = intermediate_intervals(g, specs, strategy, g.output, relu_mode)
-    lb = backward_lirpa(g, g.output, intermediate, specs, coeff, relu_mode)
     layout = InputLayout.from_specs(g, specs)
+    intermediate = _intermediate_intervals(g, specs, strategy, g.output, relu_mode, layout)
+    lb = _backward_linear(g, g.output, intermediate, specs, coeff, relu_mode, layout)
     return concretize_bounds(lb, layout, specs)
 
 
@@ -171,8 +167,9 @@ def bound_loss_fused(
     fused = build_fused_loss_graph(g, margin)
     margin_node = len(g.nodes)
     loss_node = fused.output
+    layout = InputLayout.from_specs(fused, specs)
     intermediate = dict(
-        intermediate_intervals(fused, specs, strategy, loss_node, relu_mode)
+        _intermediate_intervals(fused, specs, strategy, loss_node, relu_mode, layout)
     )
     if margin_bounds is not None:
         intermediate[margin_node] = IntervalBounds(
@@ -182,8 +179,7 @@ def bound_loss_fused(
         raise GraphError("supplier produced no interval for the exp input")
     if float(np.max(intermediate[margin_node].upper)) > exp_cap:
         return math.inf
-    lb = backward_lirpa(fused, loss_node, intermediate, specs, None, relu_mode)
-    layout = InputLayout.from_specs(fused, specs)
+    lb = _backward_linear(fused, loss_node, intermediate, specs, None, relu_mode, layout)
     upper_s = concretize_bounds(lb, layout, specs).upper[0]
     return float(np.log(upper_s))
 
@@ -235,7 +231,6 @@ def weight_perturbed_graph(
     nodes: list[Node] = []
     specs: dict[int, PerturbationSpec] = {}
     mapping: dict[int, int] = {}
-    perturbed: set[int] = set()
 
     def add(op, inputs, dim) -> int:
         nodes.append(Node(len(nodes), op, inputs, dim))
@@ -250,13 +245,12 @@ def weight_perturbed_graph(
             flat = w.reshape(-1)
             wid = add(Input(), (), s * t)
             specs[wid] = LpBall(flat, float(np.linalg.norm(flat)) * eps_bar, 2.0)
-            perturbed.add(wid)
             tiled = add(Affine(_tile_matrix(s, t), np.zeros(s * t)), (mapping[node.inputs[0]],), s * t)
             prod = add(MulElementwise(), (wid, tiled), s * t)
             mapping[node.id] = add(Affine(_block_sum_matrix(s, t), node.op.bias), (prod,), s)
         else:
             mapping[node.id] = add(node.op, tuple(mapping[j] for j in node.inputs), node.dim)
-    return Graph(tuple(nodes), mapping[g.output], frozenset(perturbed)), specs, mapping
+    return Graph(tuple(nodes), mapping[g.output]), specs, mapping
 
 
 def flatness_score(

@@ -1,56 +1,22 @@
 """Interval bound propagation over the graph.
 
 The cheapest bound strategy: constant elementwise intervals swept through
-the graph in topological order. Also supplies the pre-activation intervals
-consumed by the hybrid backward strategy.
+the graph in topological order, each node's from its op's ``interval``
+rule. Also supplies the pre-activation intervals consumed by the hybrid
+backward strategy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import DomainError, GraphError
-from .graph import (
-    Add,
-    Affine,
-    Exp,
-    Graph,
-    Input,
-    Log,
-    MulElementwise,
-    Neg,
-    Node,
-    OpKind,
-    ReLU,
-    Sub,
-    SumReduce,
-    topological_order,
-)
+from .errors import GraphError
+from .graph import Graph, Input, Node, OpKind, topological_order
+from .linear import IntervalBounds
 from .perturb import Constant, LpBall, PerturbationSpec, Synonym
 
 __all__ = ["IntervalBounds", "input_interval", "interval_oracle", "ibp_propagate"]
-
-
-@dataclass(frozen=True)
-class IntervalBounds:
-    """Elementwise lower/upper value bounds of one node."""
-
-    lower: np.ndarray
-    upper: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=np.float64))
-        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64))
-        if self.lower.shape != self.upper.shape:
-            raise ValueError(
-                f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}"
-            )
-
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
 
 
 def input_interval(spec: PerturbationSpec, node: Node | None = None) -> IntervalBounds:
@@ -83,43 +49,7 @@ def input_interval(spec: PerturbationSpec, node: Node | None = None) -> Interval
 
 def interval_oracle(op: OpKind, inputs: Sequence[IntervalBounds]) -> IntervalBounds:
     """Propagate interval bounds through a single dependent op."""
-    if isinstance(op, Affine):
-        lo = op.w_pos @ inputs[0].lower + op.w_neg @ inputs[0].upper + op.bias
-        hi = op.w_pos @ inputs[0].upper + op.w_neg @ inputs[0].lower + op.bias
-        return IntervalBounds(lo, hi)
-    if isinstance(op, ReLU):
-        return IntervalBounds(np.maximum(inputs[0].lower, 0.0), np.maximum(inputs[0].upper, 0.0))
-    if isinstance(op, Exp):
-        return IntervalBounds(np.exp(inputs[0].lower), np.exp(inputs[0].upper))
-    if isinstance(op, Log):
-        if np.any(inputs[0].lower <= 0.0):
-            raise DomainError("log over an interval touching zero or below")
-        return IntervalBounds(np.log(inputs[0].lower), np.log(inputs[0].upper))
-    if isinstance(op, Neg):
-        return IntervalBounds(-inputs[0].upper, -inputs[0].lower)
-    if isinstance(op, Add):
-        return IntervalBounds(
-            inputs[0].lower + inputs[1].lower, inputs[0].upper + inputs[1].upper
-        )
-    if isinstance(op, Sub):
-        return IntervalBounds(
-            inputs[0].lower - inputs[1].upper, inputs[0].upper - inputs[1].lower
-        )
-    if isinstance(op, MulElementwise):
-        corners = np.stack(
-            [
-                inputs[0].lower * inputs[1].lower,
-                inputs[0].lower * inputs[1].upper,
-                inputs[0].upper * inputs[1].lower,
-                inputs[0].upper * inputs[1].upper,
-            ]
-        )
-        return IntervalBounds(corners.min(axis=0), corners.max(axis=0))
-    if isinstance(op, SumReduce):
-        return IntervalBounds(
-            np.sum(inputs[0].lower, keepdims=True), np.sum(inputs[0].upper, keepdims=True)
-        )
-    raise GraphError(f"no interval rule for op {op!r}")
+    return op.interval(inputs)
 
 
 def ibp_propagate(

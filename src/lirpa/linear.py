@@ -1,6 +1,7 @@
-"""Linear bound containers and the perturbed-input coordinate layout.
+"""Bound containers and the perturbed-input coordinate layout.
 
-A LinearBounds holds two affine functions of X, the concatenation of all
+An IntervalBounds holds elementwise lower/upper values of one node. A
+LinearBounds holds two affine functions of X, the concatenation of all
 perturbed independent-node coordinates, that sandwich a node's value over
 the perturbation region. The InputLayout fixes which input nodes contribute
 coordinates to X and where their column blocks sit.
@@ -8,15 +9,37 @@ coordinates to X and where their column blocks sit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
 from .errors import GraphError
-from .graph import Graph
 from .perturb import PerturbationSpec, is_perturbed, spec_dim
 
-__all__ = ["LinearBounds", "InputLayout"]
+if TYPE_CHECKING:  # graph imports the ops, which build these containers
+    from .graph import Graph
+
+__all__ = ["IntervalBounds", "LinearBounds", "InputLayout"]
+
+
+@dataclass(frozen=True)
+class IntervalBounds:
+    """Elementwise lower/upper value bounds of one node."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "lower", np.asarray(self.lower, dtype=np.float64))
+        object.__setattr__(self, "upper", np.asarray(self.upper, dtype=np.float64))
+        if self.lower.shape != self.upper.shape:
+            raise ValueError(
+                f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}"
+            )
+
+    @property
+    def width(self) -> np.ndarray:
+        return self.upper - self.lower
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError
-from .graph import Exp, Log, OpKind, ReLU
 
 __all__ = [
     "ReluLowerMode",
@@ -162,14 +161,6 @@ def mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
     return BinaryRelaxation(lower_x, lower_y, lower_const, upper_x, upper_y, upper_const)
 
 
-def unary_relaxation(
-    op: OpKind, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE
-) -> UnaryRelaxation:
-    """Dispatch to the relaxation of a unary nonlinear op."""
-    if isinstance(op, ReLU):
-        return relu_relaxation(l, u, relu_mode)
-    if isinstance(op, Exp):
-        return exp_relaxation(l, u)
-    if isinstance(op, Log):
-        return log_relaxation(l, u)
-    raise ValueError(f"op {op!r} has no unary relaxation")
+def unary_relaxation(op, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
+    """The relaxation of a unary nonlinear op (one with a ``relax`` rule) on [l, u]."""
+    return op.relax(l, u, relu_mode)

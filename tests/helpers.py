@@ -63,7 +63,7 @@ def demo_net(eps: float = 2.0):
         Node(4, ReLU(), (3,), 2),
         Node(5, Affine(W3, [0.0]), (4,), 1),
     )
-    g = Graph(nodes, 5, frozenset({0}))
+    g = Graph(nodes, 5)
     specs = {0: LpBall([0.0, 1.0], eps, math.inf)}
     return g, specs
 
@@ -185,8 +185,7 @@ def random_graph(rng, max_nodes=12, max_dim=5, cap=1e4):
         (i for i in range(len(nodes)) if depends[i] and nodes[i].op.arity > 0),
         default=len(nodes) - 1,
     )
-    perturbed = frozenset(i for i, s in specs.items() if not isinstance(s, Constant))
-    return Graph(tuple(nodes), output, perturbed), specs
+    return Graph(tuple(nodes), output), specs
 
 
 def random_classifier(rng, num_classes, eps=None):
@@ -206,7 +205,7 @@ def random_classifier(rng, num_classes, eps=None):
     nodes.append(
         Node(len(nodes), Affine(w, rng.uniform(-0.5, 0.5, num_classes)), (prev,), num_classes)
     )
-    g = Graph(tuple(nodes), len(nodes) - 1, frozenset({0}))
+    g = Graph(tuple(nodes), len(nodes) - 1)
     return g, {0: spec}
 
 

@@ -233,7 +233,6 @@ def test_out_coeff_equals_appended_affine_output():
         extended = Graph(
             g.nodes + (Node(len(g.nodes), Affine(coeff, np.zeros(2)), (g.output,), 2),),
             len(g.nodes),
-            g.perturbed_inputs,
         )
         via_graph = backward_lirpa(extended, extended.output, intermediate, specs)
         assert np.array_equal(via_coeff.lower_w, via_graph.lower_w)
@@ -309,7 +308,7 @@ def test_backward_synonym_input_uses_budget_aware_concretization():
         Node(1, Affine(w, np.zeros(2)), (0,), 2),
         Node(2, ReLU(), (1,), 2),
     )
-    g = Graph(nodes, 2, frozenset({0}))
+    g = Graph(nodes, 2)
     specs = {0: spec}
     _, budget_box = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD)
     assert_sound(g, specs, {2: budget_box}, rng, n=500)
@@ -457,7 +456,7 @@ def _synonym_mul_graph(rng):
         Node(3, Affine(rng.uniform(-1, 1, (3, 3)), np.zeros(3)), (2,), 3),
         Node(4, MulElementwise(), (2, 3), 3),
     )
-    return Graph(nodes, 4, frozenset({0})), {0: spec}
+    return Graph(nodes, 4), {0: spec}
 
 
 def test_forward_supplier_reuses_forward_pass_intervals():
@@ -484,7 +483,7 @@ def test_nan_bounds_raise_domain_error(strategy):
         Node(2, Exp(), (1,), 1),
         Node(3, Affine([[0.0]], [0.0]), (2,), 1),
     )
-    g = Graph(nodes, 3, frozenset({0}))
+    g = Graph(nodes, 3)
     specs = {0: LpBall([0.0], 1.0, math.inf)}
     with pytest.raises(DomainError, match="NaN or inverted"):
         compute_bounds(g, specs, strategy)

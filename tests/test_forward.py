@@ -164,7 +164,7 @@ def test_forward_synonym_input_end_to_end():
         Node(2, ReLU(), (1,), 3),
         Node(3, Affine(w2, np.zeros(2)), (2,), 2),
     )
-    g = Graph(nodes, 3, frozenset({0}))
+    g = Graph(nodes, 3)
     specs = {0: spec}
     boxes = _concretize_all(g, specs, forward_lirpa(g, specs))
     assert_sound(g, specs, boxes, rng, n=500)

@@ -137,7 +137,6 @@ def test_scalar_output_padded_to_two_classes():
     padded = Graph(
         g.nodes + (Node(len(g.nodes), pad, (g.output,), 2),),
         len(g.nodes),
-        g.perturbed_inputs,
     )
     bound, margins = bound_loss_unfused(
         padded, specs, MarginSpec(0, 2), BoundStrategy.FORWARD_BACKWARD, ReluLowerMode.ZERO

@@ -29,7 +29,6 @@ def test_parse_demo_net():
     kinds = [n.op.kind for n in g.nodes]
     assert kinds == ["input", "affine", "relu", "affine", "relu", "affine"]
     assert g.output == 5
-    assert g.perturbed_inputs == frozenset({0})
     assert np.array_equal(g.nodes[1].op.weight, [[2.0, 1.0], [-3.0, 4.0]])
 
 
@@ -63,6 +62,10 @@ def test_parse_rejects_dimension_mismatch():
         (lambda d: d["perturbations"][0].__setitem__("node", True), "carry a 'node' id"),
         (lambda d: d["perturbations"][0].pop("center"), "node 0: malformed perturbation"),
         (lambda d: d["nodes"][1].__setitem__("weight", [["a", 1]]), "node 1: could not convert"),
+        (lambda d: d["perturbations"][0].__setitem__("node", 2), "non-input node 2"),
+        (lambda d: d["nodes"][2].__setitem__("dim", True), "node 2: 'dim' must be an integer, got True"),
+        (lambda d: d["nodes"][2].__setitem__("dim", 1.9), r"node 2: 'dim' must be an integer, got 1\.9"),
+        (lambda d: d["nodes"][2].__setitem__("dim", "2"), "node 2: 'dim' must be an integer, got '2'"),
     ],
 )
 def test_parse_rejects_bad_documents(mutate, message):
@@ -166,7 +169,6 @@ def test_roundtrip_with_mixed_spec_kinds():
         ],
     }
     g1, specs1 = parse_problem(json.dumps(doc))
-    assert g1.perturbed_inputs == frozenset({0, 1})
     text = serialize_problem(g1, specs1)
     g2, specs2 = parse_problem(text)
     assert g1 == g2 and specs1 == specs2
@@ -178,12 +180,6 @@ def test_graph_validation_rejects_bad_structures():
         Graph((Node(1, Input(), (), 1),), 0)
     with pytest.raises(GraphError, match="sum_reduce"):
         Graph((Node(0, Input(), (), 3), Node(1, SumReduce(), (0,), 3)), 1)
-    with pytest.raises(GraphError, match="not an input"):
-        Graph(
-            (Node(0, Input(), (), 1), Node(1, ReLU(), (0,), 1)),
-            1,
-            perturbed_inputs=frozenset({1}),
-        )
 
 
 def test_topological_order_chain():
