@@ -20,7 +20,7 @@ from .forward import _forward_pass, forward_oracle
 from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
 from .interval import IntervalBounds, ibp_propagate, input_interval
 from .linear import InputLayout, LinearBounds
-from .perturb import Constant, PerturbationSpec
+from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
 
 __all__ = [
@@ -174,10 +174,10 @@ def _backward_linear(
         if a_lo is None:
             continue
         spec = specs[i]
-        if isinstance(spec, Constant):
+        if not spec.perturbed:
             # pinned inputs contribute exactly; fold into the bias
-            lb = lb + a_lo @ spec.value
-            ub = ub + a_up @ spec.value
+            lb = lb + a_lo @ spec.center
+            ub = ub + a_up @ spec.center
         else:
             lw[:, layout.block(i)] = a_lo
             uw[:, layout.block(i)] = a_up
@@ -201,24 +201,9 @@ def backward_lirpa(
     return _backward_linear(g, o, intermediate, specs, out_coeff, relu_mode, layout)
 
 
-def _ancestors(g: Graph, target: int) -> set[int]:
-    seen = {target}
-    stack = [target]
-    while stack:
-        for j in g.nodes[stack.pop()].inputs:
-            if j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return seen
-
-
 def _nonlinear_operand_ids(g: Graph, target: int) -> set[int]:
-    scope = _ancestors(g, target)
-    needed: set[int] = set()
-    for i in scope:
-        if g.nodes[i].op.relaxed:
-            needed.update(g.nodes[i].inputs)
-    return needed
+    scope = {target} | {i for i, d in get_out_degree(g, target).items() if d}
+    return {j for i in scope if g.nodes[i].op.relaxed for j in g.nodes[i].inputs}
 
 
 def _apply_out_coeff_interval(bounds: IntervalBounds, c: np.ndarray) -> IntervalBounds:

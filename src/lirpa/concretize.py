@@ -1,10 +1,10 @@
 """Concretization: solving min/max of linear bounds over perturbation regions.
 
-lp balls admit a dual-norm closed form. Under bounded synonym substitution
-the exact extreme is the clean sentence's value plus the delta best
-per-position gains, from one batched product against the option table that
-each (immutable) ``Synonym`` builds once. A brute-force enumerator over all
-substitution assignments serves as the independent oracle.
+Each spec's ``extremes`` rule solves its own block (the dual-norm closed
+form for lp balls, the top-delta gain selection for synonym substitution);
+blocks are independent, so the bounds over all perturbed inputs are their
+sum. A brute-force enumerator over all substitution assignments serves as
+the independent oracle for the synonym rule.
 """
 from __future__ import annotations
 
@@ -27,64 +27,20 @@ __all__ = [
 _BRUTE_FORCE_LIMIT = 10**6
 
 
-def _row_norms(w: np.ndarray, q: float) -> np.ndarray:
-    if w.shape[1] == 0:
-        return np.zeros(w.shape[0])
-    return np.linalg.norm(w, ord=q, axis=1)
-
-
-def _lp_lower(w: np.ndarray, b: np.ndarray, spec: LpBall) -> np.ndarray:
-    return w @ spec.center + b - spec.eps * _row_norms(w, spec.dual_q)
-
-
-def _lp_upper(w: np.ndarray, b: np.ndarray, spec: LpBall) -> np.ndarray:
-    return w @ spec.center + b + spec.eps * _row_norms(w, spec.dual_q)
+def _concretize_one(lb: LinearBounds, spec: PerturbationSpec) -> IntervalBounds:
+    if lb.input_dim != spec.dim:
+        raise GraphError(f"bound has {lb.input_dim} columns but the spec spans {spec.dim}")
+    return IntervalBounds(*spec.extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b))
 
 
 def concretize_lp(lb: LinearBounds, spec: LpBall) -> IntervalBounds:
     """Exact min/max of the linear bounds over an lp ball (dual-norm form)."""
-    if lb.input_dim != spec.center.shape[0]:
-        raise GraphError(
-            f"bound has {lb.input_dim} columns but ball is {spec.center.shape[0]}-dimensional"
-        )
-    return IntervalBounds(
-        _lp_lower(lb.lower_w, lb.lower_b, spec), _lp_upper(lb.upper_w, lb.upper_b, spec)
-    )
-
-
-def _synonym_extremes(
-    wl: np.ndarray, bl: np.ndarray, wu: np.ndarray, bu: np.ndarray, spec: Synonym
-) -> tuple[np.ndarray, np.ndarray]:
-    """Min of wl @ x + bl and max of wu @ x + bu over the sentences x allowed.
-
-    w @ x is a sum of per-position terms, so its minimum is the clean value
-    plus the ``budget`` most negative gains, a gain being a position's best
-    option term minus its clean term. The max of wu @ x is minus the min of
-    -wu @ x, exactly in floats, so both sides share one product.
-    """
-    n, _, d = spec.option_table.shape
-    w = np.concatenate([wl, -wu])
-    # terms[t, k, r] = w[r, block t] @ (option k at position t)
-    terms = np.matmul(spec.option_table, w.reshape(-1, n, d).transpose(1, 2, 0))
-    clean = terms[:, 0]
-    gains = terms.min(axis=1) - clean
-    if spec.budget < n:
-        gains = np.partition(gains, spec.budget, axis=0)[:spec.budget]
-    best = clean.sum(axis=0) + gains.sum(axis=0)
-    return bl + best[:len(wl)], bu - best[len(wl):]
+    return _concretize_one(lb, spec)
 
 
 def concretize_synonym_dp(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
-    """Exact min/max of the linear bounds under bounded word substitution.
-
-    Output coordinates are treated independently.
-    """
-    if lb.input_dim != spec.length * spec.embedding_dim:
-        raise GraphError(
-            f"bound has {lb.input_dim} columns but spec spans "
-            f"{spec.length * spec.embedding_dim} embedding coordinates"
-        )
-    return IntervalBounds(*_synonym_extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b, spec))
+    """Exact min/max of the linear bounds under bounded word substitution."""
+    return _concretize_one(lb, spec)
 
 
 def _enumerate_assignments(spec: Synonym) -> np.ndarray:
@@ -143,14 +99,7 @@ def concretize_bounds(
     zero = np.zeros(lb.dim)
     for i in layout.ids:
         block = layout.block(i)
-        spec = specs[i]
-        wl = lb.lower_w[:, block]
-        wu = lb.upper_w[:, block]
-        if isinstance(spec, LpBall):
-            lower = lower + _lp_lower(wl, zero, spec)
-            upper = upper + _lp_upper(wu, zero, spec)
-        elif isinstance(spec, Synonym):
-            lower, upper = _synonym_extremes(wl, lower, wu, upper, spec)
-        else:
-            raise GraphError(f"node {i} is not a perturbed input")
+        lo, hi = specs[i].extremes(lb.lower_w[:, block], zero, lb.upper_w[:, block], zero)
+        lower = lower + lo
+        upper = upper + hi
     return IntervalBounds(lower, upper)

@@ -16,7 +16,7 @@ from .concretize import concretize_bounds
 from .errors import GraphError
 from .graph import Graph, Input, OpKind, topological_order
 from .linear import InputLayout, IntervalBounds, LinearBounds
-from .perturb import Constant, PerturbationSpec
+from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode
 
 __all__ = ["forward_oracle", "forward_lirpa", "LinearBounds", "InputLayout"]
@@ -39,9 +39,9 @@ def forward_oracle(
 
 
 def _input_bounds(layout: InputLayout, node_id: int, spec: PerturbationSpec, dim: int) -> LinearBounds:
-    if isinstance(spec, Constant):
+    if not spec.perturbed:
         zeros = np.zeros((dim, layout.dim))
-        return LinearBounds(zeros, spec.value, zeros.copy(), spec.value.copy())
+        return LinearBounds(zeros, spec.center, zeros.copy(), spec.center.copy())
     w = np.zeros((dim, layout.dim))
     w[:, layout.block(node_id)] = np.eye(dim)
     zeros = np.zeros(dim)

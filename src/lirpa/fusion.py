@@ -46,7 +46,7 @@ __all__ = [
     "flatness_score",
 ]
 
-DEFAULT_EXP_CAP = 700.0  # exp() overflows float64 just above this
+EXP_CAP = 700.0  # exp() overflows float64 just above this
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ def bound_loss_fused(
     strategy: BoundStrategy = BoundStrategy.IBP_BACKWARD,
     relu_mode: ReluLowerMode = ReluLowerMode.ZERO,
     margin_bounds: IntervalBounds | None = None,
-    exp_cap: float = DEFAULT_EXP_CAP,
 ) -> float:
     """Upper bound the worst-case loss by bounding the fused graph directly.
 
@@ -161,7 +160,7 @@ def bound_loss_fused(
     ``margin_bounds`` is given, the exp input interval is taken from it
     (negated) instead of from the supplier, which is how the paired
     comparison shares concrete margin bounds between both paths. If the exp
-    input's upper bound exceeds ``exp_cap`` the bound is vacuous and +inf is
+    input's upper bound exceeds ``EXP_CAP`` the bound is vacuous and +inf is
     returned instead of overflowing.
     """
     fused = build_fused_loss_graph(g, margin)
@@ -177,7 +176,7 @@ def bound_loss_fused(
         )
     if margin_node not in intermediate:
         raise GraphError("supplier produced no interval for the exp input")
-    if float(np.max(intermediate[margin_node].upper)) > exp_cap:
+    if float(np.max(intermediate[margin_node].upper)) > EXP_CAP:
         return math.inf
     lb = _backward_linear(fused, loss_node, intermediate, specs, None, relu_mode, layout)
     upper_s = concretize_bounds(lb, layout, specs).upper[0]
@@ -190,7 +189,6 @@ def fused_loss_report(
     margin: MarginSpec,
     strategy: BoundStrategy = BoundStrategy.IBP_BACKWARD,
     relu_mode: ReluLowerMode = ReluLowerMode.ZERO,
-    exp_cap: float = DEFAULT_EXP_CAP,
 ) -> FusedLossReport:
     """Paired fused/unfused loss bounds sharing the same concrete bounds.
 
@@ -201,9 +199,7 @@ def fused_loss_report(
     """
     margins = _margin_interval(g, specs, margin, strategy, relu_mode)
     unfused = _cross_entropy_from_neg_margins(-margins.lower)
-    fused = bound_loss_fused(
-        g, specs, margin, strategy, relu_mode, margin_bounds=margins, exp_cap=exp_cap
-    )
+    fused = bound_loss_fused(g, specs, margin, strategy, relu_mode, margin_bounds=margins)
     return FusedLossReport(fused, unfused, margins.lower)
 
 

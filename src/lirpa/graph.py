@@ -20,7 +20,7 @@ from .errors import GraphError
 from .ops import (
     Add, Affine, Exp, Input, Log, MulElementwise, Neg, OpKind, ReLU, Sub, SumReduce,
 )
-from .perturb import PerturbationSpec, parse_perturbation, perturbation_to_json, spec_dim
+from .perturb import PerturbationSpec, _is_int, parse_perturbation
 
 __all__ = [
     "Input",
@@ -187,11 +187,6 @@ def get_out_degree(g: Graph, o: int) -> dict[int, int]:
     return degree
 
 
-def _is_int(x) -> bool:
-    # bool is a subclass of int, but true is no node id or dim
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _reject_constant(name: str):
     raise GraphError(f"non-finite number {name} in document")
 
@@ -206,7 +201,7 @@ def _parse_node(idx: int, obj: dict) -> Node:
         raise GraphError(f"node {idx}: missing 'op'/'dim': {exc}") from exc
     if not _is_int(dim):
         raise GraphError(f"node {idx}: 'dim' must be an integer, got {dim!r}")
-    if name not in _OP_TYPES:
+    if not isinstance(name, str) or name not in _OP_TYPES:
         raise GraphError(f"node {idx}: unknown op name {name!r}")
     cls = _OP_TYPES[name]
     # an op's dataclass fields (affine: weight, bias) are its document fields
@@ -250,9 +245,9 @@ def parse_problem(text: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
             spec = parse_perturbation(entry)
         except (KeyError, TypeError, ValueError) as exc:
             raise GraphError(f"node {i}: malformed perturbation: {exc}") from exc
-        if spec_dim(spec) != nodes[i].dim:
+        if spec.dim != nodes[i].dim:
             raise GraphError(
-                f"perturbation dim {spec_dim(spec)} does not match node {i} dim {nodes[i].dim}"
+                f"perturbation dim {spec.dim} does not match node {i} dim {nodes[i].dim}"
             )
         specs[i] = spec
 
@@ -278,6 +273,6 @@ def serialize_problem(g: Graph, specs: Mapping[int, PerturbationSpec] | None = N
     doc = {"nodes": nodes_json, "output": g.output}
     if specs:
         doc["perturbations"] = [
-            {"node": i, **perturbation_to_json(specs[i])} for i in sorted(specs)
+            {"node": i, **specs[i].to_json()} for i in sorted(specs)
         ]
     return json.dumps(doc, indent=2)

@@ -14,10 +14,10 @@ from typing import TYPE_CHECKING, Mapping
 import numpy as np
 
 from .errors import GraphError
-from .perturb import PerturbationSpec, is_perturbed, spec_dim
 
-if TYPE_CHECKING:  # graph imports the ops, which build these containers
+if TYPE_CHECKING:  # the ops (through graph) and the specs build these containers
     from .graph import Graph
+    from .perturb import PerturbationSpec
 
 __all__ = ["IntervalBounds", "LinearBounds", "InputLayout"]
 
@@ -88,12 +88,12 @@ class InputLayout:
         for i in g.input_ids:
             if i not in specs:
                 raise GraphError(f"no perturbation spec for input node {i}")
-            d = spec_dim(specs[i])
+            d = specs[i].dim
             if d != g.nodes[i].dim:
                 raise GraphError(
                     f"spec dim {d} does not match input node {i} dim {g.nodes[i].dim}"
                 )
-            if is_perturbed(specs[i]):
+            if specs[i].perturbed:
                 ids.append(i)
                 slices[i] = slice(offset, offset + d)
                 offset += d

@@ -89,6 +89,16 @@ def _mix_rows(slope: np.ndarray, on_pos: np.ndarray, on_neg: np.ndarray) -> np.n
     return pos * on_pos + neg * on_neg
 
 
+def _lines_backward(lower_coeff, upper_coeff, slope_pairs, lower_const, upper_const):
+    """The backward rule of relaxation lines with one (lower, upper) slope pair per input."""
+    lo_pos, lo_neg = _posneg(lower_coeff)
+    up_pos, up_neg = _posneg(upper_coeff)
+    lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in slope_pairs]
+    d_lo = lo_pos @ lower_const + lo_neg @ upper_const
+    d_up = up_pos @ upper_const + up_neg @ lower_const
+    return lams, d_lo, d_up
+
+
 def _unary_mix(rel_lower_slope, rel_lower_icpt, rel_upper_slope, rel_upper_icpt, b: LinearBounds) -> LinearBounds:
     lw = _mix_rows(rel_lower_slope, b.lower_w, b.upper_w)
     lb_ = _mix_rows(rel_lower_slope, b.lower_b, b.upper_b) + rel_lower_icpt
@@ -181,16 +191,9 @@ class UnaryRelaxed(Elementwise):
         )
 
     def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        lo_pos, lo_neg = _posneg(lower_coeff)
-        up_pos, up_neg = _posneg(upper_coeff)
         rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
-        lam = (
-            lo_pos * rel.lower_slope + lo_neg * rel.upper_slope,
-            up_pos * rel.upper_slope + up_neg * rel.lower_slope,
-        )
-        d_lo = lo_pos @ rel.lower_intercept + lo_neg @ rel.upper_intercept
-        d_up = up_pos @ rel.upper_intercept + up_neg @ rel.lower_intercept
-        return [lam], d_lo, d_up
+        slopes = [(rel.lower_slope, rel.upper_slope)]
+        return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_intercept, rel.upper_intercept)
 
 
 @dataclass(frozen=True)
@@ -341,21 +344,10 @@ class MulElementwise(Elementwise):
         )
 
     def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        lo_pos, lo_neg = _posneg(lower_coeff)
-        up_pos, up_neg = _posneg(upper_coeff)
         ix, iy = intervals
         rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
-        lam_x = (
-            lo_pos * rel.lower_x + lo_neg * rel.upper_x,
-            up_pos * rel.upper_x + up_neg * rel.lower_x,
-        )
-        lam_y = (
-            lo_pos * rel.lower_y + lo_neg * rel.upper_y,
-            up_pos * rel.upper_y + up_neg * rel.lower_y,
-        )
-        d_lo = lo_pos @ rel.lower_const + lo_neg @ rel.upper_const
-        d_up = up_pos @ rel.upper_const + up_neg @ rel.lower_const
-        return [lam_x, lam_y], d_lo, d_up
+        slopes = [(rel.lower_x, rel.upper_x), (rel.lower_y, rel.upper_y)]
+        return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_const, rel.upper_const)
 
 
 @dataclass(frozen=True)

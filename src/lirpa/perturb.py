@@ -1,30 +1,32 @@
-"""Perturbation specifications attached to independent (input) nodes.
+"""Perturbation specs: the region of an input node, each kind one class.
 
-Three kinds are supported: a constant value (unperturbed input), an lp ball
-around a center, and bounded synonym substitution over a word sequence with
-per-position substitution sets and a replacement budget.
+The kinds are a constant value, an lp ball and bounded synonym substitution.
+Each carries its document ``kind``, a ``perturbed`` flag (a perturbed input
+owns a column block of X; an unperturbed one folds into the bias), its
+``center`` and ``dim``, and the rules ``box()`` (an enclosing interval),
+``extremes(wl, bl, wu, bu)`` (min of wl @ x + bl and max of wu @ x + bu over
+the region, perturbed kinds only), ``sample(rng, n)`` (in-region (dim, n)
+columns, boundary points included) and ``to_json``/``from_json``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 import numpy as np
 
 from .errors import GraphError
+from .linear import IntervalBounds
 
 __all__ = [
+    "PerturbationSpec",
     "Constant",
     "LpBall",
     "Synonym",
-    "PerturbationSpec",
-    "is_perturbed",
-    "spec_dim",
     "spec_center",
     "parse_perturbation",
-    "perturbation_to_json",
     "sample_spec",
 ]
 
@@ -39,11 +41,46 @@ def _vector(x, what: str) -> np.ndarray:
     return v
 
 
+def _is_int(x) -> bool:
+    # bool is a subclass of int, but true is no node id, dim or budget
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _strings(x, what: str) -> tuple[str, ...]:
+    if not isinstance(x, list) or not all(isinstance(w, str) for w in x):
+        raise GraphError(f"{what} must be a list of strings, got {x!r}")
+    return tuple(x)
+
+
+def _row_norms(w: np.ndarray, q: float) -> np.ndarray:
+    if w.shape[1] == 0:
+        return np.zeros(w.shape[0])
+    return np.linalg.norm(w, ord=q, axis=1)
+
+
+class PerturbationSpec:
+    """Base of every spec: its document ``kind`` and its rules (see above)."""
+
+    kind: ClassVar[str]
+    perturbed: ClassVar[bool] = True
+
+    @property
+    def dim(self) -> int:
+        return self.center.shape[0]
+
+
 @dataclass(frozen=True, eq=False)
-class Constant:
+class Constant(PerturbationSpec):
     """A pinned input: the singleton region {value}."""
 
     value: np.ndarray
+
+    kind = "constant"
+    perturbed = False
 
     def __post_init__(self):
         object.__setattr__(self, "value", _vector(self.value, "constant value"))
@@ -51,14 +88,33 @@ class Constant:
     def __eq__(self, other):
         return isinstance(other, Constant) and np.array_equal(self.value, other.value)
 
+    @property
+    def center(self) -> np.ndarray:
+        return self.value
+
+    def box(self) -> IntervalBounds:
+        return IntervalBounds(self.value, self.value)
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        return np.tile(self.value[:, None], (1, n))
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "value": self.value.tolist()}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Constant":
+        return cls(obj["value"])
+
 
 @dataclass(frozen=True, eq=False)
-class LpBall:
+class LpBall(PerturbationSpec):
     """The region {x : ||x - center||_p <= eps} with p in [1, inf]."""
 
     center: np.ndarray
     eps: float
     p: float
+
+    kind = "lp"
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector(self.center, "ball center"))
@@ -88,9 +144,52 @@ class LpBall:
             and self.p == other.p
         )
 
+    def box(self) -> IntervalBounds:
+        # for p < inf this is the box relaxation of the ball
+        return IntervalBounds(self.center - self.eps, self.center + self.eps)
+
+    def extremes(self, wl, bl, wu, bu):
+        """Dual-norm closed form: w @ center + b -/+ eps * ||w_row||_q."""
+        return (
+            wl @ self.center + bl - self.eps * _row_norms(wl, self.dual_q),
+            wu @ self.center + bu + self.eps * _row_norms(wu, self.dual_q),
+        )
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        d = self.dim
+        u = rng.uniform(-1.0, 1.0, size=(d, n))
+        if math.isinf(self.p):
+            pts = self.center[:, None] + self.eps * u
+        else:
+            norms = np.linalg.norm(u, ord=self.p, axis=0)
+            u = u / np.maximum(norms, 1.0)
+            pts = self.center[:, None] + self.eps * u
+        # force a few boundary points for better coverage
+        if n >= 4 and self.eps > 0:
+            v = rng.uniform(-1.0, 1.0, size=(d, min(4, n)))
+            if math.isinf(self.p):
+                v = np.sign(v) + (v == 0)
+            else:
+                v = v / np.linalg.norm(v, ord=self.p, axis=0)
+            pts[:, :v.shape[1]] = self.center[:, None] + self.eps * v
+        return pts
+
+    def to_json(self) -> dict:
+        p = "inf" if math.isinf(self.p) else self.p
+        return {"type": self.kind, "center": self.center.tolist(), "eps": self.eps, "p": p}
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "LpBall":
+        eps, p = obj.get("eps", 0.0), obj.get("p", "inf")
+        if not _is_number(eps):
+            raise GraphError(f"lp 'eps' must be a number, got {eps!r}")
+        if not (_is_number(p) or p == "inf"):
+            raise GraphError(f"lp 'p' must be a number or \"inf\", got {p!r}")
+        return cls(obj["center"], eps, math.inf if p == "inf" else p)
+
 
 @dataclass(frozen=True, eq=False)
-class Synonym:
+class Synonym(PerturbationSpec):
     """Bounded word substitution over a fixed sequence.
 
     Each position t holds the clean word ``words[t]`` which may be replaced by
@@ -109,6 +208,8 @@ class Synonym:
     embeddings: Mapping[str, np.ndarray]
     budget: int
     option_table: np.ndarray = field(init=False, repr=False)
+
+    kind = "synonym"
 
     def __post_init__(self):
         words = tuple(self.words)
@@ -153,9 +254,6 @@ class Synonym:
         """Replacement candidates at position t, excluding the clean word."""
         return self.substitutions.get(t, ())
 
-    def clean_vector(self) -> np.ndarray:
-        return np.concatenate([self.embeddings[w] for w in self.words])
-
     def __eq__(self, other):
         return (
             isinstance(other, Synonym)
@@ -166,30 +264,83 @@ class Synonym:
             and all(np.array_equal(self.embeddings[w], other.embeddings[w]) for w in self.embeddings)
         )
 
+    @property
+    def center(self) -> np.ndarray:
+        """The clean sentence's embeddings, concatenated."""
+        return self.option_table[:, 0].reshape(-1)
 
-PerturbationSpec = Constant | LpBall | Synonym
+    def box(self) -> IntervalBounds:
+        # per position over the clean word and all of its substitutes: the
+        # budget is ignored, so the box assumes every word replaceable at once
+        return IntervalBounds(
+            self.option_table.min(axis=1).reshape(-1), self.option_table.max(axis=1).reshape(-1)
+        )
+
+    def extremes(self, wl, bl, wu, bu):
+        """Min of wl @ x + bl and max of wu @ x + bu over the sentences allowed.
+
+        w @ x is a sum of per-position terms, so its minimum is the clean value
+        plus the ``budget`` most negative gains, a gain being a position's best
+        option term minus its clean term. The max of wu @ x is minus the min of
+        -wu @ x, exactly in floats, so both sides share one product.
+        """
+        n, _, d = self.option_table.shape
+        w = np.concatenate([wl, -wu])
+        # terms[t, k, r] = w[r, block t] @ (option k at position t)
+        terms = np.matmul(self.option_table, w.reshape(-1, n, d).transpose(1, 2, 0))
+        clean = terms[:, 0]
+        gains = terms.min(axis=1) - clean
+        if self.budget < n:
+            gains = np.partition(gains, self.budget, axis=0)[:self.budget]
+        best = clean.sum(axis=0) + gains.sum(axis=0)
+        return bl + best[:len(wl)], bu - best[len(wl):]
+
+    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        cols = np.empty((self.dim, n))
+        emb = self.embedding_dim
+        for k in range(n):
+            replaceable = [t for t in range(self.length) if self.candidates(t)]
+            rng.shuffle(replaceable)
+            budget = rng.integers(0, self.budget + 1)
+            chosen = set(replaceable[: int(budget)])
+            for t in range(self.length):
+                if t in chosen:
+                    cands = self.candidates(t)
+                    word = cands[rng.integers(0, len(cands))]
+                else:
+                    word = self.words[t]
+                cols[t * emb:(t + 1) * emb, k] = self.embedding(word)
+        return cols
+
+    def to_json(self) -> dict:
+        return {
+            "type": self.kind,
+            "delta": self.budget,
+            "words": list(self.words),
+            "substitutions": {str(t): list(ws) for t, ws in sorted(self.substitutions.items())},
+            "embeddings": {w: e.tolist() for w, e in sorted(self.embeddings.items())},
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict) -> "Synonym":
+        words = _strings(obj["words"], "synonym 'words'")
+        subs = obj.get("substitutions", {})
+        if not isinstance(subs, dict):
+            raise GraphError(f"synonym 'substitutions' must be an object, got {subs!r}")
+        subs = {int(t): _strings(ws, f"substitutions at {t}") for t, ws in subs.items()}
+        delta = obj["delta"]
+        if not _is_int(delta):
+            raise GraphError(f"synonym 'delta' must be an integer, got {delta!r}")
+        return cls(words, subs, dict(obj["embeddings"]), delta)
 
 
-def is_perturbed(spec: PerturbationSpec) -> bool:
-    """Whether the spec carries coordinates in the perturbed vector X."""
-    return not isinstance(spec, Constant)
-
-
-def spec_dim(spec: PerturbationSpec) -> int:
-    if isinstance(spec, Constant):
-        return spec.value.shape[0]
-    if isinstance(spec, LpBall):
-        return spec.center.shape[0]
-    return spec.length * spec.embedding_dim
+# the parse registry: document type -> spec class
+_SPEC_TYPES = {cls.kind: cls for cls in (Constant, LpBall, Synonym)}
 
 
 def spec_center(spec: PerturbationSpec) -> np.ndarray:
     """The nominal (unperturbed) value of the input."""
-    if isinstance(spec, Constant):
-        return spec.value
-    if isinstance(spec, LpBall):
-        return spec.center
-    return spec.clean_vector()
+    return spec.center
 
 
 def parse_perturbation(obj: dict) -> PerturbationSpec:
@@ -197,71 +348,11 @@ def parse_perturbation(obj: dict) -> PerturbationSpec:
     if not isinstance(obj, dict) or "type" not in obj:
         raise GraphError("perturbation entry must be an object with a 'type' field")
     kind = obj["type"]
-    if kind == "constant":
-        return Constant(obj["value"])
-    if kind == "lp":
-        p = obj.get("p", "inf")
-        p = math.inf if p == "inf" else float(p)
-        return LpBall(obj["center"], float(obj.get("eps", 0.0)), p)
-    if kind == "synonym":
-        subs = {int(t): tuple(ws) for t, ws in obj.get("substitutions", {}).items()}
-        return Synonym(tuple(obj["words"]), subs, dict(obj["embeddings"]), int(obj["delta"]))
-    raise GraphError(f"unknown perturbation type {kind!r}")
-
-
-def perturbation_to_json(spec: PerturbationSpec) -> dict:
-    if isinstance(spec, Constant):
-        return {"type": "constant", "value": spec.value.tolist()}
-    if isinstance(spec, LpBall):
-        p = "inf" if math.isinf(spec.p) else spec.p
-        return {"type": "lp", "center": spec.center.tolist(), "eps": spec.eps, "p": p}
-    return {
-        "type": "synonym",
-        "delta": spec.budget,
-        "words": list(spec.words),
-        "substitutions": {str(t): list(ws) for t, ws in sorted(spec.substitutions.items())},
-        "embeddings": {w: e.tolist() for w, e in sorted(spec.embeddings.items())},
-    }
+    if not isinstance(kind, str) or kind not in _SPEC_TYPES:
+        raise GraphError(f"unknown perturbation type {kind!r}")
+    return _SPEC_TYPES[kind].from_json(obj)
 
 
 def sample_spec(spec: PerturbationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n points inside the spec region, returned as columns (dim, n).
-
-    Coverage includes boundary points; every returned column is a member of
-    the region, which makes the result usable as a soundness probe.
-    """
-    d = spec_dim(spec)
-    if isinstance(spec, Constant):
-        return np.tile(spec.value[:, None], (1, n))
-    if isinstance(spec, LpBall):
-        u = rng.uniform(-1.0, 1.0, size=(d, n))
-        if math.isinf(spec.p):
-            pts = spec.center[:, None] + spec.eps * u
-        else:
-            norms = np.linalg.norm(u, ord=spec.p, axis=0)
-            u = u / np.maximum(norms, 1.0)
-            pts = spec.center[:, None] + spec.eps * u
-        # force a few boundary points for better coverage
-        if n >= 4 and spec.eps > 0:
-            v = rng.uniform(-1.0, 1.0, size=(d, min(4, n)))
-            if math.isinf(spec.p):
-                v = np.sign(v) + (v == 0)
-            else:
-                v = v / np.linalg.norm(v, ord=spec.p, axis=0)
-            pts[:, :v.shape[1]] = spec.center[:, None] + spec.eps * v
-        return pts
-    cols = np.empty((d, n))
-    emb = spec.embedding_dim
-    for k in range(n):
-        replaceable = [t for t in range(spec.length) if spec.candidates(t)]
-        rng.shuffle(replaceable)
-        budget = rng.integers(0, spec.budget + 1)
-        chosen = set(replaceable[: int(budget)])
-        for t in range(spec.length):
-            if t in chosen:
-                cands = spec.candidates(t)
-                word = cands[rng.integers(0, len(cands))]
-            else:
-                word = spec.words[t]
-            cols[t * emb:(t + 1) * emb, k] = spec.embedding(word)
-    return cols
+    """Draw n points inside the spec region as (dim, n) columns, boundary points included."""
+    return spec.sample(rng, n)

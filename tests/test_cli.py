@@ -100,6 +100,14 @@ def test_non_finite_document_exit_code(capsys, tmp_path):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_malformed_op_exit_code(capsys, tmp_path):
+    doc = {"nodes": [{"op": "input", "inputs": [], "dim": 1}, {"op": ["relu"], "inputs": [0], "dim": 1}], "output": 1}
+    bad = tmp_path / "op.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["bounds", str(bad)]) == 1
+    assert "node 1: unknown op name" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     assert main(["bounds", str(tmp_path / "nope.json")]) == 1
     capsys.readouterr()

@@ -98,7 +98,7 @@ def test_l2_bound_attained_at_analytic_maximizer():
 def _clean_value(lb, spec, side="lower"):
     w = getattr(lb, f"{side}_w")
     b = getattr(lb, f"{side}_b")
-    return w @ spec.clean_vector() + b
+    return w @ spec.center + b
 
 
 def test_synonym_zero_budget_is_clean_sentence():

@@ -66,6 +66,13 @@ def test_parse_rejects_dimension_mismatch():
         (lambda d: d["nodes"][2].__setitem__("dim", True), "node 2: 'dim' must be an integer, got True"),
         (lambda d: d["nodes"][2].__setitem__("dim", 1.9), r"node 2: 'dim' must be an integer, got 1\.9"),
         (lambda d: d["nodes"][2].__setitem__("dim", "2"), "node 2: 'dim' must be an integer, got '2'"),
+        (lambda d: d["nodes"][2].__setitem__("op", ["relu"]), r"node 2: unknown op name \['relu'\]"),
+        (lambda d: d["nodes"][2].__setitem__("op", {}), r"node 2: unknown op name \{\}"),
+        (lambda d: d["perturbations"][0].__setitem__("type", ["lp"]), "node 0: .*unknown perturbation type"),
+        (lambda d: d["perturbations"][0].__setitem__("eps", True), "node 0: .*'eps' must be a number, got True"),
+        (lambda d: d["perturbations"][0].__setitem__("eps", "2"), "node 0: .*'eps' must be a number, got '2'"),
+        (lambda d: d["perturbations"][0].__setitem__("p", True), "node 0: .*'p' must be a number"),
+        (lambda d: d["perturbations"][0].__setitem__("p", "2"), "node 0: .*'p' must be a number"),
     ],
 )
 def test_parse_rejects_bad_documents(mutate, message):
@@ -98,24 +105,42 @@ def test_parse_rejects_non_finite_numbers(path, token, message):
         parse_problem(text)
 
 
-def test_parse_rejects_non_finite_embedding():
-    doc = {
-        "nodes": [{"op": "input", "inputs": [], "dim": 2}],
-        "output": 0,
-        "perturbations": [
-            {
-                "node": 0,
-                "type": "synonym",
-                "delta": 1,
-                "words": ["a"],
-                "substitutions": {"0": ["b"]},
-                "embeddings": {"a": [1.0, 0.0], "b": [0.0, "TOKEN"]},
-            }
-        ],
+def _synonym_doc(**fields):
+    spec = {
+        "node": 0,
+        "type": "synonym",
+        "delta": 1,
+        "words": ["a"],
+        "substitutions": {"0": ["b"]},
+        "embeddings": {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [1.0, 1.0]},
     }
+    spec.update(fields)
+    return {"nodes": [{"op": "input", "inputs": [], "dim": 2}], "output": 0, "perturbations": [spec]}
+
+
+def test_parse_rejects_non_finite_embedding():
+    doc = _synonym_doc(embeddings={"a": [1.0, 0.0], "b": [0.0, "TOKEN"]})
     text = json.dumps(doc).replace('"TOKEN"', "1e999")
     with pytest.raises(GraphError, match=re.escape("node 0: malformed perturbation: embedding of 'b'")):
         parse_problem(text)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        # a string is iterable, so these once parsed as the words a, b and the candidates b, c
+        ({"words": "ab"}, "'words' must be a list of strings, got 'ab'"),
+        ({"words": ["a", 1]}, "'words' must be a list of strings"),
+        ({"substitutions": {"0": "bc"}}, "substitutions at 0 must be a list of strings, got 'bc'"),
+        ({"substitutions": ["b"]}, "'substitutions' must be an object"),
+        ({"delta": 1.7}, "'delta' must be an integer, got 1.7"),
+        ({"delta": True}, "'delta' must be an integer, got True"),
+        ({"delta": "1"}, "'delta' must be an integer, got '1'"),
+    ],
+)
+def test_parse_rejects_malformed_synonym_fields(fields, message):
+    with pytest.raises(GraphError, match="node 0: malformed perturbation: .*" + re.escape(message)):
+        parse_problem(json.dumps(_synonym_doc(**fields)))
 
 
 def test_parse_rejects_syntax_error():
