@@ -18,7 +18,7 @@ from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import _forward_pass, forward_oracle
 from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
-from .interval import IntervalBounds, ibp_propagate, input_interval
+from .interval import IntervalBounds, ibp_propagate, input_interval, interval_oracle
 from .linear import InputLayout, LinearBounds
 from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
@@ -80,6 +80,13 @@ def backward_oracle(
     return op.backward(lower_coeff, upper_coeff, input_intervals, relu_mode, in_dim)
 
 
+def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
+    out_coeff = np.asarray(out_coeff, dtype=np.float64)
+    if out_coeff.ndim != 2 or out_coeff.shape[1] != dim:
+        raise GraphError(f"out_coeff must have {dim} columns, got shape {out_coeff.shape}")
+    return out_coeff
+
+
 def run_backward(
     g: Graph,
     o: int,
@@ -94,14 +101,8 @@ def run_backward(
     queued only once its pending out-degree reaches zero, which merges all
     coefficient contributions before the node is relaxed.
     """
-    node_o = g.nodes[o]
-    if out_coeff is None:
-        out_coeff = np.eye(node_o.dim)
-    out_coeff = np.asarray(out_coeff, dtype=np.float64)
-    if out_coeff.ndim != 2 or out_coeff.shape[1] != node_o.dim:
-        raise GraphError(
-            f"out_coeff must have {node_o.dim} columns, got shape {out_coeff.shape}"
-        )
+    dim = g.nodes[o].dim
+    out_coeff = np.eye(dim) if out_coeff is None else _checked_out_coeff(out_coeff, dim)
     rows = out_coeff.shape[0]
     lower: dict[int, np.ndarray] = {o: out_coeff.copy()}
     upper: dict[int, np.ndarray] = {o: out_coeff.copy()}
@@ -206,14 +207,6 @@ def _nonlinear_operand_ids(g: Graph, target: int) -> set[int]:
     return {j for i in scope if g.nodes[i].op.relaxed for j in g.nodes[i].inputs}
 
 
-def _apply_out_coeff_interval(bounds: IntervalBounds, c: np.ndarray) -> IntervalBounds:
-    c_pos, c_neg = np.maximum(c, 0.0), np.minimum(c, 0.0)
-    return IntervalBounds(
-        c_pos @ bounds.lower + c_neg @ bounds.upper,
-        c_pos @ bounds.upper + c_neg @ bounds.lower,
-    )
-
-
 def intermediate_intervals(
     g: Graph,
     specs: Mapping[int, PerturbationSpec],
@@ -222,26 +215,29 @@ def intermediate_intervals(
     relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
 ) -> dict[int, IntervalBounds]:
     """Intervals the backward pass needs, produced by the strategy's supplier."""
+    needed = _nonlinear_operand_ids(g, g.output if target is None else target)
     layout = InputLayout.from_specs(g, specs)
-    return _intermediate_intervals(g, specs, strategy, target, relu_mode, layout)
+    return _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
 
 
 def _intermediate_intervals(
     g: Graph,
     specs: Mapping[int, PerturbationSpec],
     strategy: BoundStrategy,
-    target: int | None,
+    needed: set[int],
     relu_mode: ReluLowerMode,
     layout: InputLayout,
 ) -> dict[int, IntervalBounds]:
-    """``intermediate_intervals`` over the layout its caller already built."""
+    """Supplier intervals of the ``needed`` nodes (IBP: of every node) over the caller's layout."""
     if strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD):
         return ibp_propagate(g, specs)
-    needed = _nonlinear_operand_ids(g, g.output if target is None else target)
     if strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
-        # the forward pass concretized every nonlinear operand in the graph
-        fwd_intervals = _forward_pass(g, specs, relu_mode, layout)[1]
-        return {j: fwd_intervals[j] for j in sorted(needed)}
+        # the pass concretized the nonlinear operands; other needed nodes come from their bounds
+        bounds, fwd = _forward_pass(g, specs, relu_mode, layout)
+        return {
+            j: fwd[j] if j in fwd else concretize_bounds(bounds[j], layout, specs)
+            for j in sorted(needed)
+        }
     if strategy is not BoundStrategy.BACKWARD:
         raise GraphError(f"unknown bound strategy {strategy!r}")
     # each operand from its own backward pass, in topological order so every
@@ -276,20 +272,22 @@ def compute_bounds(
     if target is None:
         target = g.output
     layout = InputLayout.from_specs(g, specs)
+    if out_coeff is not None:
+        out_coeff = _checked_out_coeff(out_coeff, g.nodes[target].dim)
+        coeff_op = Affine(out_coeff, np.zeros(out_coeff.shape[0]))
 
     if strategy is BoundStrategy.IBP:
-        box = ibp_propagate(g, specs)[target]
+        native = box = ibp_propagate(g, specs)[target]
         if out_coeff is not None:
-            box = _apply_out_coeff_interval(box, np.asarray(out_coeff, dtype=np.float64))
-        native = box
+            native = box = interval_oracle(coeff_op, [box])
     elif strategy is BoundStrategy.FORWARD:
         native = _forward_pass(g, specs, relu_mode, layout)[0][target]
         if out_coeff is not None:
-            coeff_op = Affine(out_coeff, np.zeros(np.asarray(out_coeff).shape[0]))
             native = forward_oracle(coeff_op, [native])
         box = concretize_bounds(native, layout, specs)
     else:
-        intermediate = _intermediate_intervals(g, specs, strategy, target, relu_mode, layout)
+        needed = _nonlinear_operand_ids(g, target)
+        intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
         native = _backward_linear(g, target, intermediate, specs, out_coeff, relu_mode, layout)
         box = concretize_bounds(native, layout, specs)
     if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):

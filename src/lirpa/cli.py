@@ -11,16 +11,16 @@ import json
 import math
 import sys
 import time
-from typing import Mapping
 
 import numpy as np
 
 from .backward import BoundStrategy, compute_bounds
 from .errors import DomainError, GraphError
 from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transform
-from .graph import Graph, evaluate, parse_problem, topological_order
+from .graph import Graph, _load_json, evaluate, parse_problem, topological_order
 from .interval import IntervalBounds
-from .perturb import LpBall, PerturbationSpec, sample_spec, spec_center
+from .linear import InputLayout
+from .perturb import Constant, LpBall, PerturbationSpec, _is_int, sample_spec, spec_center
 from .relaxation import ReluLowerMode
 
 __all__ = ["main", "build_parser"]
@@ -49,27 +49,22 @@ def _emit(report: dict, output: str | None) -> None:
             fh.write(text + "\n")
 
 
-def _load(path: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
+def _read(path: str, what: str) -> str:
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
-        raise GraphError(f"cannot read graph document: {exc}") from exc
-    return parse_problem(text)
+        raise GraphError(f"cannot read {what}: {exc}") from exc
 
 
-def _override_specs(
-    specs: Mapping[int, PerturbationSpec], eps: float | None, p: float | None
-) -> dict[int, PerturbationSpec]:
-    out = dict(specs)
-    for i, spec in out.items():
+def _load(args) -> tuple[Graph, dict[int, PerturbationSpec]]:
+    """Parse ``args.graph`` and apply the --eps/--p overrides to its lp balls."""
+    g, specs = parse_problem(_read(args.graph, "graph document"))
+    for i, spec in specs.items():
         if isinstance(spec, LpBall):
-            out[i] = LpBall(
-                spec.center,
-                spec.eps if eps is None else eps,
-                spec.p if p is None else p,
-            )
-    return out
+            eps = spec.eps if args.eps is None else args.eps
+            specs[i] = LpBall(spec.center, eps, spec.p if args.p is None else args.p)
+    return g, specs
 
 
 def _interval_report(bounds: IntervalBounds) -> tuple[list, list]:
@@ -85,8 +80,7 @@ def _run_method(g, specs, method, relu_mode, out_coeff=None, target=None):
 
 
 def cmd_bounds(args) -> int:
-    g, specs = _load(args.graph)
-    specs = _override_specs(specs, args.eps, args.p)
+    g, specs = _load(args)
     relu_mode = ReluLowerMode(args.relu)
     box, elapsed = _run_method(g, specs, args.method, relu_mode)
     lower, upper = _interval_report(box)
@@ -111,8 +105,7 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    g, specs = _load(args.graph)
-    specs = _override_specs(specs, args.eps, args.p)
+    g, specs = _load(args)
     k = g.nodes[g.output].dim
     if k < 2:
         raise GraphError(f"verification needs at least 2 classes, output dim is {k}")
@@ -135,8 +128,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    g, specs = _load(args.graph)
-    specs = _override_specs(specs, args.eps, args.p)
+    g, specs = _load(args)
     relu_mode = ReluLowerMode(args.relu)
     rows = []
     for method in ("ibp", "forward", "backward", "ibp+backward"):
@@ -157,8 +149,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fuse(args) -> int:
-    g, specs = _load(args.graph)
-    specs = _override_specs(specs, args.eps, args.p)
+    g, specs = _load(args)
     k = g.nodes[g.output].dim
     margin = MarginSpec(args.label, k)
     start = time.perf_counter()
@@ -177,20 +168,31 @@ def cmd_fuse(args) -> int:
     return 0
 
 
+def _flatness_entry(g: Graph, entry) -> tuple[dict[int, np.ndarray], int]:
+    if not isinstance(entry, dict) or "x" not in entry or not _is_int(entry.get("label")):
+        raise GraphError("expected an object with 'x' and an integer 'label'")
+    x = entry["x"]
+    if not isinstance(x, dict) and len(g.input_ids) == 1:
+        x = {str(g.input_ids[0]): x}
+    if not isinstance(x, dict) or set(x) != {str(i) for i in g.input_ids}:
+        raise GraphError(f"'x' must map each input node id {list(g.input_ids)} to a vector")
+    points = {int(i): Constant(v) for i, v in x.items()}
+    InputLayout.from_specs(g, points)  # checks each vector's dim
+    label = MarginSpec(entry["label"], g.nodes[g.output].dim).label
+    return {i: p.center for i, p in points.items()}, label
+
+
 def _flatness_batch(args, g, specs) -> list[tuple[dict[int, np.ndarray], int]]:
     if args.data:
-        with open(args.data) as fh:
-            entries = json.load(fh)
+        entries = _load_json(_read(args.data, "data file"))
+        if not isinstance(entries, list):
+            raise GraphError("data file must hold a list of entries")
         batch = []
-        for entry in entries:
-            x = entry["x"]
-            if isinstance(x, dict):
-                values = {int(i): np.asarray(v, dtype=float) for i, v in x.items()}
-            else:
-                if len(g.input_ids) != 1:
-                    raise GraphError("flat 'x' lists need a single-input graph")
-                values = {g.input_ids[0]: np.asarray(x, dtype=float)}
-            batch.append((values, int(entry["label"])))
+        for idx, entry in enumerate(entries):
+            try:
+                batch.append(_flatness_entry(g, entry))
+            except (GraphError, TypeError, ValueError) as exc:
+                raise GraphError(f"data entry {idx}: {exc}") from exc
         return batch
     if args.label is None:
         raise GraphError("flatness needs --label when no --data file is given")
@@ -199,7 +201,7 @@ def _flatness_batch(args, g, specs) -> list[tuple[dict[int, np.ndarray], int]]:
 
 
 def cmd_flatness(args) -> int:
-    g, specs = _load(args.graph)
+    g, specs = _load(args)
     batch = _flatness_batch(args, g, specs)
     start = time.perf_counter()
     score = flatness_score(g, args.eps_bar, batch, _METHODS[args.method], ReluLowerMode(args.relu))

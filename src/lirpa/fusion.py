@@ -4,6 +4,7 @@ Fusing the cross-entropy loss into the graph collapses the bounded output
 from K classes to a single scalar: the graph gains a margin affine layer,
 an exp, and a sum, and one backward pass bounds the loss directly. The
 unfused surrogate instead plugs backward margin lower bounds into the loss.
+A paired report runs the intermediate-bound supplier once and feeds both.
 The flatness score applies the same machinery to networks whose weights are
 re-expressed as perturbed inputs.
 """
@@ -16,6 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .backward import BoundStrategy, _backward_linear, _intermediate_intervals
+from .backward import _nonlinear_operand_ids
 from .concretize import concretize_bounds
 from .errors import GraphError
 from .graph import (
@@ -107,7 +109,10 @@ def build_fused_loss_graph(g: Graph, margin: MarginSpec) -> Graph:
     return Graph(nodes, n + 2)
 
 
-def _cross_entropy_from_neg_margins(neg_margins: np.ndarray) -> float:
+def _loss_upper(neg_margins: np.ndarray) -> float:
+    """log sum_i exp(neg_margins_i), or +inf once a term exceeds ``EXP_CAP``."""
+    if float(np.max(neg_margins)) > EXP_CAP:
+        return math.inf
     return float(np.log(np.sum(np.exp(neg_margins))))
 
 
@@ -117,13 +122,26 @@ def _margin_interval(
     margin: MarginSpec,
     strategy: BoundStrategy,
     relu_mode: ReluLowerMode,
-) -> IntervalBounds:
-    """Both margin bounds via one backward pass with the margin transform."""
-    coeff = margin_transform(margin.label, margin.num_classes)
+) -> tuple[IntervalBounds, dict[int, IntervalBounds], InputLayout]:
+    """Margin bounds from one supplier run and one backward pass, plus its intervals and layout."""
+    if g.nodes[g.output].dim != margin.num_classes:
+        raise GraphError("output dim does not match margin spec")
     layout = InputLayout.from_specs(g, specs)
-    intermediate = _intermediate_intervals(g, specs, strategy, g.output, relu_mode, layout)
+    needed = _nonlinear_operand_ids(g, g.output)
+    intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
+    coeff = margin_transform(margin.label, margin.num_classes)
     lb = _backward_linear(g, g.output, intermediate, specs, coeff, relu_mode, layout)
-    return concretize_bounds(lb, layout, specs)
+    return concretize_bounds(lb, layout, specs), intermediate, layout
+
+
+def _fused_pass(
+    fused: Graph, intermediate: dict, specs: Mapping, relu_mode: ReluLowerMode, layout: InputLayout
+) -> float:
+    """log of the fused output's upper bound, or +inf once the exp input passes ``EXP_CAP``."""
+    if float(np.max(intermediate[fused.output - 2].upper)) > EXP_CAP:  # the margin node
+        return math.inf
+    lb = _backward_linear(fused, fused.output, intermediate, specs, None, relu_mode, layout)
+    return float(np.log(concretize_bounds(lb, layout, specs).upper[0]))
 
 
 def bound_loss_unfused(
@@ -135,14 +153,13 @@ def bound_loss_unfused(
 ) -> tuple[float, np.ndarray]:
     """Upper bound the worst-case loss through margin lower bounds.
 
-    Returns (log sum_i exp(-margin_lower_i), margin lower bounds). The
-    margins come from one backward pass with the margin transform as output
-    coefficients, on intermediates from the chosen supplier.
+    Returns (log sum_i exp(-margin_lower_i), margin lower bounds); the bound
+    is +inf once some -margin_lower_i exceeds ``EXP_CAP``. The margins come
+    from one backward pass with the margin transform as output coefficients,
+    on intermediates from the chosen supplier.
     """
-    if g.nodes[g.output].dim != margin.num_classes:
-        raise GraphError("output dim does not match margin spec")
-    margins = _margin_interval(g, specs, margin, strategy, relu_mode)
-    return _cross_entropy_from_neg_margins(-margins.lower), margins.lower
+    margins = _margin_interval(g, specs, margin, strategy, relu_mode)[0]
+    return _loss_upper(-margins.lower), margins.lower
 
 
 def bound_loss_fused(
@@ -151,36 +168,20 @@ def bound_loss_fused(
     margin: MarginSpec,
     strategy: BoundStrategy = BoundStrategy.IBP_BACKWARD,
     relu_mode: ReluLowerMode = ReluLowerMode.ZERO,
-    margin_bounds: IntervalBounds | None = None,
 ) -> float:
     """Upper bound the worst-case loss by bounding the fused graph directly.
 
-    One backward pass over the appended scalar loss output; the exp node is
-    relaxed with the chord through its interval endpoints. When
-    ``margin_bounds`` is given, the exp input interval is taken from it
-    (negated) instead of from the supplier, which is how the paired
-    comparison shares concrete margin bounds between both paths. If the exp
-    input's upper bound exceeds ``EXP_CAP`` the bound is vacuous and +inf is
-    returned instead of overflowing.
+    The supplier stops at the margin node, so it never evaluates exp. One
+    backward pass over the appended scalar loss output then relaxes exp with
+    the chord through the margin node's interval; if its upper end exceeds
+    ``EXP_CAP`` the bound is vacuous and +inf is returned instead.
     """
     fused = build_fused_loss_graph(g, margin)
-    margin_node = len(g.nodes)
-    loss_node = fused.output
-    layout = InputLayout.from_specs(fused, specs)
-    intermediate = dict(
-        _intermediate_intervals(fused, specs, strategy, loss_node, relu_mode, layout)
-    )
-    if margin_bounds is not None:
-        intermediate[margin_node] = IntervalBounds(
-            -margin_bounds.upper, -margin_bounds.lower
-        )
-    if margin_node not in intermediate:
-        raise GraphError("supplier produced no interval for the exp input")
-    if float(np.max(intermediate[margin_node].upper)) > EXP_CAP:
-        return math.inf
-    lb = _backward_linear(fused, loss_node, intermediate, specs, None, relu_mode, layout)
-    upper_s = concretize_bounds(lb, layout, specs).upper[0]
-    return float(np.log(upper_s))
+    layout = InputLayout.from_specs(g, specs)
+    needed = _nonlinear_operand_ids(fused, fused.output)
+    prefix = Graph(fused.nodes[:-2], len(g.nodes))  # up to the margin node
+    intermediate = _intermediate_intervals(prefix, specs, strategy, needed, relu_mode, layout)
+    return _fused_pass(fused, intermediate, specs, relu_mode, layout)
 
 
 def fused_loss_report(
@@ -192,23 +193,15 @@ def fused_loss_report(
 ) -> FusedLossReport:
     """Paired fused/unfused loss bounds sharing the same concrete bounds.
 
-    Inner intermediates come from one supplier and the exp relaxation in
-    the fused path is built on exactly the margin bounds the unfused path
-    consumes; under that sharing the fused bound never exceeds the unfused
-    one.
+    One supplier run on the logit graph feeds the margin pass and the fused
+    pass, and the fused pass relaxes exp on exactly the margin bounds the
+    unfused path consumes. Under that sharing the fused bound never exceeds
+    the unfused one; both are +inf once a -margin_lower_i exceeds ``EXP_CAP``.
     """
-    margins = _margin_interval(g, specs, margin, strategy, relu_mode)
-    unfused = _cross_entropy_from_neg_margins(-margins.lower)
-    fused = bound_loss_fused(g, specs, margin, strategy, relu_mode, margin_bounds=margins)
-    return FusedLossReport(fused, unfused, margins.lower)
-
-
-def _tile_matrix(out_dim: int, in_dim: int) -> np.ndarray:
-    return np.tile(np.eye(in_dim), (out_dim, 1))
-
-
-def _block_sum_matrix(out_dim: int, in_dim: int) -> np.ndarray:
-    return np.kron(np.eye(out_dim), np.ones((1, in_dim)))
+    margins, intermediate, layout = _margin_interval(g, specs, margin, strategy, relu_mode)
+    intermediate[len(g.nodes)] = IntervalBounds(-margins.upper, -margins.lower)
+    fused = _fused_pass(build_fused_loss_graph(g, margin), intermediate, specs, relu_mode, layout)
+    return FusedLossReport(fused, _loss_upper(-margins.lower), margins.lower)
 
 
 def weight_perturbed_graph(
@@ -241,9 +234,11 @@ def weight_perturbed_graph(
             flat = w.reshape(-1)
             wid = add(Input(), (), s * t)
             specs[wid] = LpBall(flat, float(np.linalg.norm(flat)) * eps_bar, 2.0)
-            tiled = add(Affine(_tile_matrix(s, t), np.zeros(s * t)), (mapping[node.inputs[0]],), s * t)
+            tile = Affine(np.tile(np.eye(t), (s, 1)), np.zeros(s * t))
+            tiled = add(tile, (mapping[node.inputs[0]],), s * t)
             prod = add(MulElementwise(), (wid, tiled), s * t)
-            mapping[node.id] = add(Affine(_block_sum_matrix(s, t), node.op.bias), (prod,), s)
+            block_sum = Affine(np.kron(np.eye(s), np.ones((1, t))), node.op.bias)
+            mapping[node.id] = add(block_sum, (prod,), s)
         else:
             mapping[node.id] = add(node.op, tuple(mapping[j] for j in node.inputs), node.dim)
     return Graph(tuple(nodes), mapping[g.output]), specs, mapping
@@ -278,6 +273,6 @@ def flatness_score(
         margin = MarginSpec(int(label), num_classes)
         certified, _ = bound_loss_unfused(wg, specs, margin, strategy, relu_mode)
         logits = evaluate(g, values)[g.output]
-        nominal = _cross_entropy_from_neg_margins(logits - logits[margin.label])
+        nominal = float(np.log(np.sum(np.exp(logits - logits[margin.label]))))
         total += certified - nominal
     return total / len(batch)

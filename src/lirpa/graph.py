@@ -191,6 +191,14 @@ def _reject_constant(name: str):
     raise GraphError(f"non-finite number {name} in document")
 
 
+def _load_json(text: str):
+    """``json.loads`` that reports bad JSON and NaN/Infinity tokens as GraphError."""
+    try:
+        return json.loads(text, parse_constant=_reject_constant)
+    except json.JSONDecodeError as exc:
+        raise GraphError(f"invalid JSON: {exc}") from exc
+
+
 def _parse_node(idx: int, obj: dict) -> Node:
     if not isinstance(obj, dict):
         raise GraphError(f"node {idx}: expected an object")
@@ -220,10 +228,7 @@ def _parse_node(idx: int, obj: dict) -> Node:
 
 def parse_problem(text: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
     """Parse a graph document into a validated Graph plus per-node specs."""
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"invalid JSON: {exc}") from exc
+    doc = _load_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("document must be an object with a 'nodes' array")
     if "output" not in doc:

@@ -10,6 +10,7 @@ from lirpa import (
     DomainError,
     Exp,
     Graph,
+    GraphError,
     Input,
     InputLayout,
     IntervalBounds,
@@ -275,6 +276,14 @@ def test_out_coeff_nonnegative_rows_at_least_as_tight_as_composition():
         )
         assert np.all(merged.upper <= coeff @ identity.upper + 1e-9)
         assert np.all(merged.lower >= coeff @ identity.lower - 1e-9)
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_malformed_out_coeff_raises_graph_error(strategy):
+    # the demo net's output has one column; every strategy checks the shape up front
+    g, specs = demo_net()
+    with pytest.raises(GraphError, match=r"out_coeff must have 1 columns, got shape \(2, 3\)"):
+        compute_bounds(g, specs, strategy, out_coeff=np.ones((2, 3)))
 
 
 def test_all_strategies_sound_randomized():

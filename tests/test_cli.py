@@ -283,3 +283,36 @@ def test_flatness_data_file(capsys, tmp_path):
     assert code == 0
     assert report["batch_size"] == 2
     assert report["flatness"] >= -1e-9
+
+
+GOOD_ENTRY = '{"x": [0.5], "label": 1}'
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read data file"),
+        ('{"x": [0.5], "label": 1}', "must hold a list"),
+        ("[" + GOOD_ENTRY + ', {"label": 0}]', "data entry 1: expected an object"),
+        ('[{"x": {"zero": [0.5]}, "label": 0}]', "data entry 0: 'x' must map"),
+        ('[{"x": {"0": [0.5], "1": [0.0, 0.0]}, "label": 0}]', "data entry 0: 'x' must map"),
+        ('[{"x": {"5": [0.5]}, "label": 0}]', "data entry 0: 'x' must map"),
+        ('[{"x": [0.5], "label": true}]', "data entry 0: expected an object"),
+        ('[{"x": [0.5], "label": 1.7}]', "data entry 0: expected an object"),
+        ('[{"x": [0.5], "label": 2}]', "data entry 0: label 2 out of range"),
+        ("[" + GOOD_ENTRY + ', {"x": [0.5, 1.0], "label": 0}]', "data entry 1: spec dim 2"),
+        ('[{"x": ["a"], "label": 0}]', "data entry 0:"),
+        ('[{"x": [NaN], "label": 0}]', "non-finite number NaN"),
+        ('[{"x": [0.5], "label": 0}', "invalid JSON"),
+    ],
+)
+def test_flatness_data_file_fails_closed(capsys, tmp_path, text, message):
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(_classifier_doc(1.0, 0.0)))
+    data = tmp_path / "batch.json"
+    if text is not None:
+        data.write_text(text)
+    assert main(["flatness", str(path), "--eps-bar", "0.02", "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ce_loss, demo_net, random_classifier, sample_points
+from lirpa import fusion
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -113,19 +114,37 @@ def test_single_class_loss_is_zero():
 
 
 def test_fused_never_exceeds_unfused_with_shared_bounds():
-    rng = np.random.default_rng(5)
-    for _ in range(100):
-        k = int(rng.integers(2, 6))
-        g, specs = random_classifier(rng, k)
-        y = int(rng.integers(0, k))
-        report = fused_loss_report(g, specs, MarginSpec(y, k), BoundStrategy.IBP_BACKWARD)
-        assert report.fused_upper <= report.unfused_upper + 1e-9
-        # both dominate the sampled robust loss
-        values = sample_points(g, specs, rng, 200)
-        logits = evaluate(g, values)[g.output]
-        losses = np.log(np.sum(np.exp(logits - logits[y]), axis=0))
-        assert losses.max() <= report.fused_upper + 1e-7
-        assert losses.max() <= report.unfused_upper + 1e-7
+    for strategy in BoundStrategy:
+        for relu_mode in ReluLowerMode:
+            rng = np.random.default_rng(5)
+            for _ in range(100):
+                k = int(rng.integers(2, 6))
+                g, specs = random_classifier(rng, k)
+                y = int(rng.integers(0, k))
+                report = fused_loss_report(g, specs, MarginSpec(y, k), strategy, relu_mode)
+                assert report.fused_upper <= report.unfused_upper + 1e-9
+                # both dominate the sampled robust loss
+                values = sample_points(g, specs, rng, 200)
+                logits = evaluate(g, values)[g.output]
+                losses = np.log(np.sum(np.exp(logits - logits[y]), axis=0))
+                assert losses.max() <= report.fused_upper + 1e-7
+                assert losses.max() <= report.unfused_upper + 1e-7
+
+
+def test_fused_loss_report_runs_the_supplier_once(monkeypatch):
+    calls = []
+    supplier = fusion._intermediate_intervals
+
+    def counting(*args):
+        calls.append(args[2])
+        return supplier(*args)
+
+    monkeypatch.setattr(fusion, "_intermediate_intervals", counting)
+    g, specs = random_classifier(np.random.default_rng(12), 4)
+    for strategy in BoundStrategy:
+        calls.clear()
+        fused_loss_report(g, specs, MarginSpec(1, 4), strategy)
+        assert calls == [strategy]
 
 
 def test_scalar_output_padded_to_two_classes():
@@ -147,13 +166,21 @@ def test_scalar_output_padded_to_two_classes():
 
 
 def test_fused_bound_overflow_guard_returns_infinity():
-    # the exp input's upper bound is in the thousands, far past the cap; the
-    # backward supplier never evaluates exp, so only the guard keeps the
-    # relaxation from overflowing (a numpy warning fails the suite)
+    # the exp input's upper bound is in the thousands, far past the cap; no
+    # supplier may evaluate exp there, and both loss bounds must come out +inf
+    # rather than overflow (a numpy warning fails the suite)
     rng = np.random.default_rng(6)
     g, specs = random_classifier(rng, 3, eps=1e4)
-    report = bound_loss_fused(g, specs, MarginSpec(0, 3), BoundStrategy.BACKWARD)
-    assert math.isinf(report) and report > 0
+    margin = MarginSpec(0, 3)
+    for strategy in BoundStrategy:
+        report = fused_loss_report(g, specs, margin, strategy)
+        bounds = (
+            bound_loss_fused(g, specs, margin, strategy),
+            report.fused_upper,
+            report.unfused_upper,
+            bound_loss_unfused(g, specs, margin, strategy)[0],
+        )
+        assert bounds == (math.inf,) * 4, strategy
 
 
 def _tiny_net(rng):
