@@ -1,7 +1,7 @@
 """Backward-mode linear bound propagation and the strategy driver.
 
 A BFS from the output node pushes coefficient matrices through each op's
-``backward`` rule until only independent nodes carry nonzero coefficients.
+``backward`` rule until only independent nodes carry coefficients.
 Out-degree bookkeeping guarantees each dependent node is relaxed exactly
 once, with its full accumulated coefficient.
 """
@@ -48,8 +48,8 @@ class BoundStrategy(Enum):
 class BackwardState:
     """Coefficient maps and bias terms of one backward pass.
 
-    After termination every dependent node's coefficient matrices are zero
-    and only independent nodes retain contributions; ``pop_order`` records
+    A dependent node's coefficients are dropped once it is relaxed, so after
+    termination only independent nodes keep entries; ``pop_order`` records
     the BFS processing sequence.
     """
 
@@ -57,7 +57,6 @@ class BackwardState:
     upper_coeff: dict[int, np.ndarray]
     lower_bias: np.ndarray
     upper_bias: np.ndarray
-    out_degree: dict[int, int]
     pop_order: tuple[int, ...]
 
 
@@ -136,21 +135,21 @@ def run_backward(
         )
         ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
+            # no rule writes to its arguments, so the first contribution is stored as is
             if j in lower:
                 lower[j] = lower[j] + lam_lo
                 upper[j] = upper[j] + lam_up
             else:
-                lower[j] = lam_lo.copy()
-                upper[j] = lam_up.copy()
+                lower[j] = lam_lo
+                upper[j] = lam_up
             degree[j] -= 1
             if degree[j] == 0 and not isinstance(g.nodes[j].op, Input):
                 ready.append(j)
         d_lower = d_lower + d_lo
         d_upper = d_upper + d_up
-        lower[i] = np.zeros_like(lower[i])
-        upper[i] = np.zeros_like(upper[i])
+        del lower[i], upper[i]
         queue.extend(sorted(ready))
-    return BackwardState(lower, upper, d_lower, d_upper, degree, tuple(pops))
+    return BackwardState(lower, upper, d_lower, d_upper, tuple(pops))
 
 
 def _backward_linear(
@@ -290,6 +289,11 @@ def compute_bounds(
         intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
         native = _backward_linear(g, target, intermediate, specs, out_coeff, relu_mode, layout)
         box = concretize_bounds(native, layout, specs)
-    if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
-        raise DomainError(f"node {target}: {strategy.value} bounds are NaN or inverted")
+    _fail_closed(box.lower, box.upper, f"node {target}: {strategy.value}")
     return native, box
+
+
+def _fail_closed(lower, upper, what: str) -> None:
+    """Raise DomainError when a bound is NaN or lower exceeds upper beyond float noise."""
+    if np.isnan(lower).any() or np.isnan(upper).any() or _inverted(lower, upper):
+        raise DomainError(f"{what} bounds are NaN or inverted")

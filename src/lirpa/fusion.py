@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backward import BoundStrategy, _backward_linear, _intermediate_intervals
+from .backward import BoundStrategy, _backward_linear, _fail_closed, _intermediate_intervals
 from .backward import _nonlinear_operand_ids
 from .concretize import concretize_bounds
 from .errors import GraphError
@@ -25,7 +25,6 @@ from .graph import (
     Exp,
     Graph,
     Input,
-    MulElementwise,
     Node,
     SumReduce,
     evaluate,
@@ -33,6 +32,7 @@ from .graph import (
 )
 from .interval import IntervalBounds
 from .linear import InputLayout
+from .ops import MatVec
 from .perturb import Constant, LpBall, PerturbationSpec
 from .relaxation import ReluLowerMode
 
@@ -131,7 +131,9 @@ def _margin_interval(
     intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
     coeff = margin_transform(margin.label, margin.num_classes)
     lb = _backward_linear(g, g.output, intermediate, specs, coeff, relu_mode, layout)
-    return concretize_bounds(lb, layout, specs), intermediate, layout
+    margins = concretize_bounds(lb, layout, specs)
+    _fail_closed(margins.lower, margins.upper, f"margin {strategy.value}")
+    return margins, intermediate, layout
 
 
 def _fused_pass(
@@ -141,7 +143,9 @@ def _fused_pass(
     if float(np.max(intermediate[fused.output - 2].upper)) > EXP_CAP:  # the margin node
         return math.inf
     lb = _backward_linear(fused, fused.output, intermediate, specs, None, relu_mode, layout)
-    return float(np.log(concretize_bounds(lb, layout, specs).upper[0]))
+    box = concretize_bounds(lb, layout, specs)
+    _fail_closed(box.lower, box.upper, "fused loss")
+    return float(np.log(box.upper[0]))
 
 
 def bound_loss_unfused(
@@ -209,11 +213,11 @@ def weight_perturbed_graph(
 ) -> tuple[Graph, dict[int, PerturbationSpec], dict[int, int]]:
     """Re-express every affine node's weights as a perturbed input.
 
-    Each affine node W x + b becomes flat_w * tile(x) reduced blockwise,
-    where flat_w is a new input node holding the flattened weight matrix
-    under an l2 ball of radius ||W||_2 * eps_bar. Biases stay constant.
-    Returns the new graph, the weight-node specs, and the map from original
-    node ids to their counterparts.
+    Each affine node W x + b becomes one ``MatVec`` node over two inputs: a
+    new input node holding W flattened row-major, under an l2 ball of radius
+    ||W||_2 * eps_bar, and the node's original input x. Biases stay
+    constant. Returns the new graph, the weight-node specs, and the map from
+    original node ids to their counterparts.
     """
     if eps_bar < 0:
         raise GraphError("weight perturbation scale must be nonnegative")
@@ -228,19 +232,14 @@ def weight_perturbed_graph(
     # walk in topological order: document ids may contain forward references
     for i in topological_order(g):
         node = g.nodes[i]
+        inputs = tuple(mapping[j] for j in node.inputs)
         if isinstance(node.op, Affine):
-            w = node.op.weight
-            s, t = w.shape
-            flat = w.reshape(-1)
-            wid = add(Input(), (), s * t)
+            flat = node.op.weight.reshape(-1)
+            wid = add(Input(), (), flat.size)
             specs[wid] = LpBall(flat, float(np.linalg.norm(flat)) * eps_bar, 2.0)
-            tile = Affine(np.tile(np.eye(t), (s, 1)), np.zeros(s * t))
-            tiled = add(tile, (mapping[node.inputs[0]],), s * t)
-            prod = add(MulElementwise(), (wid, tiled), s * t)
-            block_sum = Affine(np.kron(np.eye(s), np.ones((1, t))), node.op.bias)
-            mapping[node.id] = add(block_sum, (prod,), s)
+            mapping[i] = add(MatVec(node.op.bias), (wid, *inputs), node.dim)
         else:
-            mapping[node.id] = add(node.op, tuple(mapping[j] for j in node.inputs), node.dim)
+            mapping[i] = add(node.op, inputs, node.dim)
     return Graph(tuple(nodes), mapping[g.output]), specs, mapping
 
 
@@ -257,7 +256,8 @@ def flatness_score(
     bound of the loss over all weight perturbations minus the loss at the
     nominal weights; the score is the batch mean. Zero radius gives a zero
     gap, and the gap dominates any sampled weight perturbation's loss
-    increase.
+    increase. An example whose certified bound is +inf has an infinite gap;
+    a NaN bound raises DomainError.
     """
     if not batch:
         raise GraphError("flatness score requires a nonempty batch")
@@ -273,6 +273,9 @@ def flatness_score(
         margin = MarginSpec(int(label), num_classes)
         certified, _ = bound_loss_unfused(wg, specs, margin, strategy, relu_mode)
         logits = evaluate(g, values)[g.output]
-        nominal = float(np.log(np.sum(np.exp(logits - logits[margin.label]))))
-        total += certified - nominal
-    return total / len(batch)
+        nominal = _loss_upper(logits - logits[margin.label])
+        # a vacuous certificate is an infinite gap, also where the nominal loss is +inf too
+        total += math.inf if certified == math.inf else certified - nominal
+    score = total / len(batch)
+    _fail_closed(score, score, "flatness score")
+    return score

@@ -30,7 +30,7 @@ from .relaxation import (
 
 __all__ = [
     "OpKind", "Elementwise", "UnaryRelaxed", "Input", "Affine", "ReLU", "Exp", "Log",
-    "Neg", "Add", "Sub", "MulElementwise", "SumReduce",
+    "Neg", "Add", "Sub", "MulElementwise", "MatVec", "SumReduce",
 ]
 
 
@@ -74,6 +74,12 @@ def _align_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _posneg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(a, 0.0), np.minimum(a, 0.0)
+
+
+def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy]."""
+    corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
+    return corners.min(axis=0), corners.max(axis=0)
 
 
 def _zero_bias(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -284,8 +290,7 @@ class Add(Elementwise):
         )
 
     def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        lams = [(lower_coeff, upper_coeff), (lower_coeff.copy(), upper_coeff.copy())]
-        return lams, *_zero_bias(lower_coeff)
+        return [(lower_coeff, upper_coeff)] * 2, *_zero_bias(lower_coeff)
 
 
 @dataclass(frozen=True)
@@ -327,8 +332,7 @@ class MulElementwise(Elementwise):
 
     def interval(self, inputs):
         x, y = inputs
-        corners = np.stack([x.lower * y.lower, x.lower * y.upper, x.upper * y.lower, x.upper * y.upper])
-        return IntervalBounds(corners.min(axis=0), corners.max(axis=0))
+        return IntervalBounds(*_corners(x.lower, x.upper, y.lower, y.upper))
 
     def forward(self, bounds, intervals, relu_mode):
         x, y = bounds
@@ -348,6 +352,95 @@ class MulElementwise(Elementwise):
         rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
         slopes = [(rel.lower_x, rel.upper_x), (rel.lower_y, rel.upper_y)]
         return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_const, rel.upper_const)
+
+
+@dataclass(frozen=True, eq=False)
+class MatVec(OpKind):
+    """h = W x + bias where the weights are an input too.
+
+    The first input is W flattened row-major (length dim * t), the second is
+    x (length t). Each term W_ij x_j is relaxed with the ``mul_relaxation``
+    planes on (dim, t) views and the terms are summed per row, so no
+    (dim * t)-row matrix is ever built. Weight-perturbed graphs use it; it
+    has no entry in the parse registry, so documents cannot name it.
+    """
+
+    bias: np.ndarray
+
+    kind = "matvec"
+    arity = 2
+    relaxed = True
+
+    def check(self, dim, in_dims):
+        w_dim, t = in_dims
+        if w_dim != dim * t or np.shape(self.bias) != (dim,):
+            return (
+                f"matvec needs a weight of dim {dim} * {t} and {dim} biases, "
+                f"got dim {w_dim} and bias shape {np.shape(self.bias)}"
+            )
+
+    def eval(self, xs):
+        w, x = xs
+        t = x.shape[0]
+        # (dim, t, 1 or m) weights against (t, 1 or m) inputs, summed over t
+        h = np.sum(w.reshape(-1, t, w.size // w.shape[0]) * x.reshape(t, -1), axis=1)
+        h = h + self.bias[:, None]
+        return h if w.ndim + x.ndim > 2 else h[:, 0]
+
+    def _relax(self, intervals):
+        w, x = intervals
+        shape = (w.lower.shape[0] // x.lower.shape[0], x.lower.shape[0])
+        return mul_relaxation(
+            w.lower.reshape(shape),
+            w.upper.reshape(shape),
+            np.broadcast_to(x.lower, shape),
+            np.broadcast_to(x.upper, shape),
+        )
+
+    def interval(self, inputs):
+        w, x = inputs
+        t = x.lower.shape[0]
+        lo, hi = _corners(w.lower.reshape(-1, t), w.upper.reshape(-1, t), x.lower, x.upper)
+        return IntervalBounds(lo.sum(axis=1) + self.bias, hi.sum(axis=1) + self.bias)
+
+    def forward(self, bounds, intervals, relu_mode):
+        w, x = bounds
+        rel = self._relax(intervals)
+        s, t = rel.lower_x.shape
+        # one row per term W_ij x_j from W's bounds, then x's part of each row's sum
+        terms = _unary_mix(rel.lower_x.ravel(), 0.0, rel.upper_x.ravel(), 0.0, w)
+
+        def row_sum(on_w, slope, on_pos, on_neg, const):
+            pos, neg = _posneg(slope)
+            return on_w.reshape(s, t, *on_w.shape[1:]).sum(axis=1) + pos @ on_pos + neg @ on_neg + const
+
+        lower_const = rel.lower_const.sum(axis=1) + self.bias
+        upper_const = rel.upper_const.sum(axis=1) + self.bias
+        return LinearBounds(
+            row_sum(terms.lower_w, rel.lower_y, x.lower_w, x.upper_w, 0.0),
+            row_sum(terms.lower_b, rel.lower_y, x.lower_b, x.upper_b, lower_const),
+            row_sum(terms.upper_w, rel.upper_y, x.upper_w, x.lower_w, 0.0),
+            row_sum(terms.upper_b, rel.upper_y, x.upper_b, x.lower_b, upper_const),
+        )
+
+    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+        rel = self._relax(intervals)
+        lo_pos, lo_neg = _posneg(lower_coeff)
+        up_pos, up_neg = _posneg(upper_coeff)
+
+        def on_w(pos, neg, slope_pos, slope_neg):
+            # a coefficient on h_i is one on each of its t terms W_ij x_j
+            return (pos[:, :, None] * slope_pos + neg[:, :, None] * slope_neg).reshape(len(pos), -1)
+
+        lams = [
+            (on_w(lo_pos, lo_neg, rel.lower_x, rel.upper_x), on_w(up_pos, up_neg, rel.upper_x, rel.lower_x)),
+            (lo_pos @ rel.lower_y + lo_neg @ rel.upper_y, up_pos @ rel.upper_y + up_neg @ rel.lower_y),
+        ]
+        lower_const = rel.lower_const.sum(axis=1)
+        upper_const = rel.upper_const.sum(axis=1)
+        d_lo = lo_pos @ lower_const + lo_neg @ upper_const + lower_coeff @ self.bias
+        d_up = up_pos @ upper_const + up_neg @ lower_const + upper_coeff @ self.bias
+        return lams, d_lo, d_up
 
 
 @dataclass(frozen=True)

@@ -27,6 +27,7 @@ from lirpa import (
     interval_oracle,
     input_interval,
     sample_spec,
+    topological_order,
 )
 
 W1 = [[2.0, 1.0], [-3.0, 4.0]]
@@ -236,3 +237,34 @@ def random_synonym_instance(rng, max_words=6, max_subs=3, max_budget=3, max_emb=
 
 def ce_loss(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.sum(np.exp(logits - logits[label]))))
+
+
+def dense_weight_perturbed_graph(g, eps_bar):
+    """Reference ``weight_perturbed_graph`` built from dense matrices.
+
+    Each affine node W x + b becomes flat_w * tile(x) reduced blockwise:
+    an (s*t)xt tile of identities, an elementwise product with the weight
+    input, and an sx(s*t) Kronecker block sum carrying the bias. Same weight
+    specs and id map contract as the library builder.
+    """
+    nodes, specs, mapping = [], {}, {}
+
+    def add(op, inputs, dim):
+        nodes.append(Node(len(nodes), op, inputs, dim))
+        return len(nodes) - 1
+
+    for i in topological_order(g):
+        node = g.nodes[i]
+        if isinstance(node.op, Affine):
+            s, t = node.op.weight.shape
+            flat = node.op.weight.reshape(-1)
+            wid = add(Input(), (), s * t)
+            specs[wid] = LpBall(flat, float(np.linalg.norm(flat)) * eps_bar, 2.0)
+            tile = Affine(np.tile(np.eye(t), (s, 1)), np.zeros(s * t))
+            tiled = add(tile, (mapping[node.inputs[0]],), s * t)
+            prod = add(MulElementwise(), (wid, tiled), s * t)
+            block_sum = Affine(np.kron(np.eye(s), np.ones((1, t))), node.op.bias)
+            mapping[node.id] = add(block_sum, (prod,), s)
+        else:
+            mapping[node.id] = add(node.op, tuple(mapping[j] for j in node.inputs), node.dim)
+    return Graph(tuple(nodes), mapping[g.output]), specs, mapping

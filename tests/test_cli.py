@@ -261,6 +261,41 @@ def test_fuse_reports_both_bounds(capsys, tmp_path):
     assert len(report["margin_lowers"]) == 2
 
 
+def test_fuse_past_expm1_range_reports_a_finite_bound(capsys, tmp_path):
+    # margin interval [-700, 696]: the exp chord spans more than expm1 can take
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(_classifier_doc(1.0, 349.0)))
+    code, report = _run(capsys, ["fuse", str(path), "--label", "0", "--method", "ibp+backward"])
+    assert code == 0
+    assert report["unfused_upper"] == 696.0
+    assert 696.0 <= report["fused_upper"] <= 696.0 + 1e-9
+
+
+@pytest.mark.parametrize("argv", [["fuse", "--label", "0"], ["flatness", "--eps-bar", "0.01", "--label", "0"]])
+def test_nan_loss_bounds_exit_2(capsys, tmp_path, monkeypatch, argv):
+    from lirpa import IntervalBounds, fusion
+
+    supplier = fusion._intermediate_intervals
+
+    def poisoned(*args):
+        out = supplier(*args)
+        out[0] = IntervalBounds([np.nan], [np.nan])  # node 0 is the data input in both graphs
+        return out
+
+    monkeypatch.setattr(fusion, "_intermediate_intervals", poisoned)
+    path = tmp_path / "clf.json"
+    doc = _classifier_doc(1.0, 0.2)
+    # square the input first, so the input interval enters a relaxation
+    doc["nodes"].insert(1, {"op": "mul", "inputs": [0, 0], "dim": 1})
+    doc["nodes"][2]["inputs"] = [1]
+    doc["output"] = 2
+    path.write_text(json.dumps(doc))
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert "NaN or inverted" in captured.err
+    assert captured.out == ""
+
+
 def test_flatness_subcommand(capsys, tmp_path):
     path = tmp_path / "clf.json"
     path.write_text(json.dumps(_classifier_doc(1.0, 0.0)))

@@ -3,15 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from helpers import ce_loss, demo_net, random_classifier, sample_points
+from helpers import ce_loss, demo_net, dense_weight_perturbed_graph, random_classifier, sample_points
 from lirpa import fusion
 from lirpa import (
     Affine,
     BoundStrategy,
+    DomainError,
     Graph,
     GraphError,
     Input,
+    IntervalBounds,
+    LpBall,
     MarginSpec,
+    MulElementwise,
     Node,
     ReLU,
     ReluLowerMode,
@@ -25,6 +29,7 @@ from lirpa import (
     sample_spec,
     weight_perturbed_graph,
 )
+from lirpa.ops import MatVec
 
 
 def test_margin_transform_three_classes():
@@ -258,3 +263,112 @@ def test_flatness_batch_mean():
     singles = [flatness_score(g, 0.02, [e]) for e in entries]
     combined = flatness_score(g, 0.02, entries)
     assert combined == pytest.approx(float(np.mean(singles)), abs=1e-12)
+
+
+def _wide_margin_net():
+    # logits [x, -x] over x in [-348, 350]: label-0 margin interval [-700, 696]
+    nodes = (Node(0, Input(), (), 1), Node(1, Affine([[1.0], [-1.0]], [0.0, 0.0]), (0,), 2))
+    return Graph(nodes, 1), {0: LpBall([1.0], 349.0, math.inf)}
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_fused_bound_finite_past_expm1_range(strategy):
+    # the exp input interval [-700, 696] is wider than expm1 can take
+    g, specs = _wide_margin_net()
+    report = fused_loss_report(g, specs, MarginSpec(0, 2), strategy)
+    assert report.unfused_upper == 696.0
+    assert math.isfinite(report.fused_upper)
+    assert 696.0 <= report.fused_upper <= report.unfused_upper + 1e-9
+    assert bound_loss_fused(g, specs, MarginSpec(0, 2), strategy) == report.fused_upper
+
+
+def test_flatness_is_infinite_when_the_nominal_loss_overflows():
+    # logits [400, -400] with label 1: the nominal and the certified loss are both +inf
+    g, _ = _wide_margin_net()
+    assert flatness_score(g, 0.01, [({0: [400.0]}, 1)]) == math.inf
+    assert flatness_score(g, 0.01, [({0: [400.0]}, 1), ({0: [0.0]}, 0)]) == math.inf
+
+
+def _mul_classifier():
+    # the mul relaxes over the input interval, which the patched supplier makes NaN
+    nodes = (
+        Node(0, Input(), (), 2),
+        Node(1, MulElementwise(), (0, 0), 2),
+        Node(2, Affine([[1.0, -1.0], [0.5, 2.0], [-1.0, 0.0]], [0.0, 0.1, 0.2]), (1,), 3),
+    )
+    return Graph(nodes, 2), {0: LpBall([0.5, -0.5], 0.1, math.inf)}
+
+
+@pytest.fixture
+def nan_input_intervals(monkeypatch):
+    """Make the supplier report NaN intervals for every input node."""
+    supplier = fusion._intermediate_intervals
+
+    def poisoned(g, *args):
+        out = supplier(g, *args)
+        for j in g.input_ids:
+            if j in out:
+                nan = np.full_like(out[j].lower, np.nan)
+                out[j] = IntervalBounds(nan, nan)
+        return out
+
+    monkeypatch.setattr(fusion, "_intermediate_intervals", poisoned)
+
+
+@pytest.mark.usefixtures("nan_input_intervals")
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_nan_supplier_intervals_raise_domain_error(strategy):
+    g, specs = _mul_classifier()
+    margin = MarginSpec(1, 3)
+    with pytest.raises(DomainError, match="margin .* NaN or inverted"):
+        bound_loss_unfused(g, specs, margin, strategy)
+    with pytest.raises(DomainError, match="margin .* NaN or inverted"):
+        fused_loss_report(g, specs, margin, strategy)
+    with pytest.raises(DomainError, match="fused loss bounds are NaN or inverted"):
+        bound_loss_fused(g, specs, margin, strategy)
+    with pytest.raises(DomainError, match="NaN or inverted"):
+        flatness_score(_tiny_net(np.random.default_rng(7)), 0.01, [({0: [0.5, -0.5]}, 0)], strategy)
+
+
+def test_weight_perturbed_graph_is_one_weight_input_and_one_matvec_per_affine():
+    rng = np.random.default_rng(13)
+    g, _ = random_classifier(rng, 3)
+    wg, weight_specs, mapping = weight_perturbed_graph(g, 0.01)
+    affine = [n for n in g.nodes if isinstance(n.op, Affine)]
+    kinds = [type(n.op) for n in wg.nodes]
+    assert len(wg.nodes) == len(g.nodes) + len(affine)
+    assert kinds.count(MatVec) == len(affine) and Affine not in kinds
+    for n in affine:
+        matvec = wg.nodes[mapping[n.id]]
+        wid, xid = matvec.inputs
+        assert xid == mapping[n.inputs[0]]
+        assert np.array_equal(weight_specs[wid].center, n.op.weight.reshape(-1))
+        assert np.array_equal(matvec.op.bias, n.op.bias)
+
+
+def _mlp(rng, dims):
+    nodes = [Node(0, Input(), (), dims[0])]
+    for k, (t, s) in enumerate(zip(dims, dims[1:])):
+        w = rng.uniform(-1, 1, (s, t))
+        nodes.append(Node(len(nodes), Affine(w, rng.uniform(-0.5, 0.5, s)), (len(nodes) - 1,), s))
+        if k < len(dims) - 2:
+            nodes.append(Node(len(nodes), ReLU(), (len(nodes) - 1,), s))
+    return Graph(tuple(nodes), len(nodes) - 1)
+
+
+def test_flatness_matches_the_dense_tiled_reference(monkeypatch):
+    # the dense tile/Kronecker graph relaxes the same products; only the
+    # summation order differs
+    rng = np.random.default_rng(14)
+    nets = [_tiny_net(rng) for _ in range(2)] + [_mlp(rng, [3, 4, 3, 2]) for _ in range(3)]
+    for g in nets:
+        dim = g.nodes[0].dim
+        batch = [({0: rng.uniform(-1, 1, dim)}, y) for y in (0, 1)]
+        for eps_bar in (0.01, 0.05):
+            for strategy in BoundStrategy:
+                for relu_mode in ReluLowerMode:
+                    monkeypatch.setattr(fusion, "weight_perturbed_graph", weight_perturbed_graph)
+                    score = flatness_score(g, eps_bar, batch, strategy, relu_mode)
+                    monkeypatch.setattr(fusion, "weight_perturbed_graph", dense_weight_perturbed_graph)
+                    dense = flatness_score(g, eps_bar, batch, strategy, relu_mode)
+                    assert score == pytest.approx(dense, rel=1e-12, abs=0.0)

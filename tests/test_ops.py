@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import sample_points
+from helpers import assert_linear_sound, assert_sound, sample_points
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -17,10 +17,13 @@ from lirpa import (
     LpBall,
     Node,
     ReLU,
+    backward_lirpa,
     compute_bounds,
     evaluate,
+    forward_lirpa,
+    ibp_propagate,
 )
-from lirpa.ops import OpKind
+from lirpa.ops import MatVec, OpKind
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,3 +86,55 @@ def test_op_defined_outside_the_package_is_bounded(strategy):
 def test_op_defined_outside_the_package_checks_its_dims():
     with pytest.raises(GraphError, match="node 1: scale by 3 factors"):
         Graph((Node(0, Input(), (), 2), Node(1, Scale(np.ones(3)), (0,), 2)), 1)
+
+
+def test_matvec_eval_is_the_reshaped_product():
+    rng = np.random.default_rng(12)
+    s, t, m = 3, 4, 5
+    op = MatVec(rng.uniform(-1, 1, s))
+    w, x = rng.uniform(-1, 1, s * t), rng.uniform(-1, 1, t)
+    ws, xs = rng.uniform(-1, 1, (s * t, m)), rng.uniform(-1, 1, (t, m))
+    assert op.eval([w, x]) == pytest.approx(w.reshape(s, t) @ x + op.bias, rel=1e-14)
+    for k in range(m):
+        want = ws[:, k].reshape(s, t) @ xs[:, k] + op.bias
+        assert op.eval([ws, xs])[:, k] == pytest.approx(want, rel=1e-14)
+        assert op.eval([ws, x])[:, k] == pytest.approx(ws[:, k].reshape(s, t) @ x + op.bias, rel=1e-14)
+        assert op.eval([w, xs])[:, k] == pytest.approx(w.reshape(s, t) @ xs[:, k] + op.bias, rel=1e-14)
+
+
+def test_matvec_checks_its_dims():
+    nodes = (Node(0, Input(), (), 6), Node(1, Input(), (), 2))
+    Graph(nodes + (Node(2, MatVec(np.zeros(3)), (0, 1), 3),), 2)
+    with pytest.raises(GraphError, match="node 2: matvec needs a weight of dim 2 \\* 2"):
+        Graph(nodes + (Node(2, MatVec(np.zeros(2)), (0, 1), 2),), 2)
+    with pytest.raises(GraphError, match="bias shape"):
+        Graph(nodes + (Node(2, MatVec(np.zeros(2)), (0, 1), 3),), 2)
+
+
+def _matvec_net(rng, p, s=3, t=4):
+    # the weights are an lp ball; x, of either sign, goes through a relu
+    nodes = (
+        Node(0, Input(), (), s * t),
+        Node(1, Input(), (), 3),
+        Node(2, Affine(rng.uniform(-1, 1, (t, 3)), rng.uniform(-0.5, 0.5, t)), (1,), t),
+        Node(3, ReLU(), (2,), t),
+        Node(4, Affine(rng.uniform(-1, 1, (t, t)), rng.uniform(-0.5, 0.5, t)), (3,), t),
+        Node(5, MatVec(rng.uniform(-1, 1, s)), (0, 4), s),
+    )
+    specs = {
+        0: LpBall(rng.uniform(-1, 1, s * t), 0.3, p),
+        1: LpBall(rng.uniform(-1, 1, 3), 0.4, math.inf),
+    }
+    return Graph(nodes, 5), specs
+
+
+def test_matvec_rules_contain_sampled_points():
+    rng = np.random.default_rng(13)
+    for p in (2.0, math.inf, math.inf):
+        g, specs = _matvec_net(rng, p)
+        boxes = {strategy: compute_bounds(g, specs, strategy)[1] for strategy in BoundStrategy}
+        for box in boxes.values():
+            assert_sound(g, specs, {5: box}, rng, n=10_000, slack=1e-9)
+        assert_linear_sound(g, specs, {5: forward_lirpa(g, specs)[5]}, rng, n=10_000, slack=1e-9)
+        lb = backward_lirpa(g, 5, ibp_propagate(g, specs), specs)
+        assert_linear_sound(g, specs, {5: lb}, rng, n=10_000, slack=1e-9)

@@ -126,6 +126,18 @@ def test_exp_sampling_soundness_and_global_tangent():
         assert np.all(lower <= np.exp(xs) + 1e-9)
 
 
+def test_exp_chord_wider_than_expm1_range_stays_finite():
+    # expm1(1396) overflows; the chord slope is exp(696) * (1 - exp(-1396)) / 1396
+    l, u = np.array([-700.0, -1.0]), np.array([696.0, 2.0])
+    rel = exp_relaxation(l, u)
+    assert rel.upper_slope[0] == pytest.approx(np.exp(696.0) / 1396.0, rel=1e-12)
+    assert np.all(np.isfinite(rel.upper_intercept))
+    # the chord meets exp at both ends
+    assert rel.upper_slope[0] * u[0] + rel.upper_intercept[0] == pytest.approx(np.exp(696.0), rel=1e-12)
+    # an interval the old form handles keeps its bits
+    assert rel.upper_slope[1] == np.exp(-1.0) * np.expm1(3.0) / 3.0
+
+
 def test_exp_rejects_nonfinite():
     with pytest.raises(DomainError):
         exp_relaxation(np.array([0.0]), np.array([np.inf]))
