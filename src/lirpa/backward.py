@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .concretize import concretize_bounds
+from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import _forward_pass, forward_oracle
 from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
@@ -98,13 +98,18 @@ def run_backward(
     ``out_coeff`` (default identity) left-multiplies the output node, so a
     margin or specification matrix can be bounded in one pass. A node is
     queued only once its pending out-degree reaches zero, which merges all
-    coefficient contributions before the node is relaxed.
+    coefficient contributions before the node is relaxed. One array serves
+    as both sides' coefficients until a relaxation splits them, and an
+    identity seed on an affine output starts from its weight and bias.
     """
     dim = g.nodes[o].dim
-    out_coeff = np.eye(dim) if out_coeff is None else _checked_out_coeff(out_coeff, dim)
-    rows = out_coeff.shape[0]
-    lower: dict[int, np.ndarray] = {o: out_coeff.copy()}
-    upper: dict[int, np.ndarray] = {o: out_coeff.copy()}
+    if out_coeff is not None:
+        out_coeff = _checked_out_coeff(out_coeff, dim)
+    elif not isinstance(g.nodes[o].op, Affine):
+        out_coeff = np.eye(dim)
+    rows = dim if out_coeff is None else out_coeff.shape[0]
+    lower: dict[int, np.ndarray | None] = {o: out_coeff}
+    upper = dict(lower)
     d_lower = np.zeros(rows)
     d_upper = np.zeros(rows)
     degree = get_out_degree(g, o)
@@ -125,20 +130,20 @@ def run_backward(
                     f"missing intermediate bounds for node {exc.args[0]} "
                     f"required by nonlinear node {i}"
                 ) from exc
-        lams, d_lo, d_up = backward_oracle(
-            node.op,
-            lower[i],
-            upper[i],
-            intervals,
-            relu_mode,
-            in_dim=g.nodes[node.inputs[0]].dim,
-        )
+        if lower[i] is None:
+            # an identity seed on an affine output: I @ W is W, entry for entry
+            w, b = node.op.weight, node.op.bias
+            lams, d_lo, d_up = [(w, w)], b, b
+        else:
+            in_dim = g.nodes[node.inputs[0]].dim
+            lams, d_lo, d_up = backward_oracle(node.op, lower[i], upper[i], intervals, relu_mode, in_dim)
         ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
             if j in lower:
+                shared = lower[j] is upper[j] and lam_lo is lam_up
                 lower[j] = lower[j] + lam_lo
-                upper[j] = upper[j] + lam_up
+                upper[j] = lower[j] if shared else upper[j] + lam_up
             else:
                 lower[j] = lam_lo
                 upper[j] = lam_up
@@ -152,35 +157,36 @@ def run_backward(
     return BackwardState(lower, upper, d_lower, d_upper, tuple(pops))
 
 
-def _backward_linear(
-    g: Graph,
-    o: int,
-    intermediate: Mapping[int, IntervalBounds],
-    specs: Mapping[int, PerturbationSpec],
-    out_coeff: np.ndarray | None,
-    relu_mode: ReluLowerMode,
-    layout: InputLayout,
-) -> LinearBounds:
-    """``backward_lirpa`` over the layout its caller already built."""
+def _backward_blocks(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode):
+    """One backward pass: both biases, and the (lower, upper) coefficients of each reached perturbed input."""
     state = run_backward(g, o, intermediate, out_coeff, relu_mode)
-    rows = state.lower_bias.shape[0]
-    lw = np.zeros((rows, layout.dim))
-    uw = np.zeros((rows, layout.dim))
-    lb = state.lower_bias.copy()
-    ub = state.upper_bias.copy()
-    for i in g.input_ids:
-        a_lo = state.lower_coeff.get(i)
-        a_up = state.upper_coeff.get(i)
-        if a_lo is None:
-            continue
-        spec = specs[i]
-        if not spec.perturbed:
-            # pinned inputs contribute exactly; fold into the bias
-            lb = lb + a_lo @ spec.center
-            ub = ub + a_up @ spec.center
+    lb, ub = state.lower_bias, state.upper_bias
+    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for i in sorted(state.lower_coeff):  # the reached inputs, in input order
+        a_lo, a_up = state.lower_coeff[i], state.upper_coeff[i]
+        if specs[i].perturbed:
+            blocks[i] = (a_lo, a_up)
         else:
-            lw[:, layout.block(i)] = a_lo
-            uw[:, layout.block(i)] = a_up
+            # pinned inputs contribute exactly; fold into the bias
+            lb = lb + a_lo @ specs[i].center
+            ub = ub + a_up @ specs[i].center
+    return lb, ub, blocks
+
+
+def _backward_box(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode) -> IntervalBounds:
+    """The interval of one backward pass, concretized block by block with no dense matrix."""
+    lb, ub, blocks = _backward_blocks(g, o, intermediate, specs, out_coeff, relu_mode)
+    return concretize_blocks(lb, ub, [(specs[i], a_lo, a_up) for i, (a_lo, a_up) in blocks.items()])
+
+
+def _backward_linear(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode, layout) -> LinearBounds:
+    """``backward_lirpa`` over the layout its caller already built."""
+    lb, ub, blocks = _backward_blocks(g, o, intermediate, specs, out_coeff, relu_mode)
+    lw = np.zeros((lb.shape[0], layout.dim))
+    uw = np.zeros((lb.shape[0], layout.dim))
+    for i, (a_lo, a_up) in blocks.items():
+        lw[:, layout.block(i)] = a_lo
+        uw[:, layout.block(i)] = a_up
     return LinearBounds(lw, lb, uw, ub)
 
 
@@ -248,8 +254,7 @@ def _intermediate_intervals(
         if isinstance(g.nodes[j].op, Input):
             intervals[j] = input_interval(specs[j], g.nodes[j])
         else:
-            lb = _backward_linear(g, j, intervals, specs, None, relu_mode, layout)
-            intervals[j] = concretize_bounds(lb, layout, specs)
+            intervals[j] = _backward_box(g, j, intervals, specs, None, relu_mode)
     return intervals
 
 

@@ -8,7 +8,7 @@ the independent oracle for the synonym rule.
 """
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -21,6 +21,7 @@ __all__ = [
     "concretize_lp",
     "concretize_synonym_dp",
     "brute_force_synonym",
+    "concretize_blocks",
     "concretize_bounds",
 ]
 
@@ -82,24 +83,26 @@ def brute_force_synonym(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
     )
 
 
-def concretize_bounds(
-    lb: LinearBounds, layout: InputLayout, specs: Mapping[int, PerturbationSpec]
-) -> IntervalBounds:
-    """Concretize linear bounds under heterogeneous per-node specs.
+def concretize_blocks(lower_b: np.ndarray, upper_b: np.ndarray, blocks: Iterable[tuple]) -> IntervalBounds:
+    """Concretize bias terms plus one (spec, lower_w, upper_w) block per perturbed input.
 
     Blocks are independent regions, so the optimum separates into a sum of
     per-block extremes added to the bias terms.
     """
-    if lb.input_dim != layout.dim:
-        raise GraphError(
-            f"bound has {lb.input_dim} columns but layout spans {layout.dim}"
-        )
-    lower = lb.lower_b.copy()
-    upper = lb.upper_b.copy()
-    zero = np.zeros(lb.dim)
-    for i in layout.ids:
-        block = layout.block(i)
-        lo, hi = specs[i].extremes(lb.lower_w[:, block], zero, lb.upper_w[:, block], zero)
+    lower, upper = lower_b.copy(), upper_b.copy()
+    zero = np.zeros(lower_b.shape[0])
+    for spec, lower_w, upper_w in blocks:
+        lo, hi = spec.extremes(lower_w, zero, upper_w, zero)
         lower = lower + lo
         upper = upper + hi
     return IntervalBounds(lower, upper)
+
+
+def concretize_bounds(
+    lb: LinearBounds, layout: InputLayout, specs: Mapping[int, PerturbationSpec]
+) -> IntervalBounds:
+    """Concretize linear bounds under heterogeneous per-node specs, block by block."""
+    if lb.input_dim != layout.dim:
+        raise GraphError(f"bound has {lb.input_dim} columns but layout spans {layout.dim}")
+    blocks = [(specs[i], lb.lower_w[:, layout.block(i)], lb.upper_w[:, layout.block(i)]) for i in layout.ids]
+    return concretize_blocks(lb.lower_b, lb.upper_b, blocks)

@@ -11,14 +11,13 @@ re-expressed as perturbed inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backward import BoundStrategy, _backward_linear, _fail_closed, _intermediate_intervals
+from .backward import BoundStrategy, _backward_box, _fail_closed, _intermediate_intervals
 from .backward import _nonlinear_operand_ids
-from .concretize import concretize_bounds
 from .errors import GraphError
 from .graph import (
     Affine,
@@ -122,28 +121,35 @@ def _margin_interval(
     margin: MarginSpec,
     strategy: BoundStrategy,
     relu_mode: ReluLowerMode,
-) -> tuple[IntervalBounds, dict[int, IntervalBounds], InputLayout]:
-    """Margin bounds from one supplier run and one backward pass, plus its intervals and layout."""
-    if g.nodes[g.output].dim != margin.num_classes:
+) -> tuple[IntervalBounds, dict[int, IntervalBounds]]:
+    """Margin bounds from one supplier run and one backward pass, plus its intervals.
+
+    An affine logit layer W x + b is folded with the margin rows into the
+    layer (W[y] - W) x + (b[y] - b): each entry is the one difference the
+    margin transform's product would round, at O(K n) instead of O(K^2 n).
+    """
+    out = g.nodes[g.output]
+    if out.dim != margin.num_classes:
         raise GraphError("output dim does not match margin spec")
     layout = InputLayout.from_specs(g, specs)
     needed = _nonlinear_operand_ids(g, g.output)
     intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
-    coeff = margin_transform(margin.label, margin.num_classes)
-    lb = _backward_linear(g, g.output, intermediate, specs, coeff, relu_mode, layout)
-    margins = concretize_bounds(lb, layout, specs)
+    if isinstance(out.op, Affine):
+        w, b, y = out.op.weight, out.op.bias, margin.label
+        folded = replace(out, op=Affine(w[y] - w, b[y] - b))
+        g, coeff = Graph(g.nodes[:out.id] + (folded,) + g.nodes[out.id + 1:], out.id), None
+    else:
+        coeff = margin_transform(margin.label, margin.num_classes)
+    margins = _backward_box(g, g.output, intermediate, specs, coeff, relu_mode)
     _fail_closed(margins.lower, margins.upper, f"margin {strategy.value}")
-    return margins, intermediate, layout
+    return margins, intermediate
 
 
-def _fused_pass(
-    fused: Graph, intermediate: dict, specs: Mapping, relu_mode: ReluLowerMode, layout: InputLayout
-) -> float:
+def _fused_pass(fused: Graph, intermediate: dict, specs: Mapping, relu_mode: ReluLowerMode) -> float:
     """log of the fused output's upper bound, or +inf once the exp input passes ``EXP_CAP``."""
     if float(np.max(intermediate[fused.output - 2].upper)) > EXP_CAP:  # the margin node
         return math.inf
-    lb = _backward_linear(fused, fused.output, intermediate, specs, None, relu_mode, layout)
-    box = concretize_bounds(lb, layout, specs)
+    box = _backward_box(fused, fused.output, intermediate, specs, None, relu_mode)
     _fail_closed(box.lower, box.upper, "fused loss")
     return float(np.log(box.upper[0]))
 
@@ -185,7 +191,7 @@ def bound_loss_fused(
     needed = _nonlinear_operand_ids(fused, fused.output)
     prefix = Graph(fused.nodes[:-2], len(g.nodes))  # up to the margin node
     intermediate = _intermediate_intervals(prefix, specs, strategy, needed, relu_mode, layout)
-    return _fused_pass(fused, intermediate, specs, relu_mode, layout)
+    return _fused_pass(fused, intermediate, specs, relu_mode)
 
 
 def fused_loss_report(
@@ -202,9 +208,9 @@ def fused_loss_report(
     unfused path consumes. Under that sharing the fused bound never exceeds
     the unfused one; both are +inf once a -margin_lower_i exceeds ``EXP_CAP``.
     """
-    margins, intermediate, layout = _margin_interval(g, specs, margin, strategy, relu_mode)
+    margins, intermediate = _margin_interval(g, specs, margin, strategy, relu_mode)
     intermediate[len(g.nodes)] = IntervalBounds(-margins.upper, -margins.lower)
-    fused = _fused_pass(build_fused_loss_graph(g, margin), intermediate, specs, relu_mode, layout)
+    fused = _fused_pass(build_fused_loss_graph(g, margin), intermediate, specs, relu_mode)
     return FusedLossReport(fused, _loss_upper(-margins.lower), margins.lower)
 
 

@@ -9,7 +9,8 @@ A dependent op defines:
   inputs' linear bounds;
 - ``backward(lower_coeff, upper_coeff, intervals, relu_mode, in_dim)``:
   one (lower, upper) coefficient pair per input, in input order, plus the
-  bias increments of both sides.
+  bias increments of both sides. Both coefficients may be one array, and
+  no rule writes to its arguments.
 
 ``relaxed`` ops get their inputs' intervals (None for the others) to build
 a linear relaxation; the unary ones among them only define ``relax``.
@@ -76,6 +77,11 @@ def _posneg(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.maximum(a, 0.0), np.minimum(a, 0.0)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy]."""
     corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
@@ -98,7 +104,7 @@ def _mix_rows(slope: np.ndarray, on_pos: np.ndarray, on_neg: np.ndarray) -> np.n
 def _lines_backward(lower_coeff, upper_coeff, slope_pairs, lower_const, upper_const):
     """The backward rule of relaxation lines with one (lower, upper) slope pair per input."""
     lo_pos, lo_neg = _posneg(lower_coeff)
-    up_pos, up_neg = _posneg(upper_coeff)
+    up_pos, up_neg = (lo_pos, lo_neg) if upper_coeff is lower_coeff else _posneg(upper_coeff)
     lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in slope_pairs]
     d_lo = lo_pos @ lower_const + lo_neg @ upper_const
     d_up = up_pos @ upper_const + up_neg @ lower_const
@@ -132,16 +138,17 @@ class Affine(OpKind):
             raise GraphError(
                 f"affine bias length {b.shape} does not match weight rows {w.shape[0]}"
             )
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "bias", b)
+        # frozen: a graph is shared, and a backward pass may hand out the weight itself
+        object.__setattr__(self, "weight", _frozen(w))
+        object.__setattr__(self, "bias", _frozen(b))
 
     @cached_property
     def w_pos(self) -> np.ndarray:
-        return np.maximum(self.weight, 0.0)
+        return _frozen(np.maximum(self.weight, 0.0))
 
     @cached_property
     def w_neg(self) -> np.ndarray:
-        return np.minimum(self.weight, 0.0)
+        return _frozen(np.minimum(self.weight, 0.0))
 
     def __eq__(self, other):
         return (
@@ -177,11 +184,10 @@ class Affine(OpKind):
         )
 
     def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        return (
-            [(lower_coeff @ self.weight, upper_coeff @ self.weight)],
-            lower_coeff @ self.bias,
-            upper_coeff @ self.bias,
-        )
+        lam, d = lower_coeff @ self.weight, lower_coeff @ self.bias
+        if upper_coeff is lower_coeff:  # one product serves both sides
+            return [(lam, lam)], d, d
+        return [(lam, upper_coeff @ self.weight)], d, upper_coeff @ self.bias
 
 
 class UnaryRelaxed(Elementwise):
@@ -370,6 +376,9 @@ class MatVec(OpKind):
     kind = "matvec"
     arity = 2
     relaxed = True
+
+    def __post_init__(self):
+        object.__setattr__(self, "bias", _frozen(np.array(self.bias, dtype=np.float64)))
 
     def check(self, dim, in_dims):
         w_dim, t = in_dims

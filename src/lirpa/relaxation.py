@@ -113,10 +113,12 @@ def exp_relaxation(l, u) -> UnaryRelaxation:
     el = np.exp(l)
     safe = np.where(width > 0.0, width, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        # exp(u) - exp(l); expm1 overflows past a width of ~709.8, so there
-        # factor out exp(u) instead (unused entries are dropped by the where)
+        # exp(u) - exp(l); expm1 overflows past a width of ~709.8 and exp(l)
+        # loses its bits below ~-708, so there factor out exp(u) instead
+        # (unused entries are dropped by the where)
         rise = el * np.expm1(width)
-        rise = np.where(np.isfinite(rise), rise, np.exp(u) * -np.expm1(-width))
+        keep = np.isfinite(rise) & (el >= np.finfo(np.float64).tiny)
+        rise = np.where(keep, rise, np.exp(u) * -np.expm1(-width))
     upper_slope = np.where(width > 0.0, rise / safe, el)
     upper_intercept = el - upper_slope * l
     with np.errstate(divide="ignore"):

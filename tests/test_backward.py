@@ -496,3 +496,29 @@ def test_nan_bounds_raise_domain_error(strategy):
     specs = {0: LpBall([0.0], 1.0, math.inf)}
     with pytest.raises(DomainError, match="NaN or inverted"):
         compute_bounds(g, specs, strategy)
+
+
+def test_identity_seed_on_affine_target_equals_explicit_identity():
+    # the pass starts from the affine target's own weight: bit for bit the I @ W one
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(40):
+        g, specs = random_graph(rng)
+        intermediate = ibp_propagate(g, specs)
+        for o, node in enumerate(g.nodes):
+            if not isinstance(node.op, Affine):
+                continue
+            default = backward_lirpa(g, o, intermediate, specs)
+            explicit = backward_lirpa(g, o, intermediate, specs, np.eye(node.dim))
+            for name in ("lower_w", "lower_b", "upper_w", "upper_b"):
+                assert np.array_equal(getattr(default, name), getattr(explicit, name))
+            checked += 1
+    assert checked > 20
+
+
+def test_run_backward_hands_out_read_only_weights():
+    g = Graph((Node(0, Input(), (), 2), Node(1, Affine([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5]), (0,), 2)), 1)
+    state = run_backward(g, 1, {})
+    with pytest.raises(ValueError):
+        state.lower_coeff[0][0, 0] = 5.0
+    assert g.nodes[1].op.weight[0, 0] == 1.0

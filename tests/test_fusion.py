@@ -8,6 +8,7 @@ from lirpa import fusion
 from lirpa import (
     Affine,
     BoundStrategy,
+    Constant,
     DomainError,
     Graph,
     GraphError,
@@ -22,6 +23,7 @@ from lirpa import (
     bound_loss_fused,
     bound_loss_unfused,
     build_fused_loss_graph,
+    compute_bounds,
     evaluate,
     flatness_score,
     fused_loss_report,
@@ -372,3 +374,36 @@ def test_flatness_matches_the_dense_tiled_reference(monkeypatch):
                     monkeypatch.setattr(fusion, "weight_perturbed_graph", dense_weight_perturbed_graph)
                     dense = flatness_score(g, eps_bar, batch, strategy, relu_mode)
                     assert score == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("relu_mode", list(ReluLowerMode))
+@pytest.mark.parametrize(
+    "strategy", [BoundStrategy.BACKWARD, BoundStrategy.IBP_BACKWARD, BoundStrategy.FORWARD_BACKWARD]
+)
+def test_folded_margin_pass_equals_the_margin_transform_seed(strategy, relu_mode):
+    # W[y] - W is M @ W entry for entry, so folding the margin rows into the
+    # logit layer keeps every bit of the margin bounds
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        k = int(rng.integers(2, 9))
+        g, specs = random_classifier(rng, k)
+        y = int(rng.integers(0, k))
+        margins = fusion._margin_interval(g, specs, MarginSpec(y, k), strategy, relu_mode)[0]
+        box = compute_bounds(g, specs, strategy, out_coeff=margin_transform(y, k), relu_mode=relu_mode)[1]
+        assert np.array_equal(margins.lower, box.lower)
+        assert np.array_equal(margins.upper, box.upper)
+
+
+@pytest.mark.parametrize(
+    "strategy", [BoundStrategy.BACKWARD, BoundStrategy.IBP_BACKWARD, BoundStrategy.FORWARD_BACKWARD]
+)
+def test_margin_pass_on_a_matvec_output_keeps_the_margin_transform_seed(strategy):
+    rng = np.random.default_rng(37)
+    g, specs = random_classifier(rng, 4)
+    wg, weight_specs, mapping = weight_perturbed_graph(g, 0.05)
+    assert isinstance(wg.nodes[wg.output].op, MatVec)
+    specs = {**weight_specs, mapping[0]: Constant(specs[0].center)}
+    margins = fusion._margin_interval(wg, specs, MarginSpec(2, 4), strategy, ReluLowerMode.ZERO)[0]
+    box = compute_bounds(wg, specs, strategy, out_coeff=margin_transform(2, 4), relu_mode=ReluLowerMode.ZERO)[1]
+    assert np.array_equal(margins.lower, box.lower)
+    assert np.array_equal(margins.upper, box.upper)

@@ -7,16 +7,24 @@ import pytest
 
 from helpers import assert_linear_sound, assert_sound, sample_points
 from lirpa import (
+    Add,
     Affine,
     BoundStrategy,
+    Exp,
     Graph,
     GraphError,
     Input,
     IntervalBounds,
     LinearBounds,
+    Log,
     LpBall,
+    MulElementwise,
+    Neg,
     Node,
     ReLU,
+    ReluLowerMode,
+    Sub,
+    SumReduce,
     backward_lirpa,
     compute_bounds,
     evaluate,
@@ -138,3 +146,39 @@ def test_matvec_rules_contain_sampled_points():
         assert_linear_sound(g, specs, {5: forward_lirpa(g, specs)[5]}, rng, n=10_000, slack=1e-9)
         lb = backward_lirpa(g, 5, ibp_propagate(g, specs), specs)
         assert_linear_sound(g, specs, {5: lb}, rng, n=10_000, slack=1e-9)
+
+
+def _ops_with_intervals(rng, d=4):
+    """One instance of every op, with positive input intervals of dim d (d * d for a matvec weight)."""
+    box = lambda n: IntervalBounds(*np.sort(rng.uniform(0.5, 2.0, (2, n)), axis=0))
+    unary = [Affine(rng.uniform(-1, 1, (d, d)), rng.uniform(-1, 1, d)), ReLU(), Exp(), Log(), Neg(), SumReduce()]
+    binary = [Add(), Sub(), MulElementwise()]
+    cases = [(op, [box(d)]) for op in unary] + [(op, [box(d), box(d)]) for op in binary]
+    return cases + [(MatVec(rng.uniform(-1, 1, d)), [box(d * d), box(d)])]
+
+
+@pytest.mark.parametrize("relu_mode", list(ReluLowerMode))
+def test_backward_rules_leave_one_shared_coefficient_unchanged(relu_mode):
+    # a pass hands one array to both sides until a relaxation splits them
+    rng = np.random.default_rng(17)
+    for op, intervals in _ops_with_intervals(rng):
+        coeff = rng.uniform(-1, 1, (3, 1 if isinstance(op, SumReduce) else 4))
+        before = coeff.copy()
+        lams, d_lo, d_up = op.backward(coeff, coeff, intervals, relu_mode, 4)
+        assert np.array_equal(coeff, before), op.kind
+        # the same bits as two separate arrays give
+        split, s_lo, s_up = op.backward(coeff.copy(), coeff.copy(), intervals, relu_mode, 4)
+        for (lo, up), (want_lo, want_up) in zip(lams, split):
+            assert np.array_equal(lo, want_lo) and np.array_equal(up, want_up), op.kind
+        assert np.array_equal(d_lo, s_lo) and np.array_equal(d_up, s_up), op.kind
+
+
+def test_op_arrays_are_read_only():
+    affine = Affine([[1.0, -2.0], [3.0, 4.0]], [0.5, -0.5])
+    arrays = [affine.weight, affine.bias, affine.w_pos, affine.w_neg, MatVec(np.zeros(2)).bias]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    g = Graph((Node(0, Input(), (), 2), Node(1, affine, (0,), 2)), 1)
+    with pytest.raises(ValueError):
+        g.nodes[1].op.weight[0, 0] = 5.0

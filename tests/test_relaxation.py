@@ -212,3 +212,14 @@ def test_relaxation_sampling_soundness_bulk():
     _check_unary_sandwich(exp_relaxation(l, u), np.exp, l, u, samples=500)
     lp = np.abs(l) + 0.1
     _check_unary_sandwich(log_relaxation(lp, lp + (u - l)), np.log, lp, lp + (u - l), samples=500)
+
+
+def test_exp_chord_stays_above_exp_where_exp_of_l_underflows():
+    # exp(-800) underflows to 0, but exp(-700) = 9.9e-305 does not: the chord
+    # must come from exp(u) * (1 - exp(-width)), not from 0 * expm1(width)
+    l, u = np.array([-800.0]), np.array([-700.0])
+    rel = exp_relaxation(l, u)
+    assert rel.upper_slope[0] > 0.0
+    xs = np.linspace(l[0], u[0], 101)
+    upper = rel.upper_slope[0] * xs + rel.upper_intercept[0]
+    assert np.all(upper >= np.exp(xs) * (1.0 - 1e-12))
