@@ -3,7 +3,8 @@
 A BFS from the output node pushes coefficient matrices through each op's
 ``backward`` rule until only independent nodes carry coefficients.
 Out-degree bookkeeping guarantees each dependent node is relaxed exactly
-once, with its full accumulated coefficient.
+once, with its full accumulated coefficient. Every entry point runs one
+``BoundQuery``, whose lazily filled interval cache all its targets share.
 """
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ import numpy as np
 
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import _forward_pass, forward_oracle
+from .forward import forward_oracle
 from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
-from .interval import IntervalBounds, ibp_propagate, input_interval, interval_oracle
+from .interval import IntervalBounds, input_interval, interval_oracle
 from .linear import InputLayout, LinearBounds
 from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
@@ -157,39 +158,6 @@ def run_backward(
     return BackwardState(lower, upper, d_lower, d_upper, tuple(pops))
 
 
-def _backward_blocks(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode):
-    """One backward pass: both biases, and the (lower, upper) coefficients of each reached perturbed input."""
-    state = run_backward(g, o, intermediate, out_coeff, relu_mode)
-    lb, ub = state.lower_bias, state.upper_bias
-    blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for i in sorted(state.lower_coeff):  # the reached inputs, in input order
-        a_lo, a_up = state.lower_coeff[i], state.upper_coeff[i]
-        if specs[i].perturbed:
-            blocks[i] = (a_lo, a_up)
-        else:
-            # pinned inputs contribute exactly; fold into the bias
-            lb = lb + a_lo @ specs[i].center
-            ub = ub + a_up @ specs[i].center
-    return lb, ub, blocks
-
-
-def _backward_box(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode) -> IntervalBounds:
-    """The interval of one backward pass, concretized block by block with no dense matrix."""
-    lb, ub, blocks = _backward_blocks(g, o, intermediate, specs, out_coeff, relu_mode)
-    return concretize_blocks(lb, ub, [(specs[i], a_lo, a_up) for i, (a_lo, a_up) in blocks.items()])
-
-
-def _backward_linear(g: Graph, o: int, intermediate, specs, out_coeff, relu_mode, layout) -> LinearBounds:
-    """``backward_lirpa`` over the layout its caller already built."""
-    lb, ub, blocks = _backward_blocks(g, o, intermediate, specs, out_coeff, relu_mode)
-    lw = np.zeros((lb.shape[0], layout.dim))
-    uw = np.zeros((lb.shape[0], layout.dim))
-    for i, (a_lo, a_up) in blocks.items():
-        lw[:, layout.block(i)] = a_lo
-        uw[:, layout.block(i)] = a_up
-    return LinearBounds(lw, lb, uw, ub)
-
-
 def backward_lirpa(
     g: Graph,
     o: int,
@@ -203,13 +171,151 @@ def backward_lirpa(
     ``intermediate`` must cover every node feeding a nonlinear op on a path
     to o. Coefficients accumulated on constant inputs fold into the bias.
     """
-    layout = InputLayout.from_specs(g, specs)
-    return _backward_linear(g, o, intermediate, specs, out_coeff, relu_mode, layout)
+    query = BoundQuery(g, specs, None, relu_mode)
+    query.intervals.update(intermediate)
+    return query.linear(o, out_coeff)
 
 
-def _nonlinear_operand_ids(g: Graph, target: int) -> set[int]:
-    scope = {target} | {i for i, d in get_out_degree(g, target).items() if d}
-    return {j for i in scope if g.nodes[i].op.relaxed for j in g.nodes[i].inputs}
+@dataclass(eq=False)
+class BoundQuery:
+    """One query: a graph and its specs under one strategy and ReLU mode.
+
+    ``intervals`` caches each node's supplier interval. ``interval(j)`` fills
+    it lazily with j and the missing nodes j's interval reads, in topological
+    order: by the ops' ``interval`` rules (IBP), by concretizing forward
+    bounds (forward), or by one backward pass per node (backward). ``linear``
+    and ``box`` run a final backward pass over the cache, so all targets of a
+    query share its intervals, and no bound reads a node after its target.
+    """
+
+    g: Graph
+    specs: Mapping[int, PerturbationSpec]
+    strategy: BoundStrategy | None  # None supplies nothing: the caller fills ``intervals``
+    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE
+
+    def __post_init__(self):
+        if self.strategy is not None and not isinstance(self.strategy, BoundStrategy):
+            raise GraphError(f"unknown bound strategy {self.strategy!r}")
+        self.layout = InputLayout.from_specs(self.g, self.specs)
+        self.intervals: dict[int, IntervalBounds] = {}
+        self._forward: dict[int, LinearBounds] = {}
+        self._rank = {i: r for r, i in enumerate(topological_order(self.g))}
+
+    def extend(self, g: Graph) -> None:
+        """Move the query onto ``g``, which must append non-input nodes to its graph, keeping the caches."""
+        self.g, self._rank = g, {i: r for r, i in enumerate(topological_order(g))}
+
+    def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
+        """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
+        missing = {i for i in nodes if i not in cache}
+        stack = list(missing)
+        while stack:
+            for k in self.g.nodes[stack.pop()].inputs:
+                if k not in cache and k not in missing:
+                    missing.add(k)
+                    stack.append(k)
+        return sorted(missing, key=self._rank.get)
+
+    def _operands(self, o: int) -> list[int]:
+        """The intervals a pass from o reads: relaxed nodes' operands on paths to o, in topological order."""
+        nodes, scope = self.g.nodes, [o] + [i for i, d in get_out_degree(self.g, o).items() if d]
+        return sorted({j for i in scope if nodes[i].op.relaxed for j in nodes[i].inputs}, key=self._rank.get)
+
+    def _fill(self, nodes: list[int]) -> None:
+        """Supply the uncached intervals of ``nodes``, in topological order; IBP fills their ancestors first."""
+        ibp = self.strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD)
+        for i in self._missing(nodes, self.intervals) if ibp else nodes:
+            if i not in self.intervals:
+                self.intervals[i] = self._supply(i)
+
+    def interval(self, j: int) -> IntervalBounds:
+        """Node j's supplier interval; a backward supplier first fills the intervals its pass reads."""
+        if j not in self.intervals:
+            self._fill((self._operands(j) if self.strategy is BoundStrategy.BACKWARD else []) + [j])
+        return self.intervals[j]
+
+    def _supply(self, i: int) -> IntervalBounds:
+        """Node i's interval from the strategy's supplier, once the intervals it reads are cached."""
+        node = self.g.nodes[i]
+        if self.strategy is None:
+            raise DomainError(f"missing intermediate bounds for node {i}")
+        if self.strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
+            return concretize_bounds(self.forward(i), self.layout, self.specs)
+        if isinstance(node.op, Input):
+            return input_interval(self.specs[i], node)
+        if self.strategy is BoundStrategy.BACKWARD:
+            return self._box(i, None)
+        return interval_oracle(node.op, [self.intervals[k] for k in node.inputs])
+
+    def forward(self, j: int) -> LinearBounds:
+        """Node j's forward bounds, filling those of its missing ancestors first."""
+        if j not in self._forward:
+            for i in self._missing([j], self._forward):
+                node = self.g.nodes[i]
+                if isinstance(node.op, Input):
+                    spec, w = self.specs[i], np.zeros((node.dim, self.layout.dim))
+                    b = np.zeros(node.dim) if spec.perturbed else spec.center
+                    if spec.perturbed:
+                        w[:, self.layout.block(i)] = np.eye(node.dim)
+                    self._forward[i] = LinearBounds(w, b, w.copy(), b.copy())
+                else:
+                    operands = [self.interval(k) for k in node.inputs] if node.op.relaxed else None
+                    inputs = [self._forward[k] for k in node.inputs]
+                    self._forward[i] = forward_oracle(node.op, inputs, operands, self.relu_mode)
+        return self._forward[j]
+
+    def _pass(self, o: int, out_coeff):
+        """One backward pass from o: its biases and each reached perturbed input's coefficient pair."""
+        state = run_backward(self.g, o, self.intervals, out_coeff, self.relu_mode)
+        lb, ub = state.lower_bias, state.upper_bias
+        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        for i in sorted(state.lower_coeff):  # the reached inputs, in input order
+            a_lo, a_up = state.lower_coeff[i], state.upper_coeff[i]
+            if self.specs[i].perturbed:
+                blocks[i] = (a_lo, a_up)
+            else:  # pinned inputs contribute exactly; fold into the bias
+                lb = lb + a_lo @ self.specs[i].center
+                ub = ub + a_up @ self.specs[i].center
+        return lb, ub, blocks
+
+    def _box(self, o: int, out_coeff) -> IntervalBounds:
+        lb, ub, blocks = self._pass(o, out_coeff)
+        return concretize_blocks(lb, ub, [(self.specs[i], a_lo, a_up) for i, (a_lo, a_up) in blocks.items()])
+
+    def linear(self, target: int, out_coeff: np.ndarray | None = None) -> LinearBounds:
+        """The final backward pass's linear bounds of ``target``, over the layout's columns."""
+        self._fill(self._operands(target))
+        lb, ub, blocks = self._pass(target, out_coeff)
+        lw, uw = np.zeros((2, lb.shape[0], self.layout.dim))
+        for i, (a_lo, a_up) in blocks.items():
+            lw[:, self.layout.block(i)] = a_lo
+            uw[:, self.layout.block(i)] = a_up
+        return LinearBounds(lw, lb, uw, ub)
+
+    def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
+        """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""
+        self._fill(self._operands(target))
+        return _fail_closed(self._box(target, out_coeff), what)
+
+    def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
+        """``compute_bounds``' native bound and interval of ``target``."""
+        ibp = self.strategy is BoundStrategy.IBP
+        if ibp or self.strategy is BoundStrategy.FORWARD:
+            native = self.interval(target) if ibp else self.forward(target)
+            if out_coeff is not None:
+                coeff = _checked_out_coeff(out_coeff, self.g.nodes[target].dim)
+                oracle = interval_oracle if ibp else forward_oracle
+                native = oracle(Affine(coeff, np.zeros(len(coeff))), [native])
+        else:
+            native = self.linear(target, out_coeff)
+        box = native if ibp else concretize_bounds(native, self.layout, self.specs)
+        return native, _fail_closed(box, f"node {target}: {self.strategy.value}")
+
+    def node_box(self, target: int) -> IntervalBounds:
+        """``bound(target)``'s interval; a dependent node's under ``backward`` is its cached interval."""
+        if self.strategy is BoundStrategy.BACKWARD and not isinstance(self.g.nodes[target].op, Input):
+            return _fail_closed(self.interval(target), f"node {target}: backward")
+        return self.bound(target)[1]
 
 
 def intermediate_intervals(
@@ -220,42 +326,8 @@ def intermediate_intervals(
     relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
 ) -> dict[int, IntervalBounds]:
     """Intervals the backward pass needs, produced by the strategy's supplier."""
-    needed = _nonlinear_operand_ids(g, g.output if target is None else target)
-    layout = InputLayout.from_specs(g, specs)
-    return _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
-
-
-def _intermediate_intervals(
-    g: Graph,
-    specs: Mapping[int, PerturbationSpec],
-    strategy: BoundStrategy,
-    needed: set[int],
-    relu_mode: ReluLowerMode,
-    layout: InputLayout,
-) -> dict[int, IntervalBounds]:
-    """Supplier intervals of the ``needed`` nodes (IBP: of every node) over the caller's layout."""
-    if strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD):
-        return ibp_propagate(g, specs)
-    if strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
-        # the pass concretized the nonlinear operands; other needed nodes come from their bounds
-        bounds, fwd = _forward_pass(g, specs, relu_mode, layout)
-        return {
-            j: fwd[j] if j in fwd else concretize_bounds(bounds[j], layout, specs)
-            for j in sorted(needed)
-        }
-    if strategy is not BoundStrategy.BACKWARD:
-        raise GraphError(f"unknown bound strategy {strategy!r}")
-    # each operand from its own backward pass, in topological order so every
-    # pass only needs intervals that are already available
-    intervals: dict[int, IntervalBounds] = {}
-    for j in topological_order(g):
-        if j not in needed:
-            continue
-        if isinstance(g.nodes[j].op, Input):
-            intervals[j] = input_interval(specs[j], g.nodes[j])
-        else:
-            intervals[j] = _backward_box(g, j, intervals, specs, None, relu_mode)
-    return intervals
+    query = BoundQuery(g, specs, strategy, relu_mode)
+    return {j: query.interval(j) for j in query._operands(g.output if target is None else target)}
 
 
 def compute_bounds(
@@ -273,32 +345,12 @@ def compute_bounds(
     supplier and run one backward pass for the target. Raises DomainError
     when the interval has a NaN or is inverted beyond float noise.
     """
-    if target is None:
-        target = g.output
-    layout = InputLayout.from_specs(g, specs)
-    if out_coeff is not None:
-        out_coeff = _checked_out_coeff(out_coeff, g.nodes[target].dim)
-        coeff_op = Affine(out_coeff, np.zeros(out_coeff.shape[0]))
-
-    if strategy is BoundStrategy.IBP:
-        native = box = ibp_propagate(g, specs)[target]
-        if out_coeff is not None:
-            native = box = interval_oracle(coeff_op, [box])
-    elif strategy is BoundStrategy.FORWARD:
-        native = _forward_pass(g, specs, relu_mode, layout)[0][target]
-        if out_coeff is not None:
-            native = forward_oracle(coeff_op, [native])
-        box = concretize_bounds(native, layout, specs)
-    else:
-        needed = _nonlinear_operand_ids(g, target)
-        intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
-        native = _backward_linear(g, target, intermediate, specs, out_coeff, relu_mode, layout)
-        box = concretize_bounds(native, layout, specs)
-    _fail_closed(box.lower, box.upper, f"node {target}: {strategy.value}")
-    return native, box
+    query = BoundQuery(g, specs, strategy, relu_mode)
+    return query.bound(g.output if target is None else target, out_coeff)
 
 
-def _fail_closed(lower, upper, what: str) -> None:
-    """Raise DomainError when a bound is NaN or lower exceeds upper beyond float noise."""
-    if np.isnan(lower).any() or np.isnan(upper).any() or _inverted(lower, upper):
+def _fail_closed(box: IntervalBounds, what: str) -> IntervalBounds:
+    """The box, or DomainError when it is NaN or lower exceeds upper beyond float noise."""
+    if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
         raise DomainError(f"{what} bounds are NaN or inverted")
+    return box

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from .backward import BoundStrategy, compute_bounds
+from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
 from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transform
 from .graph import Graph, _load_json, evaluate, parse_problem, topological_order
@@ -71,28 +71,23 @@ def _interval_report(bounds: IntervalBounds) -> tuple[list, list]:
     return bounds.lower.tolist(), bounds.upper.tolist()
 
 
-def _run_method(g, specs, method, relu_mode, out_coeff=None, target=None):
-    strategy = _METHODS[method]
+def _run_method(g, specs, method, relu_mode, out_coeff=None):
     start = time.perf_counter()
-    _, box = compute_bounds(g, specs, strategy, target, out_coeff, relu_mode)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return box, elapsed
+    query = BoundQuery(g, specs, _METHODS[method], relu_mode)
+    box = query.bound(g.output, out_coeff)[1]
+    return box, (time.perf_counter() - start) * 1000.0, query
 
 
 def cmd_bounds(args) -> int:
     g, specs = _load(args)
-    relu_mode = ReluLowerMode(args.relu)
-    box, elapsed = _run_method(g, specs, args.method, relu_mode)
+    box, elapsed, query = _run_method(g, specs, args.method, ReluLowerMode(args.relu))
     lower, upper = _interval_report(box)
     report = {"method": args.method, "lower": lower, "upper": upper}
     if args.all_nodes:
-        strategy = _METHODS[args.method]
-        nodes = {}
+        report["nodes"] = {}
         for i in topological_order(g):
-            _, node_box = compute_bounds(g, specs, strategy, i, None, relu_mode)
-            lo, hi = _interval_report(node_box)
-            nodes[str(i)] = {"lower": lo, "upper": hi}
-        report["nodes"] = nodes
+            lo, hi = _interval_report(box if i == g.output else query.node_box(i))
+            report["nodes"][str(i)] = {"lower": lo, "upper": hi}
     if args.samples:
         rng = np.random.default_rng(args.seed)
         values = {i: sample_spec(specs[i], rng, args.samples) for i in g.input_ids}
@@ -111,7 +106,7 @@ def cmd_verify(args) -> int:
         raise GraphError(f"verification needs at least 2 classes, output dim is {k}")
     margin = MarginSpec(args.label, k)
     coeff = margin_transform(margin.label, margin.num_classes)
-    box, elapsed = _run_method(g, specs, args.method, ReluLowerMode(args.relu), coeff)
+    box, elapsed, _ = _run_method(g, specs, args.method, ReluLowerMode(args.relu), coeff)
     others = [i for i in range(k) if i != margin.label]
     certified = bool(np.all(box.lower[others] > 0.0))
     lower, upper = _interval_report(box)
@@ -132,7 +127,7 @@ def cmd_compare(args) -> int:
     relu_mode = ReluLowerMode(args.relu)
     rows = []
     for method in ("ibp", "forward", "backward", "ibp+backward"):
-        box, elapsed = _run_method(g, specs, method, relu_mode)
+        box, elapsed, _ = _run_method(g, specs, method, relu_mode)
         lower, upper = _interval_report(box)
         rows.append(
             {

@@ -4,17 +4,14 @@ Every node's value is bounded by two affine functions of the perturbed
 independent coordinates, built in topological order from each op's
 ``forward`` rule. Nonlinear ops obtain the intervals their relaxations need
 by concretizing their inputs' own forward bounds, so the mode is
-self-contained.
+self-contained. ``backward.BoundQuery.forward`` runs the sweep.
 """
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-import numpy as np
-
-from .concretize import concretize_bounds
 from .errors import GraphError
-from .graph import Graph, Input, OpKind, topological_order
+from .graph import Graph, OpKind, topological_order
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode
@@ -38,41 +35,6 @@ def forward_oracle(
     return op.forward(input_bounds, input_intervals, relu_mode)
 
 
-def _input_bounds(layout: InputLayout, node_id: int, spec: PerturbationSpec, dim: int) -> LinearBounds:
-    if not spec.perturbed:
-        zeros = np.zeros((dim, layout.dim))
-        return LinearBounds(zeros, spec.center, zeros.copy(), spec.center.copy())
-    w = np.zeros((dim, layout.dim))
-    w[:, layout.block(node_id)] = np.eye(dim)
-    zeros = np.zeros(dim)
-    return LinearBounds(w, zeros, w.copy(), zeros.copy())
-
-
-def _forward_pass(
-    g: Graph, specs: Mapping[int, PerturbationSpec], relu_mode: ReluLowerMode, layout: InputLayout
-) -> tuple[dict[int, LinearBounds], dict[int, IntervalBounds]]:
-    """``forward_lirpa``'s bounds plus the nonlinear-operand intervals it concretized."""
-    bounds: dict[int, LinearBounds] = {}
-    intervals: dict[int, IntervalBounds] = {}
-
-    def interval_of(j: int) -> IntervalBounds:
-        if j not in intervals:
-            intervals[j] = concretize_bounds(bounds[j], layout, specs)
-        return intervals[j]
-
-    for i in topological_order(g):
-        node = g.nodes[i]
-        if isinstance(node.op, Input):
-            bounds[i] = _input_bounds(layout, i, specs[i], node.dim)
-            continue
-        child_bounds = [bounds[j] for j in node.inputs]
-        child_intervals = (
-            [interval_of(j) for j in node.inputs] if node.op.relaxed else None
-        )
-        bounds[i] = forward_oracle(node.op, child_bounds, child_intervals, relu_mode)
-    return bounds, intervals
-
-
 def forward_lirpa(
     g: Graph,
     specs: Mapping[int, PerturbationSpec],
@@ -85,4 +47,6 @@ def forward_lirpa(
     relaxations come from concretizing the already-computed forward bounds
     of the operands.
     """
-    return _forward_pass(g, specs, relu_mode, InputLayout.from_specs(g, specs))[0]
+    from .backward import BoundQuery, BoundStrategy  # a cycle: the query module imports this one
+    query = BoundQuery(g, specs, BoundStrategy.FORWARD, relu_mode)
+    return {i: query.forward(i) for i in topological_order(g)}

@@ -4,21 +4,22 @@ Fusing the cross-entropy loss into the graph collapses the bounded output
 from K classes to a single scalar: the graph gains a margin affine layer,
 an exp, and a sum, and one backward pass bounds the loss directly. The
 unfused surrogate instead plugs backward margin lower bounds into the loss.
-A paired report runs the intermediate-bound supplier once and feeds both.
-The flatness score applies the same machinery to networks whose weights are
+Each analysis runs one ``BoundQuery``: a paired report's margin and fused
+passes read the same supplier intervals, and the supplier bounds the
+margin node from its ancestors alone, so it never evaluates exp. The
+flatness score applies the same machinery to networks whose weights are
 re-expressed as perturbed inputs.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .backward import BoundStrategy, _backward_box, _fail_closed, _intermediate_intervals
-from .backward import _nonlinear_operand_ids
-from .errors import GraphError
+from .backward import BoundQuery, BoundStrategy
+from .errors import DomainError, GraphError
 from .graph import (
     Affine,
     Exp,
@@ -30,7 +31,6 @@ from .graph import (
     topological_order,
 )
 from .interval import IntervalBounds
-from .linear import InputLayout
 from .ops import MatVec
 from .perturb import Constant, LpBall, PerturbationSpec
 from .relaxation import ReluLowerMode
@@ -121,37 +121,34 @@ def _margin_interval(
     margin: MarginSpec,
     strategy: BoundStrategy,
     relu_mode: ReluLowerMode,
-) -> tuple[IntervalBounds, dict[int, IntervalBounds]]:
-    """Margin bounds from one supplier run and one backward pass, plus its intervals.
+) -> tuple[IntervalBounds, BoundQuery]:
+    """Margin bounds from one backward pass, and the query that ran it.
 
-    An affine logit layer W x + b is folded with the margin rows into the
-    layer (W[y] - W) x + (b[y] - b): each entry is the one difference the
-    margin transform's product would round, at O(K n) instead of O(K^2 n).
+    An affine logit layer W x + b is folded with the margin rows into a node
+    (W[y] - W) x + (b[y] - b) on its input: each entry is the one difference
+    the margin transform's product would round, at O(K n), not O(K^2 n).
     """
     out = g.nodes[g.output]
     if out.dim != margin.num_classes:
         raise GraphError("output dim does not match margin spec")
-    layout = InputLayout.from_specs(g, specs)
-    needed = _nonlinear_operand_ids(g, g.output)
-    intermediate = _intermediate_intervals(g, specs, strategy, needed, relu_mode, layout)
     if isinstance(out.op, Affine):
         w, b, y = out.op.weight, out.op.bias, margin.label
-        folded = replace(out, op=Affine(w[y] - w, b[y] - b))
-        g, coeff = Graph(g.nodes[:out.id] + (folded,) + g.nodes[out.id + 1:], out.id), None
+        target, coeff = len(g.nodes), None
+        g = Graph(g.nodes + (Node(target, Affine(w[y] - w, b[y] - b), out.inputs, out.dim),), g.output)
     else:
-        coeff = margin_transform(margin.label, margin.num_classes)
-    margins = _backward_box(g, g.output, intermediate, specs, coeff, relu_mode)
-    _fail_closed(margins.lower, margins.upper, f"margin {strategy.value}")
-    return margins, intermediate
+        target, coeff = out.id, margin_transform(margin.label, margin.num_classes)
+    query = BoundQuery(g, specs, strategy, relu_mode)
+    return query.box(target, coeff, f"margin {strategy.value}"), query
 
 
-def _fused_pass(fused: Graph, intermediate: dict, specs: Mapping, relu_mode: ReluLowerMode) -> float:
-    """log of the fused output's upper bound, or +inf once the exp input passes ``EXP_CAP``."""
-    if float(np.max(intermediate[fused.output - 2].upper)) > EXP_CAP:  # the margin node
+def _fused_pass(query: BoundQuery, o: int) -> float:
+    """log of the fused output o's upper bound, or +inf once the exp input can pass ``EXP_CAP``."""
+    cap = float(np.max(query.interval(o - 2).upper))  # the margin node's
+    if cap > EXP_CAP:
         return math.inf
-    box = _backward_box(fused, fused.output, intermediate, specs, None, relu_mode)
-    _fail_closed(box.lower, box.upper, "fused loss")
-    return float(np.log(box.upper[0]))
+    if math.isnan(cap):
+        raise DomainError("fused loss bounds are NaN or inverted")
+    return float(np.log(query.box(o, None, "fused loss").upper[0]))
 
 
 def bound_loss_unfused(
@@ -181,17 +178,12 @@ def bound_loss_fused(
 ) -> float:
     """Upper bound the worst-case loss by bounding the fused graph directly.
 
-    The supplier stops at the margin node, so it never evaluates exp. One
-    backward pass over the appended scalar loss output then relaxes exp with
-    the chord through the margin node's interval; if its upper end exceeds
-    ``EXP_CAP`` the bound is vacuous and +inf is returned instead.
+    One backward pass over the appended scalar loss output relaxes exp with
+    the chord through the margin node's supplier interval; if its upper end
+    exceeds ``EXP_CAP`` the bound is vacuous and +inf is returned instead.
     """
     fused = build_fused_loss_graph(g, margin)
-    layout = InputLayout.from_specs(g, specs)
-    needed = _nonlinear_operand_ids(fused, fused.output)
-    prefix = Graph(fused.nodes[:-2], len(g.nodes))  # up to the margin node
-    intermediate = _intermediate_intervals(prefix, specs, strategy, needed, relu_mode, layout)
-    return _fused_pass(fused, intermediate, specs, relu_mode)
+    return _fused_pass(BoundQuery(fused, specs, strategy, relu_mode), fused.output)
 
 
 def fused_loss_report(
@@ -203,15 +195,16 @@ def fused_loss_report(
 ) -> FusedLossReport:
     """Paired fused/unfused loss bounds sharing the same concrete bounds.
 
-    One supplier run on the logit graph feeds the margin pass and the fused
-    pass, and the fused pass relaxes exp on exactly the margin bounds the
-    unfused path consumes. Under that sharing the fused bound never exceeds
-    the unfused one; both are +inf once a -margin_lower_i exceeds ``EXP_CAP``.
+    One query runs the margin pass, then the fused pass on the same supplier
+    intervals, relaxing exp on exactly the margin bounds the unfused path
+    consumes. Under that sharing the fused bound never exceeds the unfused
+    one; both are +inf once a -margin_lower_i exceeds ``EXP_CAP``.
     """
-    margins, intermediate = _margin_interval(g, specs, margin, strategy, relu_mode)
-    intermediate[len(g.nodes)] = IntervalBounds(-margins.upper, -margins.lower)
-    fused = _fused_pass(build_fused_loss_graph(g, margin), intermediate, specs, relu_mode)
-    return FusedLossReport(fused, _loss_upper(-margins.lower), margins.lower)
+    margins, query = _margin_interval(g, specs, margin, strategy, relu_mode)
+    fused = build_fused_loss_graph(query.g, margin)  # the K x K matrix made first slows the margin pass
+    query.extend(fused)
+    query.intervals[fused.output - 2] = IntervalBounds(-margins.upper, -margins.lower)
+    return FusedLossReport(_fused_pass(query, fused.output), _loss_upper(-margins.lower), margins.lower)
 
 
 def weight_perturbed_graph(
@@ -283,5 +276,6 @@ def flatness_score(
         # a vacuous certificate is an infinite gap, also where the nominal loss is +inf too
         total += math.inf if certified == math.inf else certified - nominal
     score = total / len(batch)
-    _fail_closed(score, score, "flatness score")
+    if math.isnan(score):
+        raise DomainError("flatness score bounds are NaN or inverted")
     return score

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .errors import GraphError
-from .graph import Graph, Input, Node, OpKind, topological_order
+from .graph import Graph, Node, OpKind, topological_order
 from .linear import IntervalBounds
 from .perturb import PerturbationSpec
 
@@ -36,13 +36,6 @@ def ibp_propagate(
     g: Graph, specs: Mapping[int, PerturbationSpec]
 ) -> dict[int, IntervalBounds]:
     """Interval bounds for every node, swept in topological order."""
-    bounds: dict[int, IntervalBounds] = {}
-    for i in topological_order(g):
-        node = g.nodes[i]
-        if isinstance(node.op, Input):
-            if i not in specs:
-                raise GraphError(f"no perturbation spec for input node {i}")
-            bounds[i] = input_interval(specs[i], node)
-        else:
-            bounds[i] = interval_oracle(node.op, [bounds[j] for j in node.inputs])
-    return bounds
+    from .backward import BoundQuery, BoundStrategy  # a cycle: the query module imports this one
+    query = BoundQuery(g, specs, BoundStrategy.IBP)
+    return {i: query.interval(i) for i in topological_order(g)}

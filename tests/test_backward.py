@@ -14,6 +14,7 @@ from lirpa import (
     Input,
     InputLayout,
     IntervalBounds,
+    Log,
     LpBall,
     MulElementwise,
     Node,
@@ -28,7 +29,9 @@ from lirpa import (
     ibp_propagate,
     intermediate_intervals,
     run_backward,
+    topological_order,
 )
+from lirpa.backward import BoundQuery
 
 ALL_STRATEGIES = (
     BoundStrategy.IBP,
@@ -522,3 +525,79 @@ def test_run_backward_hands_out_read_only_weights():
     with pytest.raises(ValueError):
         state.lower_coeff[0][0, 0] = 5.0
     assert g.nodes[1].op.weight[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_node_bound_ignores_nodes_after_it(strategy):
+    # log over [-1, 1] is out of domain, but node 1 comes before it and must not read it
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Affine([[1.0]], [0.0]), (0,), 1),
+        Node(2, Log(), (1,), 1),
+        Node(3, Affine([[1.0]], [0.0]), (2,), 1),
+    )
+    g = Graph(nodes, 3)
+    specs = {0: LpBall([0.0], 1.0, math.inf)}
+    _, box = compute_bounds(g, specs, strategy, target=1)
+    assert box.lower.tolist() == [-1.0] and box.upper.tolist() == [1.0]
+    assert set(intermediate_intervals(g, specs, strategy, target=1)) == set()
+    with pytest.raises(DomainError):
+        compute_bounds(g, specs, strategy)
+
+
+def _same_bits(a: IntervalBounds, b: IntervalBounds) -> bool:
+    return a.lower.tobytes() == b.lower.tobytes() and a.upper.tobytes() == b.upper.tobytes()
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_node_boxes_of_one_query_equal_per_node_compute_bounds(strategy):
+    # every node read from one shared query, in any order, is bit for bit its own compute_bounds box;
+    # a synonym input feeding a relu is cached as its spec's box, which its own backward box is not
+    rng = np.random.default_rng(41)
+    problems = [demo_net()] + [random_graph(rng) for _ in range(50)]
+    for budget in (0, 1, 2):
+        emb = {w: rng.uniform(-1, 1, 2) for w in ("a", "b", "a1", "a2", "b1")}
+        spec = Synonym(("a", "b"), {0: ("a1", "a2"), 1: ("b1",)}, emb, budget)
+        affine = Affine(rng.uniform(-1, 1, (2, 4)), np.zeros(2))
+        nodes = (Node(0, Input(), (), 4), Node(1, ReLU(), (0,), 4), Node(2, affine, (1,), 2))
+        problems.append((Graph(nodes, 2), {0: spec}))
+    for g, specs in problems:
+        query = BoundQuery(g, specs, strategy, ReluLowerMode.ZERO)
+        _, out_box = query.bound(g.output)
+        for i in [g.output] + topological_order(g):
+            box = out_box if i == g.output else query.node_box(i)
+            alone = compute_bounds(g, specs, strategy, i, None, ReluLowerMode.ZERO)[1]
+            assert _same_bits(box, alone), (strategy, i)
+
+
+def test_input_layout_built_once_per_query(monkeypatch):
+    from lirpa import MarginSpec, bound_loss_fused, bound_loss_unfused, flatness_score, fused_loss_report
+    from helpers import random_classifier
+
+    calls = []
+    from_specs = InputLayout.from_specs.__func__
+
+    def counting(cls, g, specs):
+        calls.append(g)
+        return from_specs(cls, g, specs)
+
+    monkeypatch.setattr(InputLayout, "from_specs", classmethod(counting))
+    g, specs = random_classifier(np.random.default_rng(43), 3)
+    margin = MarginSpec(1, 3)
+    ibp = ibp_propagate(g, specs)
+    entry_points = [
+        lambda: compute_bounds(g, specs, strategy, out_coeff=np.eye(3)),
+        lambda: intermediate_intervals(g, specs, strategy),
+        lambda: backward_lirpa(g, g.output, ibp, specs),
+        lambda: bound_loss_unfused(g, specs, margin, strategy),
+        lambda: bound_loss_fused(g, specs, margin, strategy),
+        lambda: fused_loss_report(g, specs, margin, strategy),
+    ]
+    for strategy in BoundStrategy:
+        for run in entry_points:
+            calls.clear()
+            run()
+            assert len(calls) == 1
+        calls.clear()
+        flatness_score(g, 0.01, [({0: specs[0].center}, 0), ({0: -specs[0].center}, 2)], strategy)
+        assert len(calls) == 2  # one query per example

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,6 +49,44 @@ def test_bounds_all_nodes(capsys, demo_graph):
     assert set(report["nodes"]) == {str(i) for i in range(6)}
     assert report["nodes"]["1"]["lower"] == [-5.0, -10.0]
     assert report["nodes"]["1"]["upper"] == [7.0, 18.0]
+
+
+@pytest.mark.parametrize("method", ["ibp", "forward", "backward", "ibp+backward", "forward+backward"])
+def test_bounds_all_nodes_match_per_node_bounds(capsys, tmp_path, method):
+    from helpers import demo_net, random_graph
+    from lirpa import BoundStrategy, ReluLowerMode, compute_bounds, serialize_problem
+    from lirpa.cli import _fmt
+
+    rng = np.random.default_rng(47)
+    for k, (g, specs) in enumerate([demo_net()] + [random_graph(rng) for _ in range(50)]):
+        path = tmp_path / f"g{k}.json"
+        path.write_text(serialize_problem(g, specs))
+        code, report = _run(capsys, ["bounds", str(path), "--method", method, "--all-nodes"])
+        assert code == 0
+        assert set(report["nodes"]) == {str(i) for i in range(len(g.nodes))}
+        for i, entry in report["nodes"].items():
+            box = compute_bounds(g, specs, BoundStrategy(method), int(i), None, ReluLowerMode.ZERO)[1]
+            assert entry == {"lower": _fmt(box.lower.tolist()), "upper": _fmt(box.upper.tolist())}
+        out = report["nodes"][str(g.output)]
+        assert out == {"lower": report["lower"], "upper": report["upper"]}
+
+
+def test_bounds_all_nodes_runs_at_most_one_backward_pass_per_node(capsys, monkeypatch):
+    from lirpa import backward
+
+    calls = []
+    run_backward = backward.run_backward
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return run_backward(*args, **kwargs)
+
+    monkeypatch.setattr(backward, "run_backward", counting)
+    demo = Path(__file__).resolve().parents[1] / "demo" / "two_layer_relu.json"
+    code, report = _run(capsys, ["bounds", str(demo), "--method", "backward", "--all-nodes"])
+    assert code == 0
+    assert len(report["nodes"]) == 6
+    assert len(calls) <= 6
 
 
 def test_bounds_sampling_diagnostic_stays_inside(capsys, demo_graph):
@@ -273,16 +312,17 @@ def test_fuse_past_expm1_range_reports_a_finite_bound(capsys, tmp_path):
 
 @pytest.mark.parametrize("argv", [["fuse", "--label", "0"], ["flatness", "--eps-bar", "0.01", "--label", "0"]])
 def test_nan_loss_bounds_exit_2(capsys, tmp_path, monkeypatch, argv):
-    from lirpa import IntervalBounds, fusion
+    from lirpa import IntervalBounds
+    from lirpa.backward import BoundQuery
 
-    supplier = fusion._intermediate_intervals
+    supply = BoundQuery._supply
 
-    def poisoned(*args):
-        out = supplier(*args)
-        out[0] = IntervalBounds([np.nan], [np.nan])  # node 0 is the data input in both graphs
-        return out
+    def poisoned(query, i):
+        if i == 0:  # node 0 is the data input in both graphs
+            return IntervalBounds([np.nan], [np.nan])
+        return supply(query, i)
 
-    monkeypatch.setattr(fusion, "_intermediate_intervals", poisoned)
+    monkeypatch.setattr(BoundQuery, "_supply", poisoned)
     path = tmp_path / "clf.json"
     doc = _classifier_doc(1.0, 0.2)
     # square the input first, so the input interval enters a relaxation

@@ -31,6 +31,7 @@ from lirpa import (
     sample_spec,
     weight_perturbed_graph,
 )
+from lirpa.backward import BoundQuery
 from lirpa.ops import MatVec
 
 
@@ -139,19 +140,21 @@ def test_fused_never_exceeds_unfused_with_shared_bounds():
 
 
 def test_fused_loss_report_runs_the_supplier_once(monkeypatch):
+    # one query serves the margin and the fused pass, and supplies each node once
     calls = []
-    supplier = fusion._intermediate_intervals
+    supply = BoundQuery._supply
 
-    def counting(*args):
-        calls.append(args[2])
-        return supplier(*args)
+    def counting(query, i):
+        calls.append((id(query), query.strategy, i))
+        return supply(query, i)
 
-    monkeypatch.setattr(fusion, "_intermediate_intervals", counting)
+    monkeypatch.setattr(BoundQuery, "_supply", counting)
     g, specs = random_classifier(np.random.default_rng(12), 4)
     for strategy in BoundStrategy:
         calls.clear()
         fused_loss_report(g, specs, MarginSpec(1, 4), strategy)
-        assert calls == [strategy]
+        assert calls and {(q, s) for q, s, _ in calls} == {(calls[0][0], strategy)}
+        assert len({i for *_, i in calls}) == len(calls)  # no node supplied twice
 
 
 def test_scalar_output_padded_to_two_classes():
@@ -304,17 +307,16 @@ def _mul_classifier():
 @pytest.fixture
 def nan_input_intervals(monkeypatch):
     """Make the supplier report NaN intervals for every input node."""
-    supplier = fusion._intermediate_intervals
+    supply = BoundQuery._supply
 
-    def poisoned(g, *args):
-        out = supplier(g, *args)
-        for j in g.input_ids:
-            if j in out:
-                nan = np.full_like(out[j].lower, np.nan)
-                out[j] = IntervalBounds(nan, nan)
+    def poisoned(query, i):
+        out = supply(query, i)
+        if isinstance(query.g.nodes[i].op, Input):
+            nan = np.full_like(out.lower, np.nan)
+            out = IntervalBounds(nan, nan)
         return out
 
-    monkeypatch.setattr(fusion, "_intermediate_intervals", poisoned)
+    monkeypatch.setattr(BoundQuery, "_supply", poisoned)
 
 
 @pytest.mark.usefixtures("nan_input_intervals")
@@ -407,3 +409,13 @@ def test_margin_pass_on_a_matvec_output_keeps_the_margin_transform_seed(strategy
     box = compute_bounds(wg, specs, strategy, out_coeff=margin_transform(2, 4), relu_mode=ReluLowerMode.ZERO)[1]
     assert np.array_equal(margins.lower, box.lower)
     assert np.array_equal(margins.upper, box.upper)
+
+
+def test_fusion_imports_no_private_name():
+    import ast
+    import inspect
+
+    tree = ast.parse(inspect.getsource(fusion))
+    names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert "BoundQuery" in names
+    assert [n for n in names if n.startswith("_")] == []
