@@ -5,24 +5,27 @@ A BFS from the output node pushes coefficient matrices through each op's
 Out-degree bookkeeping guarantees each dependent node is relaxed exactly
 once, with its full accumulated coefficient. Every entry point runs one
 ``BoundQuery``, whose lazily filled interval cache all its targets share.
+Its passes leave out dead neurons, whose relaxation lines are all zero:
+each affine step multiplies only its weight's live rows and columns.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import forward_oracle
-from .graph import Affine, Graph, Input, OpKind, get_out_degree, topological_order
+from .graph import Affine, Graph, Input, Node, OpKind, get_out_degree, topological_order
 from .interval import IntervalBounds, input_interval, interval_oracle
 from .linear import InputLayout, LinearBounds
+from .ops import UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
-from .relaxation import ReluLowerMode, _inverted
+from .relaxation import ReluLowerMode, UnaryRelaxation, _inverted, unary_relaxation
 
 __all__ = [
     "BoundStrategy",
@@ -176,6 +179,11 @@ def backward_lirpa(
     return query.linear(o, out_coeff)
 
 
+# what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops
+_PassGraph = NamedTuple("_PassGraph", [("nodes", list)])
+_PassNode = NamedTuple("_PassNode", [("op", OpKind), ("inputs", tuple), ("dim", int)])
+
+
 @dataclass(eq=False)
 class BoundQuery:
     """One query: a graph and its specs under one strategy and ReLU mode.
@@ -186,6 +194,9 @@ class BoundQuery:
     bounds (forward), or by one backward pass per node (backward). ``linear``
     and ``box`` run a final backward pass over the cache, so all targets of a
     query share its intervals, and no bound reads a node after its target.
+
+    A cached interval is fixed, so are the lines, live neurons and sliced
+    weights it decides: each is computed once per query.
     """
 
     g: Graph
@@ -199,11 +210,32 @@ class BoundQuery:
         self.layout = InputLayout.from_specs(self.g, self.specs)
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}
-        self._rank = {i: r for r, i in enumerate(topological_order(self.g))}
+        self._lines: dict[int, tuple[np.ndarray | None, _Lines]] = {}
+        self._keeps: dict[int, int] = {}
+        self._pass_nodes: dict[tuple[int, bool], Node | _PassNode] = {}
+        self.extend(self.g)
 
     def extend(self, g: Graph) -> None:
-        """Move the query onto ``g``, which must append non-input nodes to its graph, keeping the caches."""
+        """Move the query onto ``g``, which must append non-input nodes to its graph, keeping the caches.
+
+        ``_keeps[i]`` is the relaxed unary node whose live neurons i's coefficient keeps off a pass's
+        target: i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed
+        unary node alone. Pass ops whose columns this moves are rebuilt.
+        """
         self.g, self._rank = g, {i: r for r, i in enumerate(topological_order(g))}
+        users: list[list[Node]] = [[] for _ in g.nodes]
+        for node in g.nodes:
+            for j in node.inputs:
+                users[j].append(node)
+        keeps = {}
+        for node, us in zip(g.nodes, users):
+            if isinstance(node.op, UnaryRelaxed) and us and all(isinstance(u.op, Affine) for u in us):
+                keeps[node.id] = node.id
+            elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(us[0].op, UnaryRelaxed):
+                keeps[node.id] = us[0].id
+        moved = {i for i in keeps.keys() | self._keeps.keys() if keeps.get(i) != self._keeps.get(i)}
+        self._pass_nodes = {k: v for k, v in self._pass_nodes.items() if not moved.intersection((k[0], *v.inputs))}
+        self._keeps = keeps
 
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
@@ -260,13 +292,48 @@ class BoundQuery:
                     self._forward[i] = LinearBounds(w, b, w.copy(), b.copy())
                 else:
                     operands = [self.interval(k) for k in node.inputs] if node.op.relaxed else None
+                    op = self._live_lines(i)[1] if isinstance(node.op, UnaryRelaxed) else node.op
                     inputs = [self._forward[k] for k in node.inputs]
-                    self._forward[i] = forward_oracle(node.op, inputs, operands, self.relu_mode)
+                    self._forward[i] = forward_oracle(op, inputs, operands, self.relu_mode)
         return self._forward[j]
 
+    def _live_lines(self, r: int) -> tuple[np.ndarray | None, _Lines]:
+        """Relaxed unary node r's live neurons, whose lines are not all zero (None: all), and its lines."""
+        if r not in self._lines:
+            node, box = self.g.nodes[r], self.intervals[self.g.nodes[r].inputs[0]]
+            rel = unary_relaxation(node.op, box.lower, box.upper, self.relu_mode)
+            lines = rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept
+            live = np.logical_or.reduce(lines).nonzero()[0]
+            self._lines[r] = (None if len(live) == node.dim else live), _Lines(rel)
+        return self._lines[r]
+
+    def _pass_node(self, i: int, target: bool) -> Node | _PassNode:
+        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed unary op's lines."""
+        node, key, keeps = self.g.nodes[i], (i, target), self._keeps
+        if key not in self._pass_nodes and isinstance(node.op, (Affine, UnaryRelaxed)):
+            # the live columns of i's coefficient and of its input's (None: all)
+            j, op = node.inputs[0], node.op
+            rows = self._live_lines(keeps[i])[0] if i in keeps and not target else None
+            cols = self._live_lines(keeps[j])[0] if j in keeps else None
+            if isinstance(op, Affine) and (rows is not None or cols is not None):
+                w, b = (op.weight, op.bias) if rows is None else (op.weight[rows], op.bias[rows])
+                op = Affine(w if cols is None else w.take(cols, axis=1), b)
+            elif isinstance(op, UnaryRelaxed):
+                live, op = self._live_lines(i)
+                if live is not None and (rows is not None or cols is not None):  # a side pruned
+                    rel = op.rel
+                    sides = rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept
+                    rel = UnaryRelaxation(*(side[live] for side in sides))
+                    op = _Lines(rel, live if rows is None else None, live if cols is None else None)
+            self._pass_nodes[key] = node if op is node.op else _PassNode(op, node.inputs, node.dim)
+        return self._pass_nodes.get(key, node)
+
     def _pass(self, o: int, out_coeff):
-        """One backward pass from o: its biases and each reached perturbed input's coefficient pair."""
-        state = run_backward(self.g, o, self.intervals, out_coeff, self.relu_mode)
+        """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""
+        nodes = list(self.g.nodes)
+        for i, d in get_out_degree(self.g, o).items():
+            nodes[i] = self._pass_node(i, i == o) if d or i == o else nodes[i]
+        state = run_backward(_PassGraph(nodes), o, self.intervals, out_coeff, self.relu_mode)
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order

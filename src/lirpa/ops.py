@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, GraphError
 from .linear import IntervalBounds, LinearBounds
 from .relaxation import (
-    exp_relaxation, log_relaxation, mul_relaxation, relu_relaxation, unary_relaxation,
+    UnaryRelaxation, exp_relaxation, log_relaxation, mul_relaxation, relu_relaxation, unary_relaxation,
 )
 
 __all__ = [
@@ -197,15 +197,44 @@ class UnaryRelaxed(Elementwise):
     relaxed = True
 
     def forward(self, bounds, intervals, relu_mode):
-        rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
-        return _unary_mix(
-            rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept, bounds[0]
-        )
+        return _Lines(unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)).forward(bounds)
 
     def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
+        lines = _Lines(unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode))
+        return lines.backward(lower_coeff, upper_coeff, intervals, relu_mode, in_dim)
+
+
+@dataclass(frozen=True, eq=False)
+class _Lines(OpKind):
+    """Fixed relaxation lines ``rel`` of a unary op.
+
+    In a backward pass on live neurons, ``take`` slices a full-width
+    coefficient to those columns and ``put`` scatters the outgoing one back.
+    """
+
+    rel: UnaryRelaxation
+    take: np.ndarray | None = None
+    put: np.ndarray | None = None
+
+    kind = "lines"
+    arity = 1
+
+    def forward(self, bounds, intervals=None, relu_mode=None):
+        rel = self.rel
+        return _unary_mix(rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept, bounds[0])
+
+    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+        if self.take is not None:  # take, not [:, cols], which returns a column-major array
+            shared, lower_coeff = upper_coeff is lower_coeff, lower_coeff.take(self.take, axis=1)
+            upper_coeff = lower_coeff if shared else upper_coeff.take(self.take, axis=1)
+        rel = self.rel
         slopes = [(rel.lower_slope, rel.upper_slope)]
-        return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_intercept, rel.upper_intercept)
+        lams, d_lo, d_up = _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_intercept, rel.upper_intercept)
+        if self.put is not None:
+            full = np.zeros((2, len(d_lo), in_dim))
+            full[:, :, self.put] = lams[0]
+            lams = [tuple(full)]
+        return lams, d_lo, d_up
 
 
 @dataclass(frozen=True)

@@ -270,8 +270,10 @@ class Synonym(PerturbationSpec):
         return self.option_table[:, 0].reshape(-1)
 
     def box(self) -> IntervalBounds:
-        # per position over the clean word and all of its substitutes: the
-        # budget is ignored, so the box assumes every word replaceable at once
+        # per position over the clean word and all of its substitutes, as if
+        # every word were replaceable at once; with no budget, the clean point
+        if self.budget == 0:
+            return IntervalBounds(self.center, self.center)
         return IntervalBounds(
             self.option_table.min(axis=1).reshape(-1), self.option_table.max(axis=1).reshape(-1)
         )

@@ -552,7 +552,7 @@ def _same_bits(a: IntervalBounds, b: IntervalBounds) -> bool:
 @pytest.mark.parametrize("strategy", list(BoundStrategy))
 def test_node_boxes_of_one_query_equal_per_node_compute_bounds(strategy):
     # every node read from one shared query, in any order, is bit for bit its own compute_bounds box;
-    # a synonym input feeding a relu is cached as its spec's box, which its own backward box is not
+    # a synonym input feeding a relu is cached as its spec's box
     rng = np.random.default_rng(41)
     problems = [demo_net()] + [random_graph(rng) for _ in range(50)]
     for budget in (0, 1, 2):
