@@ -54,7 +54,9 @@ class BackwardState:
 
     A dependent node's coefficients are dropped once it is relaxed, so after
     termination only independent nodes keep entries; ``pop_order`` records
-    the BFS processing sequence.
+    the BFS processing sequence. An input's coefficient may be a factored
+    array (a ``MatVec`` weight's) with ``shape``, ``@ vector`` and
+    ``row_norms(q)``, which ``np.asarray`` expands.
     """
 
     lower_coeff: dict[int, np.ndarray]
@@ -139,15 +141,17 @@ def run_backward(
             w, b = node.op.weight, node.op.bias
             lams, d_lo, d_up = [(w, w)], b, b
         else:
+            # a factored coefficient is expanded where it meets a rule
             in_dim = g.nodes[node.inputs[0]].dim
-            lams, d_lo, d_up = backward_oracle(node.op, lower[i], upper[i], intervals, relu_mode, in_dim)
+            lo, up = np.asarray(lower[i]), np.asarray(upper[i])
+            lams, d_lo, d_up = backward_oracle(node.op, lo, up, intervals, relu_mode, in_dim)
         ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
-            if j in lower:
+            if j in lower:  # a second contribution: add the dense arrays
                 shared = lower[j] is upper[j] and lam_lo is lam_up
-                lower[j] = lower[j] + lam_lo
-                upper[j] = lower[j] if shared else upper[j] + lam_up
+                lower[j] = np.asarray(lower[j]) + np.asarray(lam_lo)
+                upper[j] = lower[j] if shared else np.asarray(upper[j]) + np.asarray(lam_up)
             else:
                 lower[j] = lam_lo
                 upper[j] = lam_up
@@ -276,7 +280,7 @@ class BoundQuery:
         if isinstance(node.op, Input):
             return input_interval(self.specs[i], node)
         if self.strategy is BoundStrategy.BACKWARD:
-            return self._box(i, None)
+            return self._concretize(*self._pass(i, None))
         return interval_oracle(node.op, [self.intervals[k] for k in node.inputs])
 
     def forward(self, j: int) -> LinearBounds:
@@ -345,24 +349,26 @@ class BoundQuery:
                 ub = ub + a_up @ self.specs[i].center
         return lb, ub, blocks
 
-    def _box(self, o: int, out_coeff) -> IntervalBounds:
-        lb, ub, blocks = self._pass(o, out_coeff)
+    def _concretize(self, lb, ub, blocks) -> IntervalBounds:
         return concretize_blocks(lb, ub, [(self.specs[i], a_lo, a_up) for i, (a_lo, a_up) in blocks.items()])
 
-    def linear(self, target: int, out_coeff: np.ndarray | None = None) -> LinearBounds:
-        """The final backward pass's linear bounds of ``target``, over the layout's columns."""
-        self._fill(self._operands(target))
-        lb, ub, blocks = self._pass(target, out_coeff)
+    def _linear(self, lb, ub, blocks) -> LinearBounds:
+        """A pass's blocks as dense linear bounds over the layout's columns."""
         lw, uw = np.zeros((2, lb.shape[0], self.layout.dim))
-        for i, (a_lo, a_up) in blocks.items():
+        for i, (a_lo, a_up) in blocks.items():  # a factored block expands on assignment
             lw[:, self.layout.block(i)] = a_lo
             uw[:, self.layout.block(i)] = a_up
         return LinearBounds(lw, lb, uw, ub)
 
+    def linear(self, target: int, out_coeff: np.ndarray | None = None) -> LinearBounds:
+        """The final backward pass's linear bounds of ``target``, over the layout's columns."""
+        self._fill(self._operands(target))
+        return self._linear(*self._pass(target, out_coeff))
+
     def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
         """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""
         self._fill(self._operands(target))
-        return _fail_closed(self._box(target, out_coeff), what)
+        return _fail_closed(self._concretize(*self._pass(target, out_coeff)), what)
 
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
         """``compute_bounds``' native bound and interval of ``target``."""
@@ -373,9 +379,11 @@ class BoundQuery:
                 coeff = _checked_out_coeff(out_coeff, self.g.nodes[target].dim)
                 oracle = interval_oracle if ibp else forward_oracle
                 native = oracle(Affine(coeff, np.zeros(len(coeff))), [native])
-        else:
-            native = self.linear(target, out_coeff)
-        box = native if ibp else concretize_bounds(native, self.layout, self.specs)
+            box = native if ibp else concretize_bounds(native, self.layout, self.specs)
+        else:  # concretized from the pass's blocks, as ``box`` does
+            self._fill(self._operands(target))
+            result = self._pass(target, out_coeff)
+            native, box = self._linear(*result), self._concretize(*result)
         return native, _fail_closed(box, f"node {target}: {self.strategy.value}")
 
     def node_box(self, target: int) -> IntervalBounds:

@@ -389,6 +389,38 @@ class MulElementwise(Elementwise):
         return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_const, rel.upper_const)
 
 
+class _WeightCoeff:
+    """A ``MatVec`` weight coefficient, factored: row r's block i, on W_i1..W_it, is
+    ``pos[r, i] * slope_pos[i] + neg[r, i] * slope_neg[i]``.
+
+    ``pos`` >= 0 and ``neg`` <= 0 never overlap, so ``@ v`` and ``row_norms(q)``
+    reduce on the (rows, s) and (s, t) factors; ``np.asarray`` expands it to
+    the dense (rows, s * t) array.
+    """
+
+    def __init__(self, pos, neg, slope_pos, slope_neg):
+        self.pos, self.neg, self.slope_pos, self.slope_neg = pos, neg, slope_pos, slope_neg
+        self.shape = (pos.shape[0], slope_pos.size)
+
+    def __array__(self, dtype=None, copy=None):
+        # a coefficient on h_i is one on each of its t terms W_ij x_j
+        dense = self.pos[:, :, None] * self.slope_pos + self.neg[:, :, None] * self.slope_neg
+        return dense.reshape(self.shape).astype(dtype or np.float64, copy=False)
+
+    def __matmul__(self, v):
+        c = np.reshape(v, self.slope_pos.shape)
+        return self.pos @ (self.slope_pos * c).sum(axis=1) + self.neg @ (self.slope_neg * c).sum(axis=1)
+
+    def row_norms(self, q: float) -> np.ndarray:
+        """The q-norm of each row, q in [1, inf]; a block's is |pos| or |neg| times its slope's."""
+        pos, neg, slope_pos, slope_neg = (np.abs(a) for a in (self.pos, self.neg, self.slope_pos, self.slope_neg))
+        if np.isinf(q):
+            per_block = pos * slope_pos.max(axis=1, initial=0.0) + neg * slope_neg.max(axis=1, initial=0.0)
+            return per_block.max(axis=1, initial=0.0)
+        total = pos**q @ (slope_pos**q).sum(axis=1) + neg**q @ (slope_neg**q).sum(axis=1)
+        return total ** (1.0 / q)
+
+
 @dataclass(frozen=True, eq=False)
 class MatVec(OpKind):
     """h = W x + bias where the weights are an input too.
@@ -396,8 +428,10 @@ class MatVec(OpKind):
     The first input is W flattened row-major (length dim * t), the second is
     x (length t). Each term W_ij x_j is relaxed with the ``mul_relaxation``
     planes on (dim, t) views and the terms are summed per row, so no
-    (dim * t)-row matrix is ever built. Weight-perturbed graphs use it; it
-    has no entry in the parse registry, so documents cannot name it.
+    (dim * t)-row relaxation matrix is built; ``backward`` keeps W's
+    coefficient factored (``_WeightCoeff``), so no (rows, dim * t) one is
+    either. Weight-perturbed graphs use it; it has no entry in the parse
+    registry, so documents cannot name it.
     """
 
     bias: np.ndarray
@@ -466,12 +500,11 @@ class MatVec(OpKind):
         lo_pos, lo_neg = _posneg(lower_coeff)
         up_pos, up_neg = _posneg(upper_coeff)
 
-        def on_w(pos, neg, slope_pos, slope_neg):
-            # a coefficient on h_i is one on each of its t terms W_ij x_j
-            return (pos[:, :, None] * slope_pos + neg[:, :, None] * slope_neg).reshape(len(pos), -1)
-
         lams = [
-            (on_w(lo_pos, lo_neg, rel.lower_x, rel.upper_x), on_w(up_pos, up_neg, rel.upper_x, rel.lower_x)),
+            (
+                _WeightCoeff(lo_pos, lo_neg, rel.lower_x, rel.upper_x),
+                _WeightCoeff(up_pos, up_neg, rel.upper_x, rel.lower_x),
+            ),
             (lo_pos @ rel.lower_y + lo_neg @ rel.upper_y, up_pos @ rel.upper_y + up_neg @ rel.lower_y),
         ]
         lower_const = rel.lower_const.sum(axis=1)

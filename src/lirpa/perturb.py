@@ -59,6 +59,8 @@ def _strings(x, what: str) -> tuple[str, ...]:
 def _row_norms(w: np.ndarray, q: float) -> np.ndarray:
     if w.shape[1] == 0:
         return np.zeros(w.shape[0])
+    if not isinstance(w, np.ndarray):  # a factored coefficient (``ops.MatVec``'s weight)
+        return w.row_norms(q)
     return np.linalg.norm(w, ord=q, axis=1)
 
 
@@ -287,6 +289,7 @@ class Synonym(PerturbationSpec):
         -wu @ x, exactly in floats, so both sides share one product.
         """
         n, _, d = self.option_table.shape
+        wl, wu = np.asarray(wl), np.asarray(wu)  # expands a factored coefficient
         w = np.concatenate([wl, -wu])
         # terms[t, k, r] = w[r, block t] @ (option k at position t)
         terms = np.matmul(self.option_table, w.reshape(-1, n, d).transpose(1, 2, 0))

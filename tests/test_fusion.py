@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from helpers import ce_loss, demo_net, dense_weight_perturbed_graph, random_classifier, sample_points
-from lirpa import fusion
+from lirpa import fusion, ops
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -409,6 +409,18 @@ def test_margin_pass_on_a_matvec_output_keeps_the_margin_transform_seed(strategy
     box = compute_bounds(wg, specs, strategy, out_coeff=margin_transform(2, 4), relu_mode=ReluLowerMode.ZERO)[1]
     assert np.array_equal(margins.lower, box.lower)
     assert np.array_equal(margins.upper, box.upper)
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_flatness_never_expands_a_weight_coefficient(monkeypatch, strategy):
+    # each weight input meets one MatVec and no rule, so its ball is concretized on the factors
+    def expand(coeff, *args, **kwargs):
+        raise AssertionError(f"a {coeff.shape} weight coefficient was expanded")
+
+    monkeypatch.setattr(ops._WeightCoeff, "__array__", expand)
+    rng = np.random.default_rng(15)
+    g = _mlp(rng, [3, 5, 4, 3])
+    assert flatness_score(g, 0.02, [({0: rng.uniform(-1, 1, 3)}, 1)], strategy) > 0.0
 
 
 def test_fusion_imports_no_private_name():

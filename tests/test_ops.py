@@ -25,12 +25,15 @@ from lirpa import (
     ReluLowerMode,
     Sub,
     SumReduce,
+    Synonym,
     backward_lirpa,
     compute_bounds,
+    concretize_bounds,
     evaluate,
     forward_lirpa,
     ibp_propagate,
 )
+from lirpa.backward import BoundQuery
 from lirpa.ops import MatVec, OpKind
 
 
@@ -138,7 +141,7 @@ def _matvec_net(rng, p, s=3, t=4):
 
 def test_matvec_rules_contain_sampled_points():
     rng = np.random.default_rng(13)
-    for p in (2.0, math.inf, math.inf):
+    for p in (1.0, 2.0, 3.0, math.inf):
         g, specs = _matvec_net(rng, p)
         boxes = {strategy: compute_bounds(g, specs, strategy)[1] for strategy in BoundStrategy}
         for box in boxes.values():
@@ -146,6 +149,100 @@ def test_matvec_rules_contain_sampled_points():
         assert_linear_sound(g, specs, {5: forward_lirpa(g, specs)[5]}, rng, n=10_000, slack=1e-9)
         lb = backward_lirpa(g, 5, ibp_propagate(g, specs), specs)
         assert_linear_sound(g, specs, {5: lb}, rng, n=10_000, slack=1e-9)
+
+
+def _matvec_fallback_nets(rng, s=3, t=4):
+    """A MatVec whose weight is a ReLU of an input, one weight input read by two MatVec nodes, and a
+    weight under word substitution, whose ``extremes`` reads the dense coefficient."""
+    relu_weight = (
+        Node(0, Input(), (), s * t),
+        Node(1, ReLU(), (0,), s * t),
+        Node(2, Input(), (), 3),
+        Node(3, Affine(rng.uniform(-1, 1, (t, 3)), rng.uniform(-0.5, 0.5, t)), (2,), t),
+        Node(4, MatVec(rng.uniform(-1, 1, s)), (1, 3), s),
+    )
+    shared_weight = (
+        Node(0, Input(), (), s * t),
+        Node(1, Input(), (), t),
+        Node(2, Affine(rng.uniform(-1, 1, (t, t)), rng.uniform(-0.5, 0.5, t)), (1,), t),
+        Node(3, ReLU(), (2,), t),
+        Node(4, MatVec(rng.uniform(-1, 1, s)), (0, 1), s),
+        Node(5, MatVec(rng.uniform(-1, 1, s)), (0, 3), s),
+        Node(6, Add(), (4, 5), s),
+    )
+    ball = lambda dim, eps, p: LpBall(rng.uniform(-1, 1, dim), eps, p)
+    words = Synonym(("a", "b", "c"), {0: ("d",), 2: ("e",)}, {w: rng.uniform(-1, 1, t) for w in "abcde"}, 1)
+    return [
+        (Graph(relu_weight, 4), {0: ball(s * t, 0.3, 2.0), 2: ball(3, 0.2, math.inf)}),
+        (Graph(shared_weight, 6), {0: ball(s * t, 0.3, 2.0), 1: ball(t, 0.2, math.inf)}),
+        (Graph(shared_weight[:5], 4), {0: words, 1: ball(t, 0.2, math.inf)}),
+    ]
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_matvec_weight_coefficient_expands_where_a_rule_or_a_second_contribution_meets_it(strategy):
+    # the ReLU's rule, the shared input's sum and the synonym rule read the dense coefficient
+    rng = np.random.default_rng(44)
+    for g, specs in _matvec_fallback_nets(rng):
+        box = compute_bounds(g, specs, strategy)[1]
+        assert_sound(g, specs, {g.output: box}, rng, n=10_000, slack=1e-9)
+        query = BoundQuery(g, specs, strategy, ReluLowerMode.ADAPTIVE)
+        linear = concretize_bounds(query.linear(g.output), query.layout, specs)
+        direct = query.box(g.output, None, "matvec")
+        scale = np.max(np.abs([direct.lower, direct.upper]))
+        assert np.allclose(linear.lower, direct.lower, rtol=0.0, atol=1e-13 * scale)
+        assert np.allclose(linear.upper, direct.upper, rtol=0.0, atol=1e-13 * scale)
+
+
+def _weight_coeffs(rng, rows=5, s=3, t=4, pin=False):
+    """A MatVec rule's two weight coefficients and their dense (rows, s * t) expansions, built directly.
+
+    Lower row 1 and upper row 3 are all zero; with ``pin``, some weight and x entries have lx == ux.
+    """
+    w_box = np.sort(rng.uniform(-1, 1, (2, s * t)), axis=0)
+    x_box = np.sort(rng.uniform(-1, 1, (2, t)), axis=0)
+    if pin:
+        w_box[1, ::3] = w_box[0, ::3]
+        x_box[1, 1] = x_box[0, 1]
+    intervals = [IntervalBounds(*w_box), IntervalBounds(*x_box)]
+    lower, upper = rng.uniform(-1, 1, (2, rows, s))
+    lower[1] = upper[3] = 0.0
+    op = MatVec(rng.uniform(-1, 1, s))
+    lams = op.backward(lower, upper, intervals, ReluLowerMode.ZERO, s * t)[0]
+    rel = op._relax(intervals)
+
+    def on_w(coeff, slope_pos, slope_neg):
+        pos, neg = np.maximum(coeff, 0.0), np.minimum(coeff, 0.0)
+        return (pos[:, :, None] * slope_pos + neg[:, :, None] * slope_neg).reshape(len(pos), -1)
+
+    dense = on_w(lower, rel.lower_x, rel.upper_x), on_w(upper, rel.upper_x, rel.lower_x)
+    return lams[0], dense
+
+
+@pytest.mark.parametrize("pin", [False, True])
+def test_matvec_weight_coefficient_is_factored_and_expands_to_the_dense_one(pin):
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        coeffs, dense = _weight_coeffs(rng, pin=pin)
+        for coeff, want, zero_row in zip(coeffs, dense, (1, 3)):
+            assert not isinstance(coeff, np.ndarray) and coeff.shape == want.shape
+            assert np.array_equal(np.asarray(coeff), want)
+            assert np.all(want[zero_row] == 0.0)
+            v = rng.uniform(-1, 1, want.shape[1])
+            assert coeff @ v == pytest.approx(want @ v, rel=1e-13, abs=0.0)
+            for q in (1.0, 1.5, 2.0, math.inf):
+                assert coeff.row_norms(q) == pytest.approx(np.linalg.norm(want, ord=q, axis=1), rel=1e-13, abs=0.0)
+
+
+def test_lp_ball_concretizes_a_factored_coefficient_as_its_expansion():
+    rng = np.random.default_rng(43)
+    for p in (1.0, 2.0, 3.0, math.inf):
+        (lo, up), (dense_lo, dense_up) = _weight_coeffs(rng, pin=True)
+        ball = LpBall(rng.uniform(-1, 1, 12), 0.3, p)
+        zero = np.zeros(5)
+        got, want = ball.extremes(lo, zero, up, zero), ball.extremes(dense_lo, zero, dense_up, zero)
+        for a, b in zip(got, want):
+            assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
 
 
 def _ops_with_intervals(rng, d=4):
