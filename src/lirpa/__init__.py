@@ -9,18 +9,12 @@ analyses built on top.
 from .backward import (
     BackwardState,
     BoundStrategy,
-    backward_lirpa,
     backward_oracle,
     compute_bounds,
     intermediate_intervals,
     run_backward,
 )
-from .concretize import (
-    brute_force_synonym,
-    concretize_bounds,
-    concretize_lp,
-    concretize_synonym_dp,
-)
+from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import forward_lirpa, forward_oracle
 from .fusion import (
@@ -55,16 +49,9 @@ from .graph import (
     serialize_problem,
     topological_order,
 )
-from .interval import IntervalBounds, ibp_propagate, input_interval, interval_oracle
+from .interval import IntervalBounds, ibp_propagate, interval_oracle
 from .linear import InputLayout, LinearBounds
-from .perturb import (
-    Constant,
-    LpBall,
-    PerturbationSpec,
-    Synonym,
-    sample_spec,
-    spec_center,
-)
+from .perturb import Constant, LpBall, PerturbationSpec, Synonym
 from .relaxation import (
     BinaryRelaxation,
     ReluLowerMode,
@@ -108,16 +95,12 @@ __all__ = [
     "SumReduce",
     "Synonym",
     "UnaryRelaxation",
-    "backward_lirpa",
     "backward_oracle",
     "bound_loss_fused",
     "bound_loss_unfused",
-    "brute_force_synonym",
     "build_fused_loss_graph",
     "compute_bounds",
     "concretize_bounds",
-    "concretize_lp",
-    "concretize_synonym_dp",
     "evaluate",
     "exp_relaxation",
     "flatness_score",
@@ -126,7 +109,6 @@ __all__ = [
     "fused_loss_report",
     "get_out_degree",
     "ibp_propagate",
-    "input_interval",
     "intermediate_intervals",
     "interval_oracle",
     "log_relaxation",
@@ -136,9 +118,7 @@ __all__ = [
     "parse_problem",
     "relu_relaxation",
     "run_backward",
-    "sample_spec",
     "serialize_problem",
-    "spec_center",
     "topological_order",
     "unary_relaxation",
     "weight_perturbed_graph",

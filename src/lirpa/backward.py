@@ -21,7 +21,7 @@ from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import forward_oracle
 from .graph import Affine, Graph, Input, Node, OpKind, get_out_degree, topological_order
-from .interval import IntervalBounds, input_interval, interval_oracle
+from .interval import IntervalBounds, interval_oracle
 from .linear import InputLayout, LinearBounds
 from .ops import UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
@@ -32,7 +32,6 @@ __all__ = [
     "BackwardState",
     "backward_oracle",
     "run_backward",
-    "backward_lirpa",
     "intermediate_intervals",
     "compute_bounds",
 ]
@@ -165,24 +164,6 @@ def run_backward(
     return BackwardState(lower, upper, d_lower, d_upper, tuple(pops))
 
 
-def backward_lirpa(
-    g: Graph,
-    o: int,
-    intermediate: Mapping[int, IntervalBounds],
-    specs: Mapping[int, PerturbationSpec],
-    out_coeff: np.ndarray | None = None,
-    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
-) -> LinearBounds:
-    """Linear bounds of node o over the perturbed independent nodes.
-
-    ``intermediate`` must cover every node feeding a nonlinear op on a path
-    to o. Coefficients accumulated on constant inputs fold into the bias.
-    """
-    query = BoundQuery(g, specs, None, relu_mode)
-    query.intervals.update(intermediate)
-    return query.linear(o, out_coeff)
-
-
 # what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops
 _PassGraph = NamedTuple("_PassGraph", [("nodes", list)])
 _PassNode = NamedTuple("_PassNode", [("op", OpKind), ("inputs", tuple), ("dim", int)])
@@ -195,7 +176,7 @@ class BoundQuery:
     ``intervals`` caches each node's supplier interval. ``interval(j)`` fills
     it lazily with j and the missing nodes j's interval reads, in topological
     order: by the ops' ``interval`` rules (IBP), by concretizing forward
-    bounds (forward), or by one backward pass per node (backward). ``linear``
+    bounds (forward), or by one backward pass per node (backward). ``bound``
     and ``box`` run a final backward pass over the cache, so all targets of a
     query share its intervals, and no bound reads a node after its target.
 
@@ -205,11 +186,11 @@ class BoundQuery:
 
     g: Graph
     specs: Mapping[int, PerturbationSpec]
-    strategy: BoundStrategy | None  # None supplies nothing: the caller fills ``intervals``
+    strategy: BoundStrategy
     relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE
 
     def __post_init__(self):
-        if self.strategy is not None and not isinstance(self.strategy, BoundStrategy):
+        if not isinstance(self.strategy, BoundStrategy):
             raise GraphError(f"unknown bound strategy {self.strategy!r}")
         self.layout = InputLayout.from_specs(self.g, self.specs)
         self.intervals: dict[int, IntervalBounds] = {}
@@ -273,12 +254,10 @@ class BoundQuery:
     def _supply(self, i: int) -> IntervalBounds:
         """Node i's interval from the strategy's supplier, once the intervals it reads are cached."""
         node = self.g.nodes[i]
-        if self.strategy is None:
-            raise DomainError(f"missing intermediate bounds for node {i}")
         if self.strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
             return concretize_bounds(self.forward(i), self.layout, self.specs)
         if isinstance(node.op, Input):
-            return input_interval(self.specs[i], node)
+            return self.specs[i].box()
         if self.strategy is BoundStrategy.BACKWARD:
             return self._concretize(*self._pass(i, None))
         return interval_oracle(node.op, [self.intervals[k] for k in node.inputs])
@@ -359,11 +338,6 @@ class BoundQuery:
             lw[:, self.layout.block(i)] = a_lo
             uw[:, self.layout.block(i)] = a_up
         return LinearBounds(lw, lb, uw, ub)
-
-    def linear(self, target: int, out_coeff: np.ndarray | None = None) -> LinearBounds:
-        """The final backward pass's linear bounds of ``target``, over the layout's columns."""
-        self._fill(self._operands(target))
-        return self._linear(*self._pass(target, out_coeff))
 
     def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
         """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""

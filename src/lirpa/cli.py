@@ -20,7 +20,7 @@ from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transf
 from .graph import Graph, _load_json, evaluate, parse_problem, topological_order
 from .interval import IntervalBounds
 from .linear import InputLayout
-from .perturb import Constant, LpBall, PerturbationSpec, _is_int, sample_spec, spec_center
+from .perturb import Constant, LpBall, PerturbationSpec, _is_int
 from .relaxation import ReluLowerMode
 
 __all__ = ["main", "build_parser"]
@@ -79,6 +79,8 @@ def _run_method(g, specs, method, relu_mode, out_coeff=None):
 
 
 def cmd_bounds(args) -> int:
+    if args.samples < 0:
+        raise GraphError("--samples must be nonnegative")
     g, specs = _load(args)
     box, elapsed, query = _run_method(g, specs, args.method, ReluLowerMode(args.relu))
     lower, upper = _interval_report(box)
@@ -90,7 +92,7 @@ def cmd_bounds(args) -> int:
             report["nodes"][str(i)] = {"lower": lo, "upper": hi}
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        values = {i: sample_spec(specs[i], rng, args.samples) for i in g.input_ids}
+        values = {i: specs[i].sample(rng, args.samples) for i in g.input_ids}
         sampled = evaluate(g, values)[g.output]
         report["sampled_min"] = sampled.min(axis=1).tolist()
         report["sampled_max"] = sampled.max(axis=1).tolist()
@@ -191,7 +193,7 @@ def _flatness_batch(args, g, specs) -> list[tuple[dict[int, np.ndarray], int]]:
         return batch
     if args.label is None:
         raise GraphError("flatness needs --label when no --data file is given")
-    values = {i: spec_center(specs[i]) for i in g.input_ids}
+    values = {i: specs[i].center for i in g.input_ids}
     return [(values, args.label)]
 
 

@@ -3,8 +3,7 @@
 Each spec's ``extremes`` rule solves its own block (the dual-norm closed
 form for lp balls, the top-delta gain selection for synonym substitution);
 blocks are independent, so the bounds over all perturbed inputs are their
-sum. A brute-force enumerator over all substitution assignments serves as
-the independent oracle for the synonym rule.
+sum.
 """
 from __future__ import annotations
 
@@ -15,72 +14,9 @@ import numpy as np
 from .errors import GraphError
 from .interval import IntervalBounds
 from .linear import InputLayout, LinearBounds
-from .perturb import LpBall, PerturbationSpec, Synonym
+from .perturb import PerturbationSpec
 
-__all__ = [
-    "concretize_lp",
-    "concretize_synonym_dp",
-    "brute_force_synonym",
-    "concretize_blocks",
-    "concretize_bounds",
-]
-
-_BRUTE_FORCE_LIMIT = 10**6
-
-
-def _concretize_one(lb: LinearBounds, spec: PerturbationSpec) -> IntervalBounds:
-    if lb.input_dim != spec.dim:
-        raise GraphError(f"bound has {lb.input_dim} columns but the spec spans {spec.dim}")
-    return IntervalBounds(*spec.extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b))
-
-
-def concretize_lp(lb: LinearBounds, spec: LpBall) -> IntervalBounds:
-    """Exact min/max of the linear bounds over an lp ball (dual-norm form)."""
-    return _concretize_one(lb, spec)
-
-
-def concretize_synonym_dp(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
-    """Exact min/max of the linear bounds under bounded word substitution."""
-    return _concretize_one(lb, spec)
-
-
-def _enumerate_assignments(spec: Synonym) -> np.ndarray:
-    """All candidate index combinations as rows; index 0 means the clean word."""
-    sizes = [1 + len(spec.candidates(t)) for t in range(spec.length)]
-    total = 1
-    for size in sizes:
-        total *= size
-    if total > _BRUTE_FORCE_LIMIT:
-        raise GraphError(f"{total} substitution assignments exceed the brute-force guard")
-    grids = np.meshgrid(*[np.arange(size) for size in sizes], indexing="ij")
-    return np.stack(grids, axis=-1).reshape(-1, spec.length)
-
-
-def brute_force_synonym(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
-    """Oracle: enumerate every substitution assignment within the budget.
-
-    Accumulates per-position contributions left to right, each computed
-    from the spec's embeddings directly rather than from its option table.
-    """
-    combos = _enumerate_assignments(spec)
-    within_budget = (combos > 0).sum(axis=1) <= min(spec.budget, spec.length)
-    combos = combos[within_budget]
-
-    d = spec.embedding_dim
-
-    def extreme(w: np.ndarray, b: np.ndarray, reduce_rows) -> np.ndarray:
-        acc = np.tile(b, (combos.shape[0], 1))
-        for t in range(spec.length):
-            wt = w[:, t * d:(t + 1) * d]
-            words = (spec.words[t],) + spec.candidates(t)
-            options = np.stack([wt @ spec.embedding(word) for word in words])
-            acc = acc + options[combos[:, t]]
-        return reduce_rows(acc)
-
-    return IntervalBounds(
-        extreme(lb.lower_w, lb.lower_b, lambda a: a.min(axis=0)),
-        extreme(lb.upper_w, lb.upper_b, lambda a: a.max(axis=0)),
-    )
+__all__ = ["concretize_blocks", "concretize_bounds"]
 
 
 def concretize_blocks(lower_b: np.ndarray, upper_b: np.ndarray, blocks: Iterable[tuple]) -> IntervalBounds:

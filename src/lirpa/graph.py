@@ -106,9 +106,6 @@ class Graph:
     def input_ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes if isinstance(n.op, Input))
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
 
 def topological_order(g: Graph) -> list[int]:
     """Node ids with every node after all of its inputs.

@@ -9,22 +9,11 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .errors import GraphError
-from .graph import Graph, Node, OpKind, topological_order
+from .graph import Graph, OpKind, topological_order
 from .linear import IntervalBounds
 from .perturb import PerturbationSpec
 
-__all__ = ["IntervalBounds", "input_interval", "interval_oracle", "ibp_propagate"]
-
-
-def input_interval(spec: PerturbationSpec, node: Node | None = None) -> IntervalBounds:
-    """The spec's ``box``, checked against the node's dim when a node is given."""
-    box = spec.box()
-    if node is not None and box.lower.shape[0] != node.dim:
-        raise GraphError(
-            f"spec dim {box.lower.shape[0]} does not match node {node.id} dim {node.dim}"
-        )
-    return box
+__all__ = ["IntervalBounds", "interval_oracle", "ibp_propagate"]
 
 
 def interval_oracle(op: OpKind, inputs: Sequence[IntervalBounds]) -> IntervalBounds:

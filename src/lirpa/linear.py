@@ -52,9 +52,7 @@ class LinearBounds:
     upper_b: np.ndarray
 
     def __post_init__(self):
-        for name in ("lower_w", "upper_w"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        for name in ("lower_b", "upper_b"):
+        for name in ("lower_w", "lower_b", "upper_w", "upper_b"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         if self.lower_w.shape != self.upper_w.shape or self.lower_b.shape != self.upper_b.shape:
             raise ValueError("lower/upper coefficient shapes differ")

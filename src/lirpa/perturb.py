@@ -25,9 +25,7 @@ __all__ = [
     "Constant",
     "LpBall",
     "Synonym",
-    "spec_center",
     "parse_perturbation",
-    "sample_spec",
 ]
 
 
@@ -124,7 +122,7 @@ class LpBall(PerturbationSpec):
         object.__setattr__(self, "p", float(self.p))
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise GraphError(f"ball radius must be finite and nonnegative, got {self.eps}")
-        if self.p < 1:
+        if not self.p >= 1:  # NaN fails too
             raise GraphError(f"lp ball requires p >= 1, got {self.p}")
 
     @property
@@ -343,11 +341,6 @@ class Synonym(PerturbationSpec):
 _SPEC_TYPES = {cls.kind: cls for cls in (Constant, LpBall, Synonym)}
 
 
-def spec_center(spec: PerturbationSpec) -> np.ndarray:
-    """The nominal (unperturbed) value of the input."""
-    return spec.center
-
-
 def parse_perturbation(obj: dict) -> PerturbationSpec:
     """Build a spec from its document form (see the graph JSON format)."""
     if not isinstance(obj, dict) or "type" not in obj:
@@ -357,7 +350,3 @@ def parse_perturbation(obj: dict) -> PerturbationSpec:
         raise GraphError(f"unknown perturbation type {kind!r}")
     return _SPEC_TYPES[kind].from_json(obj)
 
-
-def sample_spec(spec: PerturbationSpec, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw n points inside the spec region as (dim, n) columns, boundary points included."""
-    return spec.sample(rng, n)

@@ -1,4 +1,4 @@
-"""Shared fixtures: the worked demo net, random graph generators, sampling."""
+"""Shared fixtures: the worked demo net, random graph generators, sampling, oracles."""
 from __future__ import annotations
 
 import json
@@ -12,7 +12,9 @@ from lirpa import (
     Constant,
     Exp,
     Graph,
+    GraphError,
     Input,
+    IntervalBounds,
     LinearBounds,
     Log,
     LpBall,
@@ -25,8 +27,6 @@ from lirpa import (
     Synonym,
     evaluate,
     interval_oracle,
-    input_interval,
-    sample_spec,
     topological_order,
 )
 
@@ -71,7 +71,7 @@ def demo_net(eps: float = 2.0):
 
 def sample_points(g, specs, rng, n) -> dict[int, np.ndarray]:
     """One (dim, n) batch of in-region points per input node."""
-    return {i: sample_spec(specs[i], rng, n) for i in g.input_ids}
+    return {i: specs[i].sample(rng, n) for i in g.input_ids}
 
 
 def assert_sound(g, specs, bounds_by_node, rng, n=1000, slack=1e-7):
@@ -141,7 +141,7 @@ def random_graph(rng, max_nodes=12, max_dim=5, cap=1e4):
         else:
             spec = Constant(center)
             dep = False
-        i = add(Input(), (), dim, input_interval(spec), dep)
+        i = add(Input(), (), dim, spec.box(), dep)
         specs[i] = spec
 
     n_target = int(rng.integers(n_inputs + 2, max_nodes + 1))
@@ -233,6 +233,54 @@ def random_synonym_instance(rng, max_words=6, max_subs=3, max_budget=3, max_emb=
         rng.uniform(-1, 1, s),
     )
     return lb, spec
+
+
+def extremes_box(lb: LinearBounds, spec) -> IntervalBounds:
+    """The spec's own ``extremes`` of ``lb`` over its region, as an interval."""
+    return IntervalBounds(*spec.extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b))
+
+
+_BRUTE_FORCE_LIMIT = 10**6
+
+
+def _enumerate_assignments(spec: Synonym) -> np.ndarray:
+    """All candidate index combinations as rows; index 0 means the clean word."""
+    sizes = [1 + len(spec.candidates(t)) for t in range(spec.length)]
+    total = 1
+    for size in sizes:
+        total *= size
+    if total > _BRUTE_FORCE_LIMIT:
+        raise GraphError(f"{total} substitution assignments exceed the brute-force guard")
+    grids = np.meshgrid(*[np.arange(size) for size in sizes], indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, spec.length)
+
+
+def brute_force_synonym(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
+    """Oracle: enumerate every substitution assignment within the budget.
+
+    Accumulates per-position contributions left to right, each computed
+    from the spec's embeddings directly rather than from its option table,
+    so it stays independent of ``Synonym.extremes``.
+    """
+    combos = _enumerate_assignments(spec)
+    within_budget = (combos > 0).sum(axis=1) <= min(spec.budget, spec.length)
+    combos = combos[within_budget]
+
+    d = spec.embedding_dim
+
+    def extreme(w: np.ndarray, b: np.ndarray, reduce_rows) -> np.ndarray:
+        acc = np.tile(b, (combos.shape[0], 1))
+        for t in range(spec.length):
+            wt = w[:, t * d:(t + 1) * d]
+            words = (spec.words[t],) + spec.candidates(t)
+            options = np.stack([wt @ spec.embedding(word) for word in words])
+            acc = acc + options[combos[:, t]]
+        return reduce_rows(acc)
+
+    return IntervalBounds(
+        extreme(lb.lower_w, lb.lower_b, lambda a: a.min(axis=0)),
+        extreme(lb.upper_w, lb.upper_b, lambda a: a.max(axis=0)),
+    )
 
 
 def ce_loss(logits: np.ndarray, label: int) -> float:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from helpers import (
+    brute_force_synonym,
     ce_loss,
     demo_net,
+    extremes_box,
     random_classifier,
     random_graph,
     random_synonym_instance,
@@ -28,17 +30,13 @@ from lirpa import (
     Node,
     ReLU,
     ReluLowerMode,
-    brute_force_synonym,
     compute_bounds,
-    concretize_lp,
-    concretize_synonym_dp,
     evaluate,
     fused_loss_report,
     flatness_score,
     ibp_propagate,
     relu_relaxation,
     run_backward,
-    sample_spec,
     weight_perturbed_graph,
     MarginSpec,
 )
@@ -151,7 +149,7 @@ def test_criterion_5_substitution_dp_equals_enumeration():
     exact = 0
     for _ in range(1000):
         lb, spec = random_synonym_instance(rng, max_words=6, max_subs=3, max_budget=3, max_emb=4)
-        dp = concretize_synonym_dp(lb, spec)
+        dp = extremes_box(lb, spec)
         brute = brute_force_synonym(lb, spec)
         assert dp.lower == pytest.approx(brute.lower, abs=1e-9)
         assert dp.upper == pytest.approx(brute.upper, abs=1e-9)
@@ -186,7 +184,7 @@ def test_criterion_7_dual_norm_concretization():
         b = rng.integers(-64, 65, size=3).astype(float) / 64.0
         x0 = rng.integers(-16, 17, size=d).astype(float) / 16.0
         lb = LinearBounds(w, b, w, b)
-        box = concretize_lp(lb, LpBall(x0, 0.5, math.inf))
+        box = extremes_box(lb, LpBall(x0, 0.5, math.inf))
         corners = np.array(list(itertools.product([-0.5, 0.5], repeat=d))).T
         values = w @ (x0[:, None] + corners) + b[:, None]
         assert np.array_equal(box.upper, values.max(axis=1))
@@ -198,7 +196,7 @@ def test_criterion_7_dual_norm_concretization():
         b = rng.uniform(-1, 1, 2)
         x0 = rng.uniform(-1, 1, d)
         eps = float(rng.uniform(0.1, 2.0))
-        box = concretize_lp(LinearBounds(w, b, w, b), LpBall(x0, eps, 2.0))
+        box = extremes_box(LinearBounds(w, b, w, b), LpBall(x0, eps, 2.0))
         for row in range(2):
             norm = np.linalg.norm(w[row])
             direction = w[row] / norm if norm > 0 else w[row]
@@ -244,7 +242,7 @@ def test_criterion_9_flatness_certificate():
     eps_bar = 0.01
     score = flatness_score(g, eps_bar, [({0: x}, y)])
     wg, weight_specs, mapping = weight_perturbed_graph(g, eps_bar)
-    values = {i: sample_spec(s, rng, 10_000) for i, s in weight_specs.items()}
+    values = {i: s.sample(rng, 10_000) for i, s in weight_specs.items()}
     values[mapping[0]] = x
     logits = evaluate(wg, values)[wg.output]
     losses = np.log(np.sum(np.exp(logits - logits[y]), axis=0))

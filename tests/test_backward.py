@@ -21,7 +21,6 @@ from lirpa import (
     ReLU,
     ReluLowerMode,
     Synonym,
-    backward_lirpa,
     backward_oracle,
     compute_bounds,
     concretize_bounds,
@@ -232,13 +231,12 @@ def test_out_coeff_equals_appended_affine_output():
         g, specs = random_graph(rng)
         out_dim = g.nodes[g.output].dim
         coeff = rng.uniform(-1, 1, (2, out_dim))
-        intermediate = ibp_propagate(g, specs)
-        via_coeff = backward_lirpa(g, g.output, intermediate, specs, coeff)
+        via_coeff = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, g.output, coeff)[0]
         extended = Graph(
             g.nodes + (Node(len(g.nodes), Affine(coeff, np.zeros(2)), (g.output,), 2),),
             len(g.nodes),
         )
-        via_graph = backward_lirpa(extended, extended.output, intermediate, specs)
+        via_graph = compute_bounds(extended, specs, BoundStrategy.IBP_BACKWARD, extended.output)[0]
         assert np.array_equal(via_coeff.lower_w, via_graph.lower_w)
         assert np.array_equal(via_coeff.upper_w, via_graph.upper_w)
         assert np.array_equal(via_coeff.lower_b, via_graph.lower_b)
@@ -251,9 +249,8 @@ def test_out_coeff_nonnegative_diagonal_composes():
         g, specs = random_graph(rng)
         out_dim = g.nodes[g.output].dim
         scale = rng.uniform(0, 2, out_dim)
-        intermediate = ibp_propagate(g, specs)
-        identity = backward_lirpa(g, g.output, intermediate, specs)
-        scaled = backward_lirpa(g, g.output, intermediate, specs, np.diag(scale))
+        identity = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, g.output)[0]
+        scaled = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, g.output, np.diag(scale))[0]
         assert scaled.lower_w == pytest.approx(scale[:, None] * identity.lower_w, rel=1e-9, abs=1e-12)
         assert scaled.upper_w == pytest.approx(scale[:, None] * identity.upper_w, rel=1e-9, abs=1e-12)
         assert scaled.lower_b == pytest.approx(scale * identity.lower_b, rel=1e-9, abs=1e-12)
@@ -269,13 +266,12 @@ def test_out_coeff_nonnegative_rows_at_least_as_tight_as_composition():
         g, specs = random_graph(rng)
         out_dim = g.nodes[g.output].dim
         coeff = rng.uniform(0, 1, (2, out_dim))
-        intermediate = ibp_propagate(g, specs)
         layout = InputLayout.from_specs(g, specs)
         merged = concretize_bounds(
-            backward_lirpa(g, g.output, intermediate, specs, coeff), layout, specs
+            compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, g.output, coeff)[0], layout, specs
         )
         identity = concretize_bounds(
-            backward_lirpa(g, g.output, intermediate, specs), layout, specs
+            compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, g.output)[0], layout, specs
         )
         assert np.all(merged.upper <= coeff @ identity.upper + 1e-9)
         assert np.all(merged.lower >= coeff @ identity.lower - 1e-9)
@@ -304,7 +300,7 @@ def test_backward_linear_bounds_pointwise_sound():
     rng = np.random.default_rng(16)
     for _ in range(15):
         g, specs = random_graph(rng)
-        lb = backward_lirpa(g, g.output, ibp_propagate(g, specs), specs)
+        lb = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD)[0]
         assert_linear_sound(g, specs, {g.output: lb}, rng, n=1000)
 
 
@@ -353,7 +349,7 @@ def test_missing_intermediate_raises():
 
     g, specs = demo_net()
     with pytest.raises(DomainError, match="missing intermediate"):
-        backward_lirpa(g, g.output, {}, specs)
+        run_backward(g, g.output, {})
 
 
 def _reference_backward_steps(g, o, intermediate):
@@ -507,12 +503,11 @@ def test_identity_seed_on_affine_target_equals_explicit_identity():
     checked = 0
     for _ in range(40):
         g, specs = random_graph(rng)
-        intermediate = ibp_propagate(g, specs)
         for o, node in enumerate(g.nodes):
             if not isinstance(node.op, Affine):
                 continue
-            default = backward_lirpa(g, o, intermediate, specs)
-            explicit = backward_lirpa(g, o, intermediate, specs, np.eye(node.dim))
+            default = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, o)[0]
+            explicit = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD, o, np.eye(node.dim))[0]
             for name in ("lower_w", "lower_b", "upper_w", "upper_b"):
                 assert np.array_equal(getattr(default, name), getattr(explicit, name))
             checked += 1
@@ -584,11 +579,9 @@ def test_input_layout_built_once_per_query(monkeypatch):
     monkeypatch.setattr(InputLayout, "from_specs", classmethod(counting))
     g, specs = random_classifier(np.random.default_rng(43), 3)
     margin = MarginSpec(1, 3)
-    ibp = ibp_propagate(g, specs)
     entry_points = [
         lambda: compute_bounds(g, specs, strategy, out_coeff=np.eye(3)),
         lambda: intermediate_intervals(g, specs, strategy),
-        lambda: backward_lirpa(g, g.output, ibp, specs),
         lambda: bound_loss_unfused(g, specs, margin, strategy),
         lambda: bound_loss_fused(g, specs, margin, strategy),
         lambda: fused_loss_report(g, specs, margin, strategy),

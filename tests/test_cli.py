@@ -99,6 +99,18 @@ def test_bounds_sampling_diagnostic_stays_inside(capsys, demo_graph):
     assert report["sampled_max"][0] <= report["upper"][0]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--samples", "-3"], "error: --samples must be nonnegative"),
+        (["--p", "nan", "--method", "backward"], "error: lp ball requires p >= 1, got nan"),
+    ],
+)
+def test_bounds_bad_option_is_usage_error(capsys, demo_graph, argv, message):
+    assert main(["bounds", demo_graph, *argv]) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_bounds_report_is_deterministic(capsys, demo_graph, tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import random_synonym_instance
+from helpers import brute_force_synonym, extremes_box, random_synonym_instance
 from lirpa import (
     Graph,
     GraphError,
@@ -14,10 +14,7 @@ from lirpa import (
     LpBall,
     Node,
     Synonym,
-    brute_force_synonym,
     concretize_bounds,
-    concretize_lp,
-    concretize_synonym_dp,
 )
 
 
@@ -28,13 +25,13 @@ def _bounds(lw, lb, uw=None, ub=None):
 def test_lp_linf_golden_from_demo_net():
     # the demo net's backward upper coefficients, rounded as published
     lb = _bounds(np.array([[0.40, 3.74]]), np.array([12.26]))
-    box = concretize_lp(lb, LpBall([0.0, 1.0], 2.0, math.inf))
+    box = extremes_box(lb, LpBall([0.0, 1.0], 2.0, math.inf))
     assert box.upper[0] == pytest.approx(24.28, abs=1e-12)
 
 
 def test_lp_l2_is_euclidean_row_norm():
     lb = _bounds(np.array([[3.0, 4.0]]), np.array([0.0]))
-    box = concretize_lp(lb, LpBall([0.0, 0.0], 1.0, 2.0))
+    box = extremes_box(lb, LpBall([0.0, 0.0], 1.0, 2.0))
     assert box.upper[0] == pytest.approx(5.0, abs=1e-12)
     assert box.lower[0] == pytest.approx(-5.0, abs=1e-12)
 
@@ -44,20 +41,22 @@ def test_lp_zero_radius_is_exact_affine_value():
     w = rng.uniform(-1, 1, (3, 4))
     b = rng.uniform(-1, 1, 3)
     x0 = rng.uniform(-1, 1, 4)
-    box = concretize_lp(_bounds(w, b), LpBall(x0, 0.0, math.inf))
+    box = extremes_box(_bounds(w, b), LpBall(x0, 0.0, math.inf))
     assert box.lower == pytest.approx(w @ x0 + b, abs=0.0)
     assert box.upper == pytest.approx(w @ x0 + b, abs=0.0)
 
 
 def test_lp_p1_uses_max_row_entry():
     lb = _bounds(np.array([[1.0, -3.0, 2.0]]), np.array([0.0]))
-    box = concretize_lp(lb, LpBall([0.0, 0.0, 0.0], 2.0, 1.0))
+    box = extremes_box(lb, LpBall([0.0, 0.0, 0.0], 2.0, 1.0))
     assert box.upper[0] == pytest.approx(6.0, abs=1e-12)
 
 
 def test_lp_rejects_p_below_one():
     with pytest.raises(GraphError, match="p >= 1"):
         LpBall([0.0], 1.0, 0.5)
+    with pytest.raises(GraphError, match="p >= 1"):
+        LpBall([0.0], 0.1, math.nan)
 
 
 def _dyadic(rng, shape):
@@ -73,7 +72,7 @@ def test_linf_matches_corner_enumeration_exactly():
         b = _dyadic(rng, 3)
         x0 = _dyadic(rng, d)
         eps = 0.5
-        box = concretize_lp(_bounds(w, b), LpBall(x0, eps, math.inf))
+        box = extremes_box(_bounds(w, b), LpBall(x0, eps, math.inf))
         corners = np.array(list(itertools.product([-eps, eps], repeat=d))).T
         values = w @ (x0[:, None] + corners) + b[:, None]
         assert np.array_equal(box.upper, values.max(axis=1))
@@ -88,7 +87,7 @@ def test_l2_bound_attained_at_analytic_maximizer():
         b = rng.uniform(-1, 1, 2)
         x0 = rng.uniform(-1, 1, d)
         eps = float(rng.uniform(0.1, 2.0))
-        box = concretize_lp(_bounds(w, b), LpBall(x0, eps, 2.0))
+        box = extremes_box(_bounds(w, b), LpBall(x0, eps, 2.0))
         for row in range(2):
             direction = w[row] / max(np.linalg.norm(w[row]), 1e-30)
             attained = w[row] @ (x0 + eps * direction) + b[row]
@@ -105,7 +104,7 @@ def test_synonym_zero_budget_is_clean_sentence():
     rng = np.random.default_rng(3)
     lb, spec = random_synonym_instance(rng)
     spec = Synonym(spec.words, spec.substitutions, spec.embeddings, 0)
-    box = concretize_synonym_dp(lb, spec)
+    box = extremes_box(lb, spec)
     assert box.lower == pytest.approx(_clean_value(lb, spec, "lower"), abs=1e-12)
     assert box.upper == pytest.approx(_clean_value(lb, spec, "upper"), abs=1e-12)
 
@@ -118,7 +117,7 @@ def test_synonym_single_word_two_candidate_min():
         budget=1,
     )
     lb = _bounds(np.array([[1.0, 0.0]]), np.array([0.5]))
-    box = concretize_synonym_dp(lb, spec)
+    box = extremes_box(lb, spec)
     assert box.lower[0] == pytest.approx(0.5 - 2.0)
     assert box.upper[0] == pytest.approx(0.5 + 1.0)
 
@@ -127,7 +126,7 @@ def test_synonym_dp_matches_brute_force():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         lb, spec = random_synonym_instance(rng)
-        dp = concretize_synonym_dp(lb, spec)
+        dp = extremes_box(lb, spec)
         brute = brute_force_synonym(lb, spec)
         assert dp.lower == pytest.approx(brute.lower, abs=1e-9)
         assert dp.upper == pytest.approx(brute.upper, abs=1e-9)
@@ -155,7 +154,7 @@ def test_synonym_closed_form_edge_cases_match_brute_force():
             ]
             if hit
         )
-        box = concretize_synonym_dp(lb, spec)
+        box = extremes_box(lb, spec)
         brute = brute_force_synonym(lb, spec)
         assert box.lower == pytest.approx(brute.lower, abs=1e-9)
         assert box.upper == pytest.approx(brute.upper, abs=1e-9)
@@ -166,7 +165,7 @@ def test_synonym_full_budget_is_per_position_extreme():
     rng = np.random.default_rng(5)
     lb, spec = random_synonym_instance(rng, max_words=4)
     spec = Synonym(spec.words, spec.substitutions, spec.embeddings, spec.length)
-    box = concretize_synonym_dp(lb, spec)
+    box = extremes_box(lb, spec)
     d = spec.embedding_dim
     lower = lb.lower_b.copy()
     upper = lb.upper_b.copy()
@@ -183,7 +182,7 @@ def test_synonym_full_budget_is_per_position_extreme():
 def test_synonym_empty_substitution_sets_keep_clean_point():
     rng = np.random.default_rng(6)
     lb, spec = random_synonym_instance(rng, max_subs=0)
-    box = concretize_synonym_dp(lb, spec)
+    box = extremes_box(lb, spec)
     assert box.lower == pytest.approx(_clean_value(lb, spec, "lower"), abs=1e-12)
     assert box.upper == pytest.approx(_clean_value(lb, spec, "upper"), abs=1e-12)
 
@@ -193,8 +192,8 @@ def test_synonym_budget_clamps_to_length():
     lb, spec = random_synonym_instance(rng, max_words=3)
     clamped = Synonym(spec.words, spec.substitutions, spec.embeddings, 99)
     full = Synonym(spec.words, spec.substitutions, spec.embeddings, spec.length)
-    a = concretize_synonym_dp(lb, clamped)
-    b = concretize_synonym_dp(lb, full)
+    a = extremes_box(lb, clamped)
+    b = extremes_box(lb, full)
     assert a.lower == pytest.approx(b.lower, abs=0.0)
     assert a.upper == pytest.approx(b.upper, abs=0.0)
 
@@ -205,7 +204,7 @@ def test_synonym_budget_monotonicity():
         lb, spec = random_synonym_instance(rng)
         prev = None
         for budget in range(spec.length + 1):
-            box = concretize_synonym_dp(
+            box = extremes_box(
                 lb, Synonym(spec.words, spec.substitutions, spec.embeddings, budget)
             )
             if prev is not None:
@@ -227,18 +226,17 @@ def test_dp_table_clean_prefix_row():
         subs = {t: ws for t, ws in spec.substitutions.items() if t < i}
         prefix = Synonym(spec.words[:i], subs, spec.embeddings, 0)
         w = lb.lower_w[:, :i * d]
-        box = concretize_synonym_dp(_bounds(w, lb.lower_b), prefix)
+        box = extremes_box(_bounds(w, lb.lower_b), prefix)
         assert box.lower == pytest.approx(acc, abs=1e-12)
         assert box.upper == pytest.approx(acc, abs=1e-12)
 
 
 def test_concretize_rejects_mismatched_columns():
     lb = _bounds(np.zeros((1, 3)), np.zeros(1))
-    with pytest.raises(GraphError, match="columns"):
-        concretize_lp(lb, LpBall([0.0, 0.0], 1.0, 2.0))
-    spec = Synonym(("a",), {}, {"a": np.array([1.0, 2.0])}, 0)
-    with pytest.raises(GraphError, match="columns"):
-        concretize_synonym_dp(lb, spec)
+    g = Graph((Node(0, Input(), (), 2),), 0)
+    for spec in (LpBall([0.0, 0.0], 1.0, 2.0), Synonym(("a",), {}, {"a": np.array([1.0, 2.0])}, 0)):
+        with pytest.raises(GraphError, match="columns"):
+            concretize_bounds(lb, InputLayout.from_specs(g, {0: spec}), {0: spec})
 
 
 def test_brute_force_guard_trips():
@@ -308,8 +306,8 @@ def test_concretize_bounds_is_sum_of_per_block_concretizers():
             syn_lb.upper_b,
         )
         box = concretize_bounds(lb, InputLayout.from_specs(g, specs), specs)
-        lp = concretize_lp(LinearBounds(wl, np.zeros(4), wu, np.zeros(4)), ball)
-        syn = concretize_synonym_dp(syn_lb, spec)
+        lp = extremes_box(LinearBounds(wl, np.zeros(4), wu, np.zeros(4)), ball)
+        syn = extremes_box(syn_lb, spec)
         assert box.lower == pytest.approx(lp.lower + syn.lower, abs=1e-12)
         assert box.upper == pytest.approx(lp.upper + syn.upper, abs=1e-12)
 

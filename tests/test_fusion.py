@@ -28,7 +28,6 @@ from lirpa import (
     flatness_score,
     fused_loss_report,
     margin_transform,
-    sample_spec,
     weight_perturbed_graph,
 )
 from lirpa.backward import BoundQuery
@@ -252,7 +251,7 @@ def test_flatness_nonnegative_and_dominates_sampled_weight_gap():
             score = flatness_score(g, eps_bar, [({0: x}, y)])
             assert score >= -1e-9
             wg, weight_specs, mapping = weight_perturbed_graph(g, eps_bar)
-            values = {i: sample_spec(s, rng, 10_000) for i, s in weight_specs.items()}
+            values = {i: s.sample(rng, 10_000) for i, s in weight_specs.items()}
             values[mapping[0]] = x
             logits = evaluate(wg, values)[wg.output]
             losses = np.log(np.sum(np.exp(logits - logits[y]), axis=0))

@@ -15,23 +15,22 @@ from lirpa import (
     Synonym,
     evaluate,
     ibp_propagate,
-    input_interval,
 )
 
 
 def test_input_interval_linf_ball():
-    box = input_interval(LpBall([0.0, 1.0], 2.0, math.inf))
+    box = LpBall([0.0, 1.0], 2.0, math.inf).box()
     assert box.lower == pytest.approx([-2.0, -1.0])
     assert box.upper == pytest.approx([2.0, 3.0])
 
 
 def test_input_interval_constant():
-    box = input_interval(Constant([7.0]))
+    box = Constant([7.0]).box()
     assert box.lower == pytest.approx([7.0]) and box.upper == pytest.approx([7.0])
 
 
 def test_input_interval_lp_ball_uses_coordinate_box():
-    box = input_interval(LpBall([0.0, 0.0], 1.0, 2.0))
+    box = LpBall([0.0, 0.0], 1.0, 2.0).box()
     assert box.lower == pytest.approx([-1.0, -1.0])
     assert box.upper == pytest.approx([1.0, 1.0])
 
@@ -43,7 +42,7 @@ def test_input_interval_synonym_coordinate_minmax():
         {"hi": np.array([1.0, 0.0]), "yo": np.array([0.0, 2.0])},
         budget=1,
     )
-    box = input_interval(spec)
+    box = spec.box()
     assert box.lower == pytest.approx([0.0, 0.0])
     assert box.upper == pytest.approx([1.0, 2.0])
 
