@@ -25,7 +25,7 @@ from .interval import IntervalBounds, interval_oracle
 from .linear import InputLayout, LinearBounds
 from .ops import UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
-from .relaxation import ReluLowerMode, UnaryRelaxation, _inverted, unary_relaxation
+from .relaxation import ReluLowerMode, _inverted
 
 __all__ = [
     "BoundStrategy",
@@ -76,12 +76,13 @@ def backward_oracle(
     """Push output coefficients of one node onto its inputs.
 
     Returns one (lower, upper) coefficient pair per input, in input order,
-    plus the bias increments for both sides. ``in_dim`` is only consulted by
-    sum_reduce, whose expansion width is not visible in the coefficients.
+    plus the bias increments for both sides. A relaxed op is first relaxed
+    on ``input_intervals``. ``in_dim`` is only consulted by sum_reduce,
+    whose expansion width is not visible in the coefficients.
     """
     if op.relaxed and input_intervals is None:
         raise DomainError(f"missing intermediate bounds at nonlinear op {op.kind!r}")
-    return op.backward(lower_coeff, upper_coeff, input_intervals, relu_mode, in_dim)
+    return (op.relax(input_intervals, relu_mode) if op.relaxed else op).backward(lower_coeff, upper_coeff, in_dim)
 
 
 def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
@@ -180,8 +181,9 @@ class BoundQuery:
     and ``box`` run a final backward pass over the cache, so all targets of a
     query share its intervals, and no bound reads a node after its target.
 
-    A cached interval is fixed, so are the lines, live neurons and sliced
-    weights it decides: each is computed once per query.
+    A cached interval is fixed, so are the lines op of each relaxed node that
+    the forward sweep and the passes read, its live neurons and the sliced
+    weights they decide: each is computed once per query.
     """
 
     g: Graph
@@ -195,7 +197,7 @@ class BoundQuery:
         self.layout = InputLayout.from_specs(self.g, self.specs)
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}
-        self._lines: dict[int, tuple[np.ndarray | None, _Lines]] = {}
+        self._lines: dict[int, OpKind] = {}
         self._keeps: dict[int, int] = {}
         self._pass_nodes: dict[tuple[int, bool], Node | _PassNode] = {}
         self.extend(self.g)
@@ -243,7 +245,7 @@ class BoundQuery:
         ibp = self.strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD)
         for i in self._missing(nodes, self.intervals) if ibp else nodes:
             if i not in self.intervals:
-                self.intervals[i] = self._supply(i)
+                self.intervals[i] = _fail_closed(self._supply(i), f"node {i}: {self.strategy.value}")
 
     def interval(self, j: int) -> IntervalBounds:
         """Node j's supplier interval; a backward supplier first fills the intervals its pass reads."""
@@ -274,40 +276,35 @@ class BoundQuery:
                         w[:, self.layout.block(i)] = np.eye(node.dim)
                     self._forward[i] = LinearBounds(w, b, w.copy(), b.copy())
                 else:
-                    operands = [self.interval(k) for k in node.inputs] if node.op.relaxed else None
-                    op = self._live_lines(i)[1] if isinstance(node.op, UnaryRelaxed) else node.op
-                    inputs = [self._forward[k] for k in node.inputs]
-                    self._forward[i] = forward_oracle(op, inputs, operands, self.relu_mode)
+                    op = self._relaxed(i) if node.op.relaxed else node.op
+                    self._forward[i] = forward_oracle(op, [self._forward[k] for k in node.inputs])
         return self._forward[j]
 
-    def _live_lines(self, r: int) -> tuple[np.ndarray | None, _Lines]:
-        """Relaxed unary node r's live neurons, whose lines are not all zero (None: all), and its lines."""
+    def _relaxed(self, r: int) -> OpKind:
+        """Relaxed node r's lines op, relaxed on its operands' intervals."""
         if r not in self._lines:
-            node, box = self.g.nodes[r], self.intervals[self.g.nodes[r].inputs[0]]
-            rel = unary_relaxation(node.op, box.lower, box.upper, self.relu_mode)
-            lines = rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept
-            live = np.logical_or.reduce(lines).nonzero()[0]
-            self._lines[r] = (None if len(live) == node.dim else live), _Lines(rel)
+            node = self.g.nodes[r]
+            self._lines[r] = node.op.relax([self.interval(k) for k in node.inputs], self.relu_mode)
         return self._lines[r]
 
     def _pass_node(self, i: int, target: bool) -> Node | _PassNode:
-        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed unary op's lines."""
+        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed op's lines."""
         node, key, keeps = self.g.nodes[i], (i, target), self._keeps
-        if key not in self._pass_nodes and isinstance(node.op, (Affine, UnaryRelaxed)):
+        if key not in self._pass_nodes and (node.op.relaxed or isinstance(node.op, Affine)):
             # the live columns of i's coefficient and of its input's (None: all)
             j, op = node.inputs[0], node.op
-            rows = self._live_lines(keeps[i])[0] if i in keeps and not target else None
-            cols = self._live_lines(keeps[j])[0] if j in keeps else None
+            rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
+            cols = self._relaxed(keeps[j]).live if j in keeps else None
             if isinstance(op, Affine) and (rows is not None or cols is not None):
                 w, b = (op.weight, op.bias) if rows is None else (op.weight[rows], op.bias[rows])
                 op = Affine(w if cols is None else w.take(cols, axis=1), b)
-            elif isinstance(op, UnaryRelaxed):
-                live, op = self._live_lines(i)
-                if live is not None and (rows is not None or cols is not None):  # a side pruned
-                    rel = op.rel
-                    sides = rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept
-                    rel = UnaryRelaxation(*(side[live] for side in sides))
-                    op = _Lines(rel, live if rows is None else None, live if cols is None else None)
+            elif op.relaxed:
+                op = self._relaxed(i)
+                live = op.live if rows is not None or cols is not None else None
+                if live is not None:  # a side pruned: only a unary node has one
+                    slopes = tuple((lo[live], up[live]) for lo, up in op.slopes)
+                    take, put = (live if rows is None else None), (live if cols is None else None)
+                    op = _Lines(slopes, op.lower_const[live], op.upper_const[live], take, put)
             self._pass_nodes[key] = node if op is node.op else _PassNode(op, node.inputs, node.dim)
         return self._pass_nodes.get(key, node)
 
@@ -316,7 +313,7 @@ class BoundQuery:
         nodes = list(self.g.nodes)
         for i, d in get_out_degree(self.g, o).items():
             nodes[i] = self._pass_node(i, i == o) if d or i == o else nodes[i]
-        state = run_backward(_PassGraph(nodes), o, self.intervals, out_coeff, self.relu_mode)
+        state = run_backward(_PassGraph(nodes), o, {}, out_coeff)  # its ops are relaxed already
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order
@@ -363,7 +360,7 @@ class BoundQuery:
     def node_box(self, target: int) -> IntervalBounds:
         """``bound(target)``'s interval; a dependent node's under ``backward`` is its cached interval."""
         if self.strategy is BoundStrategy.BACKWARD and not isinstance(self.g.nodes[target].op, Input):
-            return _fail_closed(self.interval(target), f"node {target}: backward")
+            return self.interval(target)
         return self.bound(target)[1]
 
 
@@ -400,6 +397,7 @@ def compute_bounds(
 
 def _fail_closed(box: IntervalBounds, what: str) -> IntervalBounds:
     """The box, or DomainError when it is NaN or lower exceeds upper beyond float noise."""
-    if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
-        raise DomainError(f"{what} bounds are NaN or inverted")
+    if not (box.lower <= box.upper).all():  # one comparison first, which NaN fails too
+        if np.isnan(box.lower).any() or np.isnan(box.upper).any() or _inverted(box.lower, box.upper):
+            raise DomainError(f"{what} bounds are NaN or inverted")
     return box

@@ -63,7 +63,10 @@ def _load(args) -> tuple[Graph, dict[int, PerturbationSpec]]:
     for i, spec in specs.items():
         if isinstance(spec, LpBall):
             eps = spec.eps if args.eps is None else args.eps
-            specs[i] = LpBall(spec.center, eps, spec.p if args.p is None else args.p)
+            try:
+                specs[i] = LpBall(spec.center, eps, spec.p if args.p is None else args.p)
+            except GraphError as exc:
+                raise GraphError(f"node {i}: {exc}") from exc
     return g, specs
 
 

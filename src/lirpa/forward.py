@@ -27,12 +27,12 @@ def forward_oracle(
 ) -> LinearBounds:
     """Produce a node's linear bounds from its inputs' linear bounds.
 
-    ``input_intervals`` must hold one interval per input for relaxed ops;
-    linear ops ignore it.
+    A relaxed op is first relaxed on ``input_intervals``, one interval per
+    input; other ops ignore them.
     """
     if op.relaxed and input_intervals is None:
         raise GraphError(f"op {op.kind!r} requires input intervals for its relaxation")
-    return op.forward(input_bounds, input_intervals, relu_mode)
+    return (op.relax(input_intervals, relu_mode) if op.relaxed else op).forward(input_bounds)
 
 
 def forward_lirpa(

@@ -146,8 +146,6 @@ def _fused_pass(query: BoundQuery, o: int) -> float:
     cap = float(np.max(query.interval(o - 2).upper))  # the margin node's
     if cap > EXP_CAP:
         return math.inf
-    if math.isnan(cap):
-        raise DomainError("fused loss bounds are NaN or inverted")
     return float(np.log(query.box(o, None, "fused loss").upper[0]))
 
 

@@ -5,15 +5,16 @@ A dependent op defines:
 - ``check(dim, in_dims)``: what is wrong with the node's dims, or None;
 - ``eval(xs)``: its value from input values (vectors or (dim, m) batches);
 - ``interval(inputs)``: its interval from its inputs' intervals;
-- ``forward(bounds, intervals, relu_mode)``: its linear bounds from its
-  inputs' linear bounds;
-- ``backward(lower_coeff, upper_coeff, intervals, relu_mode, in_dim)``:
-  one (lower, upper) coefficient pair per input, in input order, plus the
-  bias increments of both sides. Both coefficients may be one array, and
-  no rule writes to its arguments.
+- ``forward(bounds)``: its linear bounds from its inputs' linear bounds;
+- ``backward(lower_coeff, upper_coeff, in_dim)``: one (lower, upper)
+  coefficient pair per input, in input order, plus the bias increments of
+  both sides. Both coefficients may be one array, and no rule writes to its
+  arguments.
 
-``relaxed`` ops get their inputs' intervals (None for the others) to build
-a linear relaxation; the unary ones among them only define ``relax``.
+A ``relaxed`` op defines ``relax(intervals, relu_mode)`` in place of the
+last two: from its inputs' intervals it returns an op with fixed lines,
+which is not relaxed and carries the ``forward`` and ``backward`` rules.
+A query relaxes each relaxed node once.
 """
 from __future__ import annotations
 
@@ -25,9 +26,7 @@ import numpy as np
 
 from .errors import DomainError, GraphError
 from .linear import IntervalBounds, LinearBounds
-from .relaxation import (
-    UnaryRelaxation, exp_relaxation, log_relaxation, mul_relaxation, relu_relaxation, unary_relaxation,
-)
+from .relaxation import mul_relaxation, unary_relaxation
 
 __all__ = [
     "OpKind", "Elementwise", "UnaryRelaxed", "Input", "Affine", "ReLU", "Exp", "Log",
@@ -101,22 +100,13 @@ def _mix_rows(slope: np.ndarray, on_pos: np.ndarray, on_neg: np.ndarray) -> np.n
     return pos * on_pos + neg * on_neg
 
 
-def _lines_backward(lower_coeff, upper_coeff, slope_pairs, lower_const, upper_const):
-    """The backward rule of relaxation lines with one (lower, upper) slope pair per input."""
-    lo_pos, lo_neg = _posneg(lower_coeff)
-    up_pos, up_neg = (lo_pos, lo_neg) if upper_coeff is lower_coeff else _posneg(upper_coeff)
-    lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in slope_pairs]
-    d_lo = lo_pos @ lower_const + lo_neg @ upper_const
-    d_up = up_pos @ upper_const + up_neg @ lower_const
-    return lams, d_lo, d_up
-
-
-def _unary_mix(rel_lower_slope, rel_lower_icpt, rel_upper_slope, rel_upper_icpt, b: LinearBounds) -> LinearBounds:
-    lw = _mix_rows(rel_lower_slope, b.lower_w, b.upper_w)
-    lb_ = _mix_rows(rel_lower_slope, b.lower_b, b.upper_b) + rel_lower_icpt
-    uw = _mix_rows(rel_upper_slope, b.upper_w, b.lower_w)
-    ub = _mix_rows(rel_upper_slope, b.upper_b, b.lower_b) + rel_upper_icpt
-    return LinearBounds(lw, lb_, uw, ub)
+def _unary_mix(lower_slope, lower_icpt, upper_slope, upper_icpt, b: LinearBounds) -> tuple:
+    """The (lower_w, lower_b, upper_w, upper_b) of lines with these slopes and intercepts over ``b``."""
+    lw = _mix_rows(lower_slope, b.lower_w, b.upper_w)
+    lb_ = _mix_rows(lower_slope, b.lower_b, b.upper_b) + lower_icpt
+    uw = _mix_rows(upper_slope, b.upper_w, b.lower_w)
+    ub = _mix_rows(upper_slope, b.upper_b, b.lower_b) + upper_icpt
+    return lw, lb_, uw, ub
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,7 +164,7 @@ class Affine(OpKind):
         hi = self.w_pos @ x.upper + self.w_neg @ x.lower + self.bias
         return IntervalBounds(lo, hi)
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         b = bounds[0]
         return LinearBounds(
             self.w_pos @ b.lower_w + self.w_neg @ b.upper_w,
@@ -183,7 +173,7 @@ class Affine(OpKind):
             self.w_pos @ b.upper_b + self.w_neg @ b.lower_b + self.bias,
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         lam, d = lower_coeff @ self.weight, lower_coeff @ self.bias
         if upper_coeff is lower_coeff:  # one product serves both sides
             return [(lam, lam)], d, d
@@ -191,45 +181,54 @@ class Affine(OpKind):
 
 
 class UnaryRelaxed(Elementwise):
-    """A unary nonlinear op bounded through its ``relax(l, u, relu_mode)`` lines."""
+    """A unary nonlinear op, relaxed by the ``unary_relaxation`` lines of its kind."""
 
     arity = 1
     relaxed = True
 
-    def forward(self, bounds, intervals, relu_mode):
-        return _Lines(unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)).forward(bounds)
-
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        lines = _Lines(unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode))
-        return lines.backward(lower_coeff, upper_coeff, intervals, relu_mode, in_dim)
+    def relax(self, intervals, relu_mode):
+        rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
+        return _Lines(((rel.lower_slope, rel.upper_slope),), rel.lower_intercept, rel.upper_intercept)
 
 
 @dataclass(frozen=True, eq=False)
 class _Lines(OpKind):
-    """Fixed relaxation lines ``rel`` of a unary op.
+    """Fixed relaxation lines: lower <= sum_k slope_k * x_k + const <= upper, elementwise.
 
-    In a backward pass on live neurons, ``take`` slices a full-width
-    coefficient to those columns and ``put`` scatters the outgoing one back.
+    ``slopes`` holds one (lower, upper) slope pair per input. In a backward
+    pass on live neurons, ``take`` slices a full-width coefficient to those
+    columns and ``put`` scatters the outgoing one back.
     """
 
-    rel: UnaryRelaxation
+    slopes: tuple[tuple[np.ndarray, np.ndarray], ...]
+    lower_const: np.ndarray
+    upper_const: np.ndarray
     take: np.ndarray | None = None
     put: np.ndarray | None = None
 
     kind = "lines"
-    arity = 1
 
-    def forward(self, bounds, intervals=None, relu_mode=None):
-        rel = self.rel
-        return _unary_mix(rel.lower_slope, rel.lower_intercept, rel.upper_slope, rel.upper_intercept, bounds[0])
+    @cached_property
+    def live(self) -> np.ndarray | None:
+        """The neurons whose lines are not all zero (None: all)."""
+        live = np.logical_or.reduce([*sum(self.slopes, ()), self.lower_const, self.upper_const]).nonzero()[0]
+        return None if len(live) == len(self.lower_const) else live
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def forward(self, bounds):
+        # the constants join the last input's share
+        consts = [(0.0, 0.0)] * (len(bounds) - 1) + [(self.lower_const, self.upper_const)]
+        shares = [_unary_mix(sl, cl, su, cu, b) for (sl, su), (cl, cu), b in zip(self.slopes, consts, bounds)]
+        return LinearBounds(*(sum(parts[1:], parts[0]) for parts in zip(*shares)))
+
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         if self.take is not None:  # take, not [:, cols], which returns a column-major array
             shared, lower_coeff = upper_coeff is lower_coeff, lower_coeff.take(self.take, axis=1)
             upper_coeff = lower_coeff if shared else upper_coeff.take(self.take, axis=1)
-        rel = self.rel
-        slopes = [(rel.lower_slope, rel.upper_slope)]
-        lams, d_lo, d_up = _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_intercept, rel.upper_intercept)
+        lo_pos, lo_neg = _posneg(lower_coeff)
+        up_pos, up_neg = (lo_pos, lo_neg) if upper_coeff is lower_coeff else _posneg(upper_coeff)
+        lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in self.slopes]
+        d_lo = lo_pos @ self.lower_const + lo_neg @ self.upper_const
+        d_up = up_pos @ self.upper_const + up_neg @ self.lower_const
         if self.put is not None:
             full = np.zeros((2, len(d_lo), in_dim))
             full[:, :, self.put] = lams[0]
@@ -247,9 +246,6 @@ class ReLU(UnaryRelaxed):
     def interval(self, inputs):
         return IntervalBounds(np.maximum(inputs[0].lower, 0.0), np.maximum(inputs[0].upper, 0.0))
 
-    def relax(self, l, u, relu_mode):
-        return relu_relaxation(l, u, relu_mode)
-
 
 @dataclass(frozen=True)
 class Exp(UnaryRelaxed):
@@ -260,9 +256,6 @@ class Exp(UnaryRelaxed):
 
     def interval(self, inputs):
         return IntervalBounds(np.exp(inputs[0].lower), np.exp(inputs[0].upper))
-
-    def relax(self, l, u, relu_mode):
-        return exp_relaxation(l, u)
 
 
 @dataclass(frozen=True)
@@ -279,9 +272,6 @@ class Log(UnaryRelaxed):
             raise DomainError("log over an interval touching zero or below")
         return IntervalBounds(np.log(inputs[0].lower), np.log(inputs[0].upper))
 
-    def relax(self, l, u, relu_mode):
-        return log_relaxation(l, u)
-
 
 @dataclass(frozen=True)
 class Neg(Elementwise):
@@ -294,11 +284,11 @@ class Neg(Elementwise):
     def interval(self, inputs):
         return IntervalBounds(-inputs[0].upper, -inputs[0].lower)
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         b = bounds[0]
         return LinearBounds(-b.upper_w, -b.upper_b, -b.lower_w, -b.lower_b)
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         return [(-lower_coeff, -upper_coeff)], *_zero_bias(lower_coeff)
 
 
@@ -315,7 +305,7 @@ class Add(Elementwise):
         x, y = inputs
         return IntervalBounds(x.lower + y.lower, x.upper + y.upper)
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         x, y = bounds
         return LinearBounds(
             x.lower_w + y.lower_w,
@@ -324,7 +314,7 @@ class Add(Elementwise):
             x.upper_b + y.upper_b,
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         return [(lower_coeff, upper_coeff)] * 2, *_zero_bias(lower_coeff)
 
 
@@ -341,7 +331,7 @@ class Sub(Elementwise):
         x, y = inputs
         return IntervalBounds(x.lower - y.upper, x.upper - y.lower)
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         x, y = bounds
         return LinearBounds(
             x.lower_w - y.upper_w,
@@ -350,7 +340,7 @@ class Sub(Elementwise):
             x.upper_b - y.lower_b,
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         lams = [(lower_coeff, upper_coeff), (-lower_coeff, -upper_coeff)]
         return lams, *_zero_bias(lower_coeff)
 
@@ -369,24 +359,11 @@ class MulElementwise(Elementwise):
         x, y = inputs
         return IntervalBounds(*_corners(x.lower, x.upper, y.lower, y.upper))
 
-    def forward(self, bounds, intervals, relu_mode):
-        x, y = bounds
+    def relax(self, intervals, relu_mode):
         ix, iy = intervals
         rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
-        lo_x = _unary_mix(rel.lower_x, np.zeros_like(rel.lower_const), rel.upper_x, np.zeros_like(rel.upper_const), x)
-        lo_y = _unary_mix(rel.lower_y, rel.lower_const, rel.upper_y, rel.upper_const, y)
-        return LinearBounds(
-            lo_x.lower_w + lo_y.lower_w,
-            lo_x.lower_b + lo_y.lower_b,
-            lo_x.upper_w + lo_y.upper_w,
-            lo_x.upper_b + lo_y.upper_b,
-        )
-
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        ix, iy = intervals
-        rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
-        slopes = [(rel.lower_x, rel.upper_x), (rel.lower_y, rel.upper_y)]
-        return _lines_backward(lower_coeff, upper_coeff, slopes, rel.lower_const, rel.upper_const)
+        slopes = (rel.lower_x, rel.upper_x), (rel.lower_y, rel.upper_y)
+        return _Lines(slopes, rel.lower_const, rel.upper_const)
 
 
 class _WeightCoeff:
@@ -426,12 +403,9 @@ class MatVec(OpKind):
     """h = W x + bias where the weights are an input too.
 
     The first input is W flattened row-major (length dim * t), the second is
-    x (length t). Each term W_ij x_j is relaxed with the ``mul_relaxation``
-    planes on (dim, t) views and the terms are summed per row, so no
-    (dim * t)-row relaxation matrix is built; ``backward`` keeps W's
-    coefficient factored (``_WeightCoeff``), so no (rows, dim * t) one is
-    either. Weight-perturbed graphs use it; it has no entry in the parse
-    registry, so documents cannot name it.
+    x (length t). ``relax`` gives the ``_Planes`` of the terms W_ij x_j.
+    Weight-perturbed graphs use it; it has no entry in the parse registry,
+    so documents cannot name it.
     """
 
     bias: np.ndarray
@@ -459,25 +433,47 @@ class MatVec(OpKind):
         h = h + self.bias[:, None]
         return h if w.ndim + x.ndim > 2 else h[:, 0]
 
-    def _relax(self, intervals):
-        w, x = intervals
-        shape = (w.lower.shape[0] // x.lower.shape[0], x.lower.shape[0])
-        return mul_relaxation(
-            w.lower.reshape(shape),
-            w.upper.reshape(shape),
-            np.broadcast_to(x.lower, shape),
-            np.broadcast_to(x.upper, shape),
-        )
-
     def interval(self, inputs):
         w, x = inputs
         t = x.lower.shape[0]
         lo, hi = _corners(w.lower.reshape(-1, t), w.upper.reshape(-1, t), x.lower, x.upper)
         return IntervalBounds(lo.sum(axis=1) + self.bias, hi.sum(axis=1) + self.bias)
 
-    def forward(self, bounds, intervals, relu_mode):
+    def relax(self, intervals, relu_mode):
+        return _Planes(*intervals, self.bias)
+
+
+@dataclass(frozen=True, eq=False)
+class _Planes(OpKind):
+    """A ``MatVec``'s fixed planes over its weight and input intervals ``w`` and ``x``.
+
+    Each term W_ij x_j is relaxed with the ``mul_relaxation`` planes on
+    (dim, t) views and the terms are summed per row, so no (dim * t)-row
+    relaxation matrix is built; ``backward`` keeps W's coefficient factored
+    (``_WeightCoeff``), so no (rows, dim * t) one is either.
+    """
+
+    w: IntervalBounds
+    x: IntervalBounds
+    bias: np.ndarray
+
+    kind = "planes"
+
+    @property
+    def rel(self):
+        # computed for each rule that reads them, not kept: keeping a query's (dim, t) planes made the
+        # flatness workload's ibp+backward query ~8% slower, and that single pass reads each MatVec once
+        shape = (self.w.lower.shape[0] // self.x.lower.shape[0], self.x.lower.shape[0])
+        return mul_relaxation(
+            self.w.lower.reshape(shape),
+            self.w.upper.reshape(shape),
+            np.broadcast_to(self.x.lower, shape),
+            np.broadcast_to(self.x.upper, shape),
+        )
+
+    def forward(self, bounds):
         w, x = bounds
-        rel = self._relax(intervals)
+        rel = self.rel
         s, t = rel.lower_x.shape
         # one row per term W_ij x_j from W's bounds, then x's part of each row's sum
         terms = _unary_mix(rel.lower_x.ravel(), 0.0, rel.upper_x.ravel(), 0.0, w)
@@ -489,14 +485,14 @@ class MatVec(OpKind):
         lower_const = rel.lower_const.sum(axis=1) + self.bias
         upper_const = rel.upper_const.sum(axis=1) + self.bias
         return LinearBounds(
-            row_sum(terms.lower_w, rel.lower_y, x.lower_w, x.upper_w, 0.0),
-            row_sum(terms.lower_b, rel.lower_y, x.lower_b, x.upper_b, lower_const),
-            row_sum(terms.upper_w, rel.upper_y, x.upper_w, x.lower_w, 0.0),
-            row_sum(terms.upper_b, rel.upper_y, x.upper_b, x.lower_b, upper_const),
+            row_sum(terms[0], rel.lower_y, x.lower_w, x.upper_w, 0.0),
+            row_sum(terms[1], rel.lower_y, x.lower_b, x.upper_b, lower_const),
+            row_sum(terms[2], rel.upper_y, x.upper_w, x.lower_w, 0.0),
+            row_sum(terms[3], rel.upper_y, x.upper_b, x.lower_b, upper_const),
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
-        rel = self._relax(intervals)
+    def backward(self, lower_coeff, upper_coeff, in_dim):
+        rel = self.rel
         lo_pos, lo_neg = _posneg(lower_coeff)
         up_pos, up_neg = _posneg(upper_coeff)
 
@@ -529,7 +525,7 @@ class SumReduce(OpKind):
         x = inputs[0]
         return IntervalBounds(np.sum(x.lower, keepdims=True), np.sum(x.upper, keepdims=True))
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         b = bounds[0]
         return LinearBounds(
             b.lower_w.sum(axis=0, keepdims=True),
@@ -538,7 +534,7 @@ class SumReduce(OpKind):
             b.upper_b.sum(keepdims=True),
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         # the expansion width is not visible in the coefficients
         if in_dim is None:
             raise GraphError("sum_reduce backward rule needs the input dimension")

@@ -2,8 +2,8 @@
 
 Every relaxation produces slopes and intercepts such that, for all points of
 the given pre-activation interval, the true function is sandwiched between
-the lower and the upper line (plane for binary ops). These parameters feed
-both the forward and the backward oracles.
+the lower and the upper line (plane for binary ops). A relaxed op's
+``relax`` rule turns these parameters into an op with fixed lines.
 """
 from __future__ import annotations
 
@@ -169,5 +169,7 @@ def mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
 
 
 def unary_relaxation(op, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
-    """The relaxation of a unary nonlinear op (one with a ``relax`` rule) on [l, u]."""
-    return op.relax(l, u, relu_mode)
+    """The relaxation of a unary nonlinear op of kind ``relu``, ``exp`` or ``log`` on [l, u]."""
+    if op.kind == "relu":
+        return relu_relaxation(l, u, relu_mode)
+    return {"exp": exp_relaxation, "log": log_relaxation}[op.kind](l, u)

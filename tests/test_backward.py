@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lirpa import (
     Log,
     LpBall,
     MulElementwise,
+    Neg,
     Node,
     ReLU,
     ReluLowerMode,
@@ -495,6 +497,32 @@ def test_nan_bounds_raise_domain_error(strategy):
     specs = {0: LpBall([0.0], 1.0, math.inf)}
     with pytest.raises(DomainError, match="NaN or inverted"):
         compute_bounds(g, specs, strategy)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_nan_intervals_fail_closed_where_they_enter_the_query(strategy):
+    # over x in [-1000, 1000], exp(x) reaches inf and IBP's mul corners read 0 * inf = NaN
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Exp(), (0,), 1),
+        Node(2, Neg(), (0,), 1),
+        Node(3, Exp(), (2,), 1),
+        Node(4, MulElementwise(), (1, 3), 1),
+        Node(5, ReLU(), (4,), 1),
+        Node(6, Affine([[1.0]], [0.0]), (5,), 1),
+    )
+    g, specs = Graph(nodes, 6), {0: LpBall([0.0], 1000.0, math.inf)}
+    ibp = strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD)
+    at = re.escape(f"node {4 if ibp else 1}: {strategy.value} bounds are NaN or inverted")
+    with pytest.raises(DomainError, match=at):
+        intermediate_intervals(g, specs, strategy)
+    with pytest.raises(DomainError, match=at):
+        compute_bounds(g, specs, strategy)
+    entry = {BoundStrategy.IBP: ibp_propagate, BoundStrategy.FORWARD: forward_lirpa}.get(strategy)
+    if entry is not None:
+        with pytest.raises(DomainError, match=at):
+            entry(g, specs)
 
 
 def test_identity_seed_on_affine_target_equals_explicit_identity():

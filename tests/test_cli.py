@@ -103,7 +103,8 @@ def test_bounds_sampling_diagnostic_stays_inside(capsys, demo_graph):
     "argv, message",
     [
         (["--samples", "-3"], "error: --samples must be nonnegative"),
-        (["--p", "nan", "--method", "backward"], "error: lp ball requires p >= 1, got nan"),
+        (["--p", "nan", "--method", "backward"], "error: node 0: lp ball requires p >= 1, got nan"),
+        (["--eps", "-1"], "error: node 0: ball radius must be finite and nonnegative, got -1.0"),
     ],
 )
 def test_bounds_bad_option_is_usage_error(capsys, demo_graph, argv, message):

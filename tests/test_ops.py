@@ -32,7 +32,7 @@ from lirpa import (
     forward_lirpa,
 )
 from lirpa.backward import BoundQuery
-from lirpa.ops import MatVec, OpKind
+from lirpa.ops import Elementwise, MatVec, OpKind
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +56,7 @@ class Scale(OpKind):
         a, b = self.c * inputs[0].lower, self.c * inputs[0].upper
         return IntervalBounds(np.minimum(a, b), np.maximum(a, b))
 
-    def forward(self, bounds, intervals, relu_mode):
+    def forward(self, bounds):
         b, pos, neg = bounds[0], np.maximum(self.c, 0.0), np.minimum(self.c, 0.0)
         return LinearBounds(
             pos[:, None] * b.lower_w + neg[:, None] * b.upper_w,
@@ -65,10 +65,50 @@ class Scale(OpKind):
             pos * b.upper_b + neg * b.lower_b,
         )
 
-    def backward(self, lower_coeff, upper_coeff, intervals, relu_mode, in_dim):
+    def backward(self, lower_coeff, upper_coeff, in_dim):
         # h = c * x exactly, so a coefficient on h_k is c_k times one on x_k
         zero = np.zeros(lower_coeff.shape[0])
         return [(lower_coeff * self.c, upper_coeff * self.c)], zero, zero.copy()
+
+
+@dataclass(frozen=True, eq=False)
+class Band(Scale):
+    """c * x + lo <= h <= c * x + up coordinatewise: fixed lines that share their slope."""
+
+    lo: np.ndarray
+    up: np.ndarray
+
+    def forward(self, bounds):
+        b = super().forward(bounds)
+        return LinearBounds(b.lower_w, b.lower_b + self.lo, b.upper_w, b.upper_b + self.up)
+
+    def backward(self, lower_coeff, upper_coeff, in_dim):
+        lams = super().backward(lower_coeff, upper_coeff, in_dim)[0]
+        d_lo = np.maximum(lower_coeff, 0.0) @ self.lo + np.minimum(lower_coeff, 0.0) @ self.up
+        d_up = np.maximum(upper_coeff, 0.0) @ self.up + np.minimum(upper_coeff, 0.0) @ self.lo
+        return lams, d_lo, d_up
+
+
+@dataclass(frozen=True)
+class Square(Elementwise):
+    """h = x * x coordinatewise, a relaxed op: it defines ``relax`` and no forward or backward rule."""
+
+    kind = "square"
+    arity = 1
+    relaxed = True
+
+    def eval(self, xs):
+        return xs[0] * xs[0]
+
+    def interval(self, inputs):
+        l, u = inputs[0].lower, inputs[0].upper
+        lo = np.where((l <= 0.0) & (u >= 0.0), 0.0, np.minimum(l * l, u * u))
+        return IntervalBounds(lo, np.maximum(l * l, u * u))
+
+    def relax(self, intervals, relu_mode):
+        # below, the tangent at the midpoint m; above, the chord: both have slope l + u = 2m
+        l, u = intervals[0].lower, intervals[0].upper
+        return Band(l + u, -0.25 * (l + u) ** 2, -l * u)
 
 
 def _scaled_net(rng):
@@ -90,6 +130,25 @@ def test_op_defined_outside_the_package_is_bounded(strategy):
     out = evaluate(g, sample_points(g, specs, rng, 1000))[g.output]
     assert np.all(box.lower[:, None] <= out + 1e-9)
     assert np.all(out <= box.upper[:, None] + 1e-9)
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_relaxed_op_defined_outside_the_package_is_bounded(strategy):
+    rng = np.random.default_rng(14)
+    nodes = (
+        Node(0, Input(), (), 3),
+        Node(1, Affine(rng.uniform(-1, 1, (4, 3)), rng.uniform(-0.5, 0.5, 4)), (0,), 4),
+        Node(2, Square(), (1,), 4),
+        Node(3, Sub(), (2, 1), 4),
+        Node(4, ReLU(), (3,), 4),
+        Node(5, Affine(rng.uniform(-1, 1, (2, 4)), rng.uniform(-0.5, 0.5, 2)), (4,), 2),
+    )
+    g, specs = Graph(nodes, 5), {0: LpBall(rng.uniform(-1, 1, 3), 0.3, 2.0)}
+    for target in (2, 5):
+        native, box = compute_bounds(g, specs, strategy, target)
+        assert_sound(g, specs, {target: box}, rng, n=2000, slack=1e-9)
+        if strategy is not BoundStrategy.IBP:
+            assert_linear_sound(g, specs, {target: native}, rng, n=2000, slack=1e-9)
 
 
 def test_op_defined_outside_the_package_checks_its_dims():
@@ -207,9 +266,9 @@ def _weight_coeffs(rng, rows=5, s=3, t=4, pin=False):
     intervals = [IntervalBounds(*w_box), IntervalBounds(*x_box)]
     lower, upper = rng.uniform(-1, 1, (2, rows, s))
     lower[1] = upper[3] = 0.0
-    op = MatVec(rng.uniform(-1, 1, s))
-    lams = op.backward(lower, upper, intervals, ReluLowerMode.ZERO, s * t)[0]
-    rel = op._relax(intervals)
+    planes = MatVec(rng.uniform(-1, 1, s)).relax(intervals, ReluLowerMode.ZERO)
+    lams = planes.backward(lower, upper, s * t)[0]
+    rel = planes.rel
 
     def on_w(coeff, slope_pos, slope_neg):
         pos, neg = np.maximum(coeff, 0.0), np.minimum(coeff, 0.0)
@@ -261,10 +320,11 @@ def test_backward_rules_leave_one_shared_coefficient_unchanged(relu_mode):
     for op, intervals in _ops_with_intervals(rng):
         coeff = rng.uniform(-1, 1, (3, 1 if isinstance(op, SumReduce) else 4))
         before = coeff.copy()
-        lams, d_lo, d_up = op.backward(coeff, coeff, intervals, relu_mode, 4)
+        rule = op.relax(intervals, relu_mode) if op.relaxed else op
+        lams, d_lo, d_up = rule.backward(coeff, coeff, 4)
         assert np.array_equal(coeff, before), op.kind
         # the same bits as two separate arrays give
-        split, s_lo, s_up = op.backward(coeff.copy(), coeff.copy(), intervals, relu_mode, 4)
+        split, s_lo, s_up = rule.backward(coeff.copy(), coeff.copy(), 4)
         for (lo, up), (want_lo, want_up) in zip(lams, split):
             assert np.array_equal(lo, want_lo) and np.array_equal(up, want_up), op.kind
         assert np.array_equal(d_lo, s_lo) and np.array_equal(d_up, s_up), op.kind

@@ -16,9 +16,11 @@ from lirpa import (
     Add,
     Affine,
     BoundStrategy,
+    Exp,
     Graph,
     Input,
     LpBall,
+    MulElementwise,
     Node,
     ReLU,
     ReluLowerMode,
@@ -28,6 +30,7 @@ from lirpa import (
     ibp_propagate,
     margin_transform,
     run_backward,
+    weight_perturbed_graph,
 )
 from lirpa.backward import BoundQuery
 from lirpa.concretize import concretize_blocks
@@ -133,7 +136,7 @@ def test_a_dead_affine_that_also_feeds_an_add_keeps_its_rows():
     for strategy in BoundStrategy:
         query = BoundQuery(g, specs, strategy)
         box = query.box(4, None, "output")
-        assert query._live_lines(2)[0].tolist() == [2]
+        assert query._relaxed(2).live.tolist() == [2]
         assert query._pass_node(1, False).op.weight.shape == (3, 2)
         _assert_close(box, _dense_box(query, 4), strategy)
         assert_sound(g, specs, {4: box}, np.random.default_rng(64), n=500)
@@ -144,7 +147,7 @@ def test_a_cached_affine_target_keeps_all_its_rows():
     g, specs = _mlp(np.random.default_rng(65), [3, 6, 6, 2], half_dead=True)
     query = BoundQuery(g, specs, BoundStrategy.IBP_BACKWARD)
     query.bound(g.output)
-    assert 3 in query.intervals and query._live_lines(4)[0].tolist() == [1, 3, 5]
+    assert 3 in query.intervals and query._relaxed(4).live.tolist() == [1, 3, 5]
     for target in (1, 3):
         native, box = query.bound(target)
         assert native.lower_w.shape == (6, 3)
@@ -172,23 +175,63 @@ def test_affine_steps_receive_only_the_live_columns(monkeypatch):
         assert width == shape[0] and shape in {(10, live), (live, live), (live, 64)}, shape
 
 
+def _mul_dag(rng):
+    """A DAG whose two mul nodes read a relu, an exp and two affine nodes."""
+    dense = lambda s, t: Affine(rng.uniform(-1, 1, (s, t)) / math.sqrt(t), rng.uniform(-0.5, 0.5, s))
+    nodes = (
+        Node(0, Input(), (), 3),
+        Node(1, dense(4, 3), (0,), 4),
+        Node(2, ReLU(), (1,), 4),
+        Node(3, dense(4, 3), (0,), 4),
+        Node(4, MulElementwise(), (2, 3), 4),
+        Node(5, Exp(), (4,), 4),
+        Node(6, MulElementwise(), (5, 1), 4),
+        Node(7, dense(2, 4), (6,), 2),
+    )
+    return Graph(nodes, 7), {0: LpBall(rng.uniform(-1, 1, 3), 0.1, math.inf)}
+
+
 def test_relaxed_unary_lines_are_computed_once_per_query(monkeypatch):
-    from lirpa import backward
+    # every relaxed node is relaxed once, whether the forward sweep, a supplier pass or the final pass reads it
+    from lirpa import ops
 
     calls = []
-    relax = backward.unary_relaxation
+    unary, mul, matvec = ops.unary_relaxation, ops.mul_relaxation, ops.MatVec.relax
 
-    def counting(op, l, u, relu_mode=ReluLowerMode.ADAPTIVE):
-        calls.append(op)
-        return relax(op, l, u, relu_mode)
+    def counting_unary(op, l, u, relu_mode=ReluLowerMode.ADAPTIVE):
+        calls.append(op.kind)
+        return unary(op, l, u, relu_mode)
 
-    monkeypatch.setattr(backward, "unary_relaxation", counting)
-    g, specs = _mlp(np.random.default_rng(67), [4, 8, 8, 8, 8, 3])
-    for strategy in BoundStrategy:
-        if strategy is not BoundStrategy.IBP:
+    def counting_mul(*bounds):
+        calls.append("mul")
+        return mul(*bounds)
+
+    def counting_matvec(op, intervals, relu_mode):
+        calls.append("matvec")
+        return matvec(op, intervals, relu_mode)
+
+    monkeypatch.setattr(ops, "unary_relaxation", counting_unary)
+    monkeypatch.setattr(ops, "mul_relaxation", counting_mul)
+    monkeypatch.setattr(ops.MatVec, "relax", counting_matvec)
+    rng = np.random.default_rng(67)
+    mlp = _mlp(rng, [4, 8, 8, 8, 8, 3])
+    weights, weight_specs, _ = weight_perturbed_graph(mlp[0], 0.01)
+    weight_specs[0] = mlp[1][0]
+    problems = [
+        (mlp, margin_transform(0, 3), {"relu": 4}),
+        (_mul_dag(rng), None, {"relu": 1, "exp": 1, "mul": 2}),
+        ((weights, weight_specs), margin_transform(0, 3), {"relu": 4, "matvec": 5}),
+    ]
+    for (g, specs), out_coeff, relaxed in problems:
+        for strategy in BoundStrategy:
             calls.clear()
-            compute_bounds(g, specs, strategy, out_coeff=margin_transform(0, 3))
-            assert len(calls) == 4, strategy
+            compute_bounds(g, specs, strategy, out_coeff=out_coeff)
+            counts = {kind: calls.count(kind) for kind in set(calls)}
+            if "matvec" in relaxed:
+                # a matvec computes its planes for each rule that reads them: once where one sweep or pass does
+                planes = counts.pop("mul", 0)
+                assert planes == 5 or strategy not in (BoundStrategy.FORWARD, BoundStrategy.IBP_BACKWARD)
+            assert counts == ({} if strategy is BoundStrategy.IBP else relaxed), strategy
 
 
 def test_a_budget_zero_synonym_input_is_its_clean_point():
