@@ -4,19 +4,20 @@ Given a graph, a nominal input and a perturbation specification, the engines
 compute provably sound elementwise bounds on any node: plain interval
 propagation, forward/backward linear bound propagation with concretization
 over lp balls or bounded word substitution, plus loss-fusion and flatness
-analyses built on top.
+analyses built on top. ``compute_bounds`` is the one entry point, with the
+strategy as a parameter; ``backward.BoundQuery`` bounds many nodes of one
+graph from one shared cache.
 """
 from .backward import (
     BackwardState,
     BoundStrategy,
     backward_oracle,
     compute_bounds,
-    intermediate_intervals,
     run_backward,
 )
 from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import forward_lirpa, forward_oracle
+from .forward import forward_oracle
 from .fusion import (
     FusedLossReport,
     MarginSpec,
@@ -29,28 +30,29 @@ from .fusion import (
     weight_perturbed_graph,
 )
 from .graph import (
-    Add,
-    Affine,
-    Exp,
     Graph,
-    Input,
-    Log,
-    MulElementwise,
-    Neg,
     Node,
-    OpKind,
-    ReLU,
-    Sub,
-    SumReduce,
     evaluate,
     get_out_degree,
-    parse_graph,
     parse_problem,
     serialize_problem,
     topological_order,
 )
-from .interval import IntervalBounds, ibp_propagate, interval_oracle
-from .linear import InputLayout, LinearBounds
+from .interval import interval_oracle
+from .linear import InputLayout, IntervalBounds, LinearBounds
+from .ops import (
+    Add,
+    Affine,
+    Exp,
+    Input,
+    Log,
+    MulElementwise,
+    Neg,
+    OpKind,
+    ReLU,
+    Sub,
+    SumReduce,
+)
 from .perturb import Constant, LpBall, PerturbationSpec, Synonym
 from .relaxation import (
     BinaryRelaxation,
@@ -104,17 +106,13 @@ __all__ = [
     "evaluate",
     "exp_relaxation",
     "flatness_score",
-    "forward_lirpa",
     "forward_oracle",
     "fused_loss_report",
     "get_out_degree",
-    "ibp_propagate",
-    "intermediate_intervals",
     "interval_oracle",
     "log_relaxation",
     "margin_transform",
     "mul_relaxation",
-    "parse_graph",
     "parse_problem",
     "relu_relaxation",
     "run_backward",

@@ -4,9 +4,10 @@ A BFS from the output node pushes coefficient matrices through each op's
 ``backward`` rule until only independent nodes carry coefficients.
 Out-degree bookkeeping guarantees each dependent node is relaxed exactly
 once, with its full accumulated coefficient. Every entry point runs one
-``BoundQuery``, whose lazily filled interval cache all its targets share.
-Its passes leave out dead neurons, whose relaxation lines are all zero:
-each affine step multiplies only its weight's live rows and columns.
+``BoundQuery``, whose lazily filled caches all its targets share; its
+``interval(i)`` and ``forward(i)`` are the only all-node sweeps. Its passes
+leave out dead neurons, whose relaxation lines are all zero: each affine
+step multiplies only its weight's live rows and columns.
 """
 from __future__ import annotations
 
@@ -20,10 +21,10 @@ import numpy as np
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
 from .forward import forward_oracle
-from .graph import Affine, Graph, Input, Node, OpKind, get_out_degree, topological_order
-from .interval import IntervalBounds, interval_oracle
-from .linear import InputLayout, LinearBounds
-from .ops import UnaryRelaxed, _Lines
+from .graph import Graph, Node, get_out_degree, topological_order
+from .interval import interval_oracle
+from .linear import InputLayout, IntervalBounds, LinearBounds
+from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
 
@@ -32,7 +33,6 @@ __all__ = [
     "BackwardState",
     "backward_oracle",
     "run_backward",
-    "intermediate_intervals",
     "compute_bounds",
 ]
 
@@ -362,18 +362,6 @@ class BoundQuery:
         if self.strategy is BoundStrategy.BACKWARD and not isinstance(self.g.nodes[target].op, Input):
             return self.interval(target)
         return self.bound(target)[1]
-
-
-def intermediate_intervals(
-    g: Graph,
-    specs: Mapping[int, PerturbationSpec],
-    strategy: BoundStrategy,
-    target: int | None = None,
-    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
-) -> dict[int, IntervalBounds]:
-    """Intervals the backward pass needs, produced by the strategy's supplier."""
-    query = BoundQuery(g, specs, strategy, relu_mode)
-    return {j: query.interval(j) for j in query._operands(g.output if target is None else target)}
 
 
 def compute_bounds(

@@ -18,8 +18,7 @@ from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
 from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transform
 from .graph import Graph, _load_json, evaluate, parse_problem, topological_order
-from .interval import IntervalBounds
-from .linear import InputLayout
+from .linear import InputLayout, IntervalBounds
 from .perturb import Constant, LpBall, PerturbationSpec, _is_int
 from .relaxation import ReluLowerMode
 

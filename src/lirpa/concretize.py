@@ -12,8 +12,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .errors import GraphError
-from .interval import IntervalBounds
-from .linear import InputLayout, LinearBounds
+from .linear import InputLayout, IntervalBounds, LinearBounds
 from .perturb import PerturbationSpec
 
 __all__ = ["concretize_blocks", "concretize_bounds"]

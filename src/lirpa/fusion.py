@@ -20,18 +20,9 @@ import numpy as np
 
 from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
-from .graph import (
-    Affine,
-    Exp,
-    Graph,
-    Input,
-    Node,
-    SumReduce,
-    evaluate,
-    topological_order,
-)
-from .interval import IntervalBounds
-from .ops import MatVec
+from .graph import Graph, Node, evaluate, topological_order
+from .linear import IntervalBounds
+from .ops import Affine, Exp, Input, MatVec, SumReduce
 from .perturb import Constant, LpBall, PerturbationSpec
 from .relaxation import ReluLowerMode
 

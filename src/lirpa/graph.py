@@ -3,8 +3,8 @@
 A graph is an immutable DAG of typed nodes over flat float64 vectors.
 Independent nodes (in-degree 0) are the only carriers of perturbation;
 dependent nodes compute a vector from their predecessors, by the rules of
-their op class (see ``ops``, re-exported here). The document format is
-JSON; parsing validates structure, dimensions and acyclicity.
+their op class (see ``ops``). The document format is JSON; parsing
+validates structure, dimensions and acyclicity.
 """
 from __future__ import annotations
 
@@ -23,20 +23,8 @@ from .ops import (
 from .perturb import PerturbationSpec, _is_int, parse_perturbation
 
 __all__ = [
-    "Input",
-    "Affine",
-    "ReLU",
-    "Exp",
-    "Log",
-    "Neg",
-    "Add",
-    "Sub",
-    "MulElementwise",
-    "SumReduce",
-    "OpKind",
     "Node",
     "Graph",
-    "parse_graph",
     "parse_problem",
     "serialize_problem",
     "topological_order",
@@ -254,11 +242,6 @@ def parse_problem(text: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
         specs[i] = spec
 
     return Graph(nodes, doc["output"]), specs
-
-
-def parse_graph(text: str) -> Graph:
-    """Parse a graph document, discarding the perturbation specs."""
-    return parse_problem(text)[0]
 
 
 def serialize_problem(g: Graph, specs: Mapping[int, PerturbationSpec] | None = None) -> str:

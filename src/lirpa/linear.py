@@ -37,10 +37,6 @@ class IntervalBounds:
                 f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}"
             )
 
-    @property
-    def width(self) -> np.ndarray:
-        return self.upper - self.lower
-
 
 @dataclass(frozen=True)
 class LinearBounds:
@@ -60,10 +56,6 @@ class LinearBounds:
             raise ValueError(
                 f"coefficient rows {self.lower_w.shape[0]} != bias length {self.lower_b.shape[0]}"
             )
-
-    @property
-    def dim(self) -> int:
-        return self.lower_b.shape[0]
 
     @property
     def input_dim(self) -> int:

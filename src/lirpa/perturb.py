@@ -132,8 +132,6 @@ class LpBall(PerturbationSpec):
             return math.inf
         if math.isinf(self.p):
             return 1.0
-        if self.p == 2:
-            return 2.0
         return self.p / (self.p - 1.0)
 
     def __eq__(self, other):

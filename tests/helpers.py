@@ -9,6 +9,7 @@ import numpy as np
 from lirpa import (
     Add,
     Affine,
+    BoundStrategy,
     Constant,
     Exp,
     Graph,
@@ -22,6 +23,7 @@ from lirpa import (
     Neg,
     Node,
     ReLU,
+    ReluLowerMode,
     Sub,
     SumReduce,
     Synonym,
@@ -29,6 +31,7 @@ from lirpa import (
     interval_oracle,
     topological_order,
 )
+from lirpa.backward import BoundQuery
 
 W1 = [[2.0, 1.0], [-3.0, 4.0]]
 W2 = [[4.0, -2.0], [2.0, 1.0]]
@@ -67,6 +70,18 @@ def demo_net(eps: float = 2.0):
     g = Graph(nodes, 5)
     specs = {0: LpBall([0.0, 1.0], eps, math.inf)}
     return g, specs
+
+
+def node_intervals(g, specs, strategy=BoundStrategy.IBP, relu_mode=ReluLowerMode.ADAPTIVE):
+    """Every node's supplier interval, read in topological order from one query."""
+    query = BoundQuery(g, specs, strategy, relu_mode)
+    return {i: query.interval(i) for i in topological_order(g)}
+
+
+def node_forward(g, specs, relu_mode=ReluLowerMode.ADAPTIVE):
+    """Every node's forward linear bounds, read in topological order from one query."""
+    query = BoundQuery(g, specs, BoundStrategy.FORWARD, relu_mode)
+    return {i: query.forward(i) for i in topological_order(g)}
 
 
 def sample_points(g, specs, rng, n) -> dict[int, np.ndarray]:

@@ -15,6 +15,7 @@ from helpers import (
     ce_loss,
     demo_net,
     extremes_box,
+    node_intervals,
     random_classifier,
     random_graph,
     random_synonym_instance,
@@ -34,7 +35,6 @@ from lirpa import (
     evaluate,
     fused_loss_report,
     flatness_score,
-    ibp_propagate,
     relu_relaxation,
     run_backward,
     weight_perturbed_graph,
@@ -83,22 +83,22 @@ def test_criterion_1_worked_example_bounds():
 
 def test_criterion_2_worked_example_intermediates():
     g, specs = demo_net()
-    boxes = ibp_propagate(g, specs)
-    assert boxes[1].lower[0] == -5.0 and boxes[1].upper[0] == 7.0
-    assert boxes[1].lower[1] == -10.0 and boxes[1].upper[1] == 18.0
+    box = compute_bounds(g, specs, BoundStrategy.IBP, 1)[1]
+    assert box.lower[0] == -5.0 and box.upper[0] == 7.0
+    assert box.lower[1] == -10.0 and box.upper[1] == 18.0
     lb, _ = compute_bounds(
         g, specs, BoundStrategy.FORWARD_BACKWARD, relu_mode=ReluLowerMode.ZERO
     )
     assert lb.upper_w[0] == pytest.approx([0.40, 3.74], abs=0.01)
     assert lb.lower_w[0] == pytest.approx([-1.75, -0.875], abs=0.001)
-    rel = relu_relaxation(boxes[1].lower, boxes[1].upper, ReluLowerMode.ZERO)
+    rel = relu_relaxation(box.lower, box.upper, ReluLowerMode.ZERO)
     assert rel.upper_slope == pytest.approx([0.58, 0.64], abs=0.01)
     _ok(2, "pre-activation box exact, input coefficients and relu slopes on target")
 
 
 def test_criterion_3_backward_coefficients_vanish(fuzz_graphs):
     for g, specs in fuzz_graphs:
-        state = run_backward(g, g.output, ibp_propagate(g, specs))
+        state = run_backward(g, g.output, node_intervals(g, specs))
         reachable = {g.output}
         stack = [g.output]
         while stack:
@@ -216,7 +216,7 @@ def test_criterion_8_interval_inclusion_monotonicity():
                 i: LpBall(s.center, s.eps * scale, s.p) if isinstance(s, LpBall) else s
                 for i, s in specs.items()
             }
-            boxes = ibp_propagate(g, scaled)
+            boxes = node_intervals(g, scaled)
             if previous is not None:
                 for i in range(len(g.nodes)):
                     assert np.all(previous[i].lower >= boxes[i].lower)

@@ -1,6 +1,13 @@
-"""The public surface: one entry point per concept, and every exported name resolves."""
+"""The public surface: one entry point per concept, and each name has one home.
+
+Every module exports only what it defines, and the package's relative
+imports form no cycle, so no module reaches back into one that imports it.
+"""
+import ast
+import graphlib
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -16,9 +23,8 @@ PUBLIC = {
     "PerturbationSpec", "ReLU", "ReluLowerMode", "Sub", "SumReduce", "Synonym", "UnaryRelaxation",
     "backward_oracle", "bound_loss_fused", "bound_loss_unfused", "build_fused_loss_graph",
     "compute_bounds", "concretize_bounds", "evaluate", "exp_relaxation", "flatness_score",
-    "forward_lirpa", "forward_oracle", "fused_loss_report", "get_out_degree", "ibp_propagate",
-    "intermediate_intervals", "interval_oracle", "log_relaxation", "margin_transform",
-    "mul_relaxation", "parse_graph", "parse_problem", "relu_relaxation", "run_backward",
+    "forward_oracle", "fused_loss_report", "get_out_degree", "interval_oracle", "log_relaxation",
+    "margin_transform", "mul_relaxation", "parse_problem", "relu_relaxation", "run_backward",
     "serialize_problem", "topological_order", "unary_relaxation", "weight_perturbed_graph",
 }
 
@@ -34,7 +40,29 @@ def test_every_module_export_resolves():
     for info in pkgutil.iter_modules(lirpa.__path__):
         module = importlib.import_module(f"lirpa.{info.name}")
         for name in getattr(module, "__all__", ()):
-            assert hasattr(module, name), f"lirpa.{info.name}.{name}"
+            # defined there, not re-exported from another module
+            assert getattr(module, name).__module__ == module.__name__, f"lirpa.{info.name}.{name}"
+
+
+def _relative_imports(tree: ast.Module) -> set[str]:
+    """The modules that ``tree`` imports relatively, inside functions too, outside ``if TYPE_CHECKING:``."""
+    found, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level:
+            found.update([node.module] if node.module else [alias.name for alias in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_relative_imports_form_no_cycle():
+    sources = sorted(Path(lirpa.__file__).parent.glob("*.py"))
+    graph = {path.stem: _relative_imports(ast.parse(path.read_text())) for path in sources}
+    assert graph["backward"] >= {"forward", "interval", "concretize"}  # the walk sees the imports
+    list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError naming the cycle
 
 
 def test_bound_query_has_one_mode():

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import demo_net, random_graph, assert_sound
+from helpers import demo_net, node_forward, node_intervals, random_graph, assert_sound
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -26,9 +26,6 @@ from lirpa import (
     backward_oracle,
     compute_bounds,
     concretize_bounds,
-    forward_lirpa,
-    ibp_propagate,
-    intermediate_intervals,
     run_backward,
     topological_order,
 )
@@ -132,7 +129,7 @@ def test_backward_coefficients_vanish_on_dependents():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         g, specs = random_graph(rng)
-        state = run_backward(g, g.output, ibp_propagate(g, specs))
+        state = run_backward(g, g.output, node_intervals(g, specs))
         reachable = _reachable_to(g, g.output)
         for i in _dependent_ids(g):
             coeff = state.lower_coeff.get(i)
@@ -407,7 +404,7 @@ def test_backward_sandwich_holds_at_every_step():
 
     for _ in range(10):
         g, specs = random_graph(rng, max_nodes=8, max_dim=3)
-        intermediate = ibp_propagate(g, specs)
+        intermediate = node_intervals(g, specs)
         values = sample_points(g, specs, rng, 200)
         node_values = evaluate(g, values)
         target = node_values[g.output]
@@ -428,7 +425,7 @@ def test_run_backward_matches_stepwise_reference():
     rng = np.random.default_rng(18)
     for _ in range(10):
         g, specs = random_graph(rng, max_nodes=10, max_dim=3)
-        intermediate = ibp_propagate(g, specs)
+        intermediate = node_intervals(g, specs)
         final = None
         for final in _reference_backward_steps(g, g.output, intermediate):
             pass
@@ -446,9 +443,11 @@ def test_run_backward_matches_stepwise_reference():
                 assert np.array_equal(state.upper_coeff[i], upper[i])
 
 
-def test_intermediate_intervals_backward_supplier_matches_manual():
+def test_backward_supplier_matches_manual():
     g, specs = demo_net()
-    supplied = intermediate_intervals(g, specs, BoundStrategy.BACKWARD, relu_mode=ReluLowerMode.ZERO)
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD, ReluLowerMode.ZERO)
+    query.bound(g.output)
+    supplied = query.intervals  # a backward supplier fills only the relu operands' intervals
     assert set(supplied) == {1, 3}
     assert supplied[1].lower == pytest.approx([-5.0, -10.0], abs=1e-9)
     assert supplied[1].upper == pytest.approx([7.0, 18.0], abs=1e-9)
@@ -472,15 +471,19 @@ def _synonym_mul_graph(rng):
 def test_forward_supplier_reuses_forward_pass_intervals():
     rng = np.random.default_rng(23)
     problems = [random_graph(rng) for _ in range(30)] + [_synonym_mul_graph(rng)]
+    checked = 0
     for g, specs in problems:
         layout = InputLayout.from_specs(g, specs)
-        fwd = forward_lirpa(g, specs, ReluLowerMode.ZERO)
+        fwd = node_forward(g, specs, ReluLowerMode.ZERO)
         for strategy in (BoundStrategy.FORWARD, BoundStrategy.FORWARD_BACKWARD):
-            supplied = intermediate_intervals(g, specs, strategy, relu_mode=ReluLowerMode.ZERO)
-            for j, box in supplied.items():
+            query = BoundQuery(g, specs, strategy, ReluLowerMode.ZERO)
+            query.bound(g.output)  # caches the intervals its relaxations read
+            for j, box in query.intervals.items():
                 want = concretize_bounds(fwd[j], layout, specs)
                 assert np.array_equal(box.lower, want.lower)
                 assert np.array_equal(box.upper, want.upper)
+                checked += 1
+    assert checked > 50
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -516,13 +519,11 @@ def test_nan_intervals_fail_closed_where_they_enter_the_query(strategy):
     ibp = strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD)
     at = re.escape(f"node {4 if ibp else 1}: {strategy.value} bounds are NaN or inverted")
     with pytest.raises(DomainError, match=at):
-        intermediate_intervals(g, specs, strategy)
-    with pytest.raises(DomainError, match=at):
         compute_bounds(g, specs, strategy)
-    entry = {BoundStrategy.IBP: ibp_propagate, BoundStrategy.FORWARD: forward_lirpa}.get(strategy)
-    if entry is not None:
-        with pytest.raises(DomainError, match=at):
-            entry(g, specs)
+    with pytest.raises(DomainError, match=at):
+        node_intervals(g, specs, strategy)
+    with pytest.raises(DomainError, match=at):
+        BoundQuery(g, specs, strategy).forward(g.output)
 
 
 def test_identity_seed_on_affine_target_equals_explicit_identity():
@@ -561,9 +562,10 @@ def test_node_bound_ignores_nodes_after_it(strategy):
     )
     g = Graph(nodes, 3)
     specs = {0: LpBall([0.0], 1.0, math.inf)}
-    _, box = compute_bounds(g, specs, strategy, target=1)
+    query = BoundQuery(g, specs, strategy)
+    _, box = query.bound(1)
     assert box.lower.tolist() == [-1.0] and box.upper.tolist() == [1.0]
-    assert set(intermediate_intervals(g, specs, strategy, target=1)) == set()
+    assert set(query.intervals) <= {0, 1}
     with pytest.raises(DomainError):
         compute_bounds(g, specs, strategy)
 
@@ -609,7 +611,7 @@ def test_input_layout_built_once_per_query(monkeypatch):
     margin = MarginSpec(1, 3)
     entry_points = [
         lambda: compute_bounds(g, specs, strategy, out_coeff=np.eye(3)),
-        lambda: intermediate_intervals(g, specs, strategy),
+        lambda: node_intervals(g, specs, strategy),
         lambda: bound_loss_unfused(g, specs, margin, strategy),
         lambda: bound_loss_fused(g, specs, margin, strategy),
         lambda: fused_loss_report(g, specs, margin, strategy),

@@ -404,3 +404,48 @@ def test_flatness_data_file_fails_closed(capsys, tmp_path, text, message):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and message in captured.err
     assert captured.out == ""
+
+
+def _synonym_problem(**fields):
+    entry = {"node": 0, "type": "synonym", "words": ["a", "c"], "substitutions": {"0": ["b"]},
+             "embeddings": {"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.5, 0.5]}, "delta": 1, **fields}
+    return {"nodes": [{"op": "input", "inputs": [], "dim": 4}], "output": 0, "perturbations": [entry]}
+
+
+def _demo(edit):
+    doc = json.loads(demo_doc())
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_demo(lambda d: d["nodes"][2].update(dim=0)), "node 2: dimension must be positive, got 0"),
+        (_demo(lambda d: d["nodes"][2].update(inputs=[1, 1])), "node 2: op 'relu' takes 1 input(s), got 2"),
+        (_demo(lambda d: d["nodes"].insert(3, [])), "node 3: expected an object"),
+        (_demo(lambda d: d["nodes"][5].pop("dim")), "node 5: missing 'op'/'dim'"),
+        ([], "document must be an object with a 'nodes' array"),
+        (_demo(lambda d: d["perturbations"].append(d["perturbations"][0])), "duplicate perturbation for node 0"),
+        (_demo(lambda d: d["perturbations"][0].update(center=[0.0, 1.0, 2.0])),
+         "perturbation dim 3 does not match node 0 dim 2"),
+        (_demo(lambda d: d.pop("perturbations")), "no perturbation spec for input node 0"),
+        (_demo(lambda d: d["perturbations"][0].pop("type")),
+         "node 0: malformed perturbation: perturbation entry must be an object with a 'type' field"),
+        (_synonym_problem(delta=-1), "node 0: malformed perturbation: substitution budget must be nonnegative"),
+        (_synonym_problem(words=[]), "node 0: malformed perturbation: synonym spec requires at least one word"),
+        (_synonym_problem(embeddings={"a": [1.0, 0.0], "b": [0.0, 1.0], "c": [0.5, 0.5, 0.5]}),
+         "node 0: malformed perturbation: embeddings must share one dimension, got [2, 3]"),
+        (_synonym_problem(substitutions={"2": ["b"]}), "node 0: malformed perturbation: substitution position 2 out of range"),
+        (_synonym_problem(embeddings={"a": [1.0, 0.0], "c": [0.5, 0.5]}),
+         "node 0: malformed perturbation: no embedding for words ['b']"),
+    ],
+)
+def test_bounds_rejects_malformed_document(capsys, tmp_path, doc, message):
+    # each is a document error: exit 1 and one message, naming the node wherever the error is a node's
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}"), captured.err
+    assert captured.out == ""

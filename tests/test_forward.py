@@ -3,22 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from helpers import demo_net, random_graph, assert_sound
+from helpers import demo_net, node_forward, random_graph, assert_sound
 from lirpa import (
     Affine,
+    BoundStrategy,
     Constant,
     Graph,
+    GraphError,
     Input,
     InputLayout,
+    IntervalBounds,
     LpBall,
     MulElementwise,
     Node,
+    ReLU,
     ReluLowerMode,
+    compute_bounds,
     concretize_bounds,
     evaluate,
-    forward_lirpa,
     forward_oracle,
-    ibp_propagate,
     LinearBounds,
 )
 
@@ -30,7 +33,7 @@ def _concretize_all(g, specs, bounds):
 
 def test_forward_demo_net_output():
     g, specs = demo_net()
-    bounds = forward_lirpa(g, specs, ReluLowerMode.ZERO)
+    bounds = node_forward(g, specs, ReluLowerMode.ZERO)
     box = _concretize_all(g, specs, bounds)[5]
     assert box.lower[0] == pytest.approx(-56.0, abs=1e-9)
     assert box.upper[0] == pytest.approx(170.0 / 7.0, abs=1e-9)  # 24.2857..., quoted as 24.29
@@ -39,7 +42,7 @@ def test_forward_demo_net_output():
 
 def test_forward_demo_net_coefficients():
     g, specs = demo_net()
-    bounds = forward_lirpa(g, specs, ReluLowerMode.ZERO)
+    bounds = node_forward(g, specs, ReluLowerMode.ZERO)
     # second affine layer, upper coefficients over the input
     assert bounds[3].upper_w == pytest.approx(
         np.array([[14.0 / 3.0, 7.0 / 3.0], [17.0 / 42.0, 157.0 / 42.0]]), abs=1e-12
@@ -53,7 +56,7 @@ def test_forward_demo_net_coefficients():
 def test_forward_identity_graph():
     g = Graph((Node(0, Input(), (), 2),), 0)
     specs = {0: LpBall([1.0, -1.0], 0.5, math.inf)}
-    bounds = forward_lirpa(g, specs)
+    bounds = node_forward(g, specs)
     assert np.array_equal(bounds[0].lower_w, np.eye(2))
     assert np.array_equal(bounds[0].upper_w, np.eye(2))
     assert np.all(bounds[0].lower_b == 0.0)
@@ -74,6 +77,15 @@ def test_forward_affine_all_positive_weight_has_no_mixing():
     assert np.array_equal(out.upper_w, w @ child.upper_w)
 
 
+def test_forward_oracle_rejects_an_unrelaxed_op():
+    # a query relaxes a nonlinear op on its operands' intervals before its forward rule runs
+    child = LinearBounds(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+    with pytest.raises(GraphError, match="'relu' must be relaxed"):
+        forward_oracle(ReLU(), [child])
+    lines = ReLU().relax([IntervalBounds([-1.0, 1.0], [1.0, 2.0])], ReluLowerMode.ZERO)
+    assert forward_oracle(lines, [child]).upper_b.tolist() == [0.5, 0.0]
+
+
 def test_forward_mul_with_constant_operand_matches_affine_path():
     # c * x as a mul node with a pinned operand vs. an affine node diag(c)
     c = np.array([1.5, -2.0])
@@ -85,7 +97,7 @@ def test_forward_mul_with_constant_operand_matches_affine_path():
     )
     g_mul = Graph(nodes_mul, 2)
     specs_mul = {0: spec, 1: Constant(c)}
-    box_mul = _concretize_all(g_mul, specs_mul, forward_lirpa(g_mul, specs_mul))[2]
+    box_mul = _concretize_all(g_mul, specs_mul, node_forward(g_mul, specs_mul))[2]
 
     nodes_aff = (
         Node(0, Input(), (), 2),
@@ -93,7 +105,7 @@ def test_forward_mul_with_constant_operand_matches_affine_path():
     )
     g_aff = Graph(nodes_aff, 1)
     specs_aff = {0: spec}
-    box_aff = _concretize_all(g_aff, specs_aff, forward_lirpa(g_aff, specs_aff))[1]
+    box_aff = _concretize_all(g_aff, specs_aff, node_forward(g_aff, specs_aff))[1]
 
     assert box_mul.lower == pytest.approx(box_aff.lower, abs=1e-12)
     assert box_mul.upper == pytest.approx(box_aff.upper, abs=1e-12)
@@ -107,7 +119,7 @@ def test_forward_zero_radius_collapses_to_point():
             i: LpBall(s.center, 0.0, s.p) if isinstance(s, LpBall) else s
             for i, s in specs.items()
         }
-        boxes = _concretize_all(g, zero_specs, forward_lirpa(g, zero_specs))
+        boxes = _concretize_all(g, zero_specs, node_forward(g, zero_specs))
         values = evaluate(
             g, {i: np.asarray(zero_specs[i].center if isinstance(zero_specs[i], LpBall) else zero_specs[i].value) for i in g.input_ids}
         )
@@ -120,7 +132,7 @@ def test_forward_soundness_randomized():
     rng = np.random.default_rng(2)
     for _ in range(20):
         g, specs = random_graph(rng)
-        boxes = _concretize_all(g, specs, forward_lirpa(g, specs))
+        boxes = _concretize_all(g, specs, node_forward(g, specs))
         assert_sound(g, specs, boxes, rng, n=1000)
 
 
@@ -130,13 +142,13 @@ def test_forward_linear_bounds_pointwise_sound():
     rng = np.random.default_rng(9)
     for _ in range(15):
         g, specs = random_graph(rng)
-        assert_linear_sound(g, specs, forward_lirpa(g, specs), rng, n=1000)
+        assert_linear_sound(g, specs, node_forward(g, specs), rng, n=1000)
 
 
 def test_forward_at_least_as_tight_as_ibp_on_demo_net():
     g, specs = demo_net()
-    fwd = _concretize_all(g, specs, forward_lirpa(g, specs, ReluLowerMode.ZERO))[5]
-    ibp = ibp_propagate(g, specs)[5]
+    fwd = _concretize_all(g, specs, node_forward(g, specs, ReluLowerMode.ZERO))[5]
+    ibp = compute_bounds(g, specs, BoundStrategy.IBP)[1]
     fwd_width = float(fwd.upper[0] - fwd.lower[0])
     ibp_width = float(ibp.upper[0] - ibp.lower[0])
     assert fwd_width == pytest.approx(80.29, abs=0.02)
@@ -153,7 +165,7 @@ def test_forward_synonym_input_end_to_end():
         "b1": np.array([0.0, -0.5]),
         "b2": np.array([0.9, 0.2]),
     }
-    from lirpa import Synonym, ReLU
+    from lirpa import Synonym
 
     spec = Synonym(("a", "b"), {0: ("a1",), 1: ("b1", "b2")}, emb, budget=1)
     w1 = rng.uniform(-1, 1, (3, 4))
@@ -166,5 +178,5 @@ def test_forward_synonym_input_end_to_end():
     )
     g = Graph(nodes, 3)
     specs = {0: spec}
-    boxes = _concretize_all(g, specs, forward_lirpa(g, specs))
+    boxes = _concretize_all(g, specs, node_forward(g, specs))
     assert_sound(g, specs, boxes, rng, n=500)

@@ -16,7 +16,6 @@ from lirpa import (
     SumReduce,
     evaluate,
     get_out_degree,
-    parse_graph,
     parse_problem,
     serialize_problem,
     topological_order,
@@ -24,7 +23,7 @@ from lirpa import (
 
 
 def test_parse_demo_net():
-    g = parse_graph(demo_doc())
+    g = parse_problem(demo_doc())[0]
     assert len(g.nodes) == 6
     kinds = [n.op.kind for n in g.nodes]
     assert kinds == ["input", "affine", "relu", "affine", "relu", "affine"]
@@ -33,7 +32,7 @@ def test_parse_demo_net():
 
 
 def test_parse_identity_graph():
-    g = parse_graph(json.dumps({"nodes": [{"op": "input", "inputs": [], "dim": 1}], "output": 0}))
+    g = parse_problem(json.dumps({"nodes": [{"op": "input", "inputs": [], "dim": 1}], "output": 0}))[0]
     assert g.output == 0
     assert isinstance(g.nodes[0].op, Input)
 
@@ -47,7 +46,7 @@ def test_parse_rejects_dimension_mismatch():
         "output": 1,
     }
     with pytest.raises(GraphError, match="columns"):
-        parse_graph(json.dumps(doc))
+        parse_problem(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -79,7 +78,7 @@ def test_parse_rejects_bad_documents(mutate, message):
     doc = json.loads(demo_doc())
     mutate(doc)
     with pytest.raises(GraphError, match=message):
-        parse_graph(json.dumps(doc))
+        parse_problem(json.dumps(doc))
 
 
 @pytest.mark.parametrize(
@@ -145,7 +144,7 @@ def test_parse_rejects_malformed_synonym_fields(fields, message):
 
 def test_parse_rejects_syntax_error():
     with pytest.raises(GraphError, match="invalid JSON"):
-        parse_graph("{not json")
+        parse_problem("{not json")
 
 
 def test_parse_rejects_cycle():
@@ -158,7 +157,7 @@ def test_parse_rejects_cycle():
         "output": 2,
     }
     with pytest.raises(GraphError, match="cycle"):
-        parse_graph(json.dumps(doc))
+        parse_problem(json.dumps(doc))
 
 
 def test_roundtrip_is_bit_exact():
@@ -216,7 +215,7 @@ def test_topological_order_chain():
         ],
         "output": 2,
     }
-    assert topological_order(parse_graph(json.dumps(doc))) == [0, 1, 2]
+    assert topological_order(parse_problem(json.dumps(doc))[0]) == [0, 1, 2]
 
 
 def test_topological_order_diamond():
@@ -231,7 +230,7 @@ def test_topological_order_diamond():
 
 
 def test_topological_order_demo_net():
-    g = parse_graph(demo_doc())
+    g = parse_problem(demo_doc())[0]
     assert topological_order(g) == [0, 1, 2, 3, 4, 5]
 
 
@@ -293,7 +292,7 @@ def test_out_degree_chain():
         ],
         "output": 2,
     }
-    g = parse_graph(json.dumps(doc))
+    g = parse_problem(json.dumps(doc))[0]
     assert get_out_degree(g, 2) == {0: 1, 1: 1, 2: 0}
 
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import demo_net, random_graph, assert_sound
+from helpers import demo_net, node_intervals, random_graph, assert_sound
 from lirpa import (
+    BoundStrategy,
     Constant,
     DomainError,
     Graph,
@@ -13,8 +14,8 @@ from lirpa import (
     LpBall,
     Node,
     Synonym,
+    compute_bounds,
     evaluate,
-    ibp_propagate,
 )
 
 
@@ -49,14 +50,14 @@ def test_input_interval_synonym_coordinate_minmax():
 
 def test_ibp_demo_net_output():
     g, specs = demo_net()
-    bounds = ibp_propagate(g, specs)
-    assert bounds[5].lower == pytest.approx([-56.0], abs=0.0)
-    assert bounds[5].upper == pytest.approx([32.0], abs=0.0)
+    box = compute_bounds(g, specs, BoundStrategy.IBP)[1]
+    assert box.lower == pytest.approx([-56.0], abs=0.0)
+    assert box.upper == pytest.approx([32.0], abs=0.0)
 
 
 def test_ibp_demo_net_intermediates():
     g, specs = demo_net()
-    bounds = ibp_propagate(g, specs)
+    bounds = node_intervals(g, specs)
     assert bounds[1].lower == pytest.approx([-5.0, -10.0], abs=0.0)
     assert bounds[1].upper == pytest.approx([7.0, 18.0], abs=0.0)
     assert bounds[3].lower == pytest.approx([-36.0, 0.0])
@@ -70,7 +71,7 @@ def test_ibp_zero_radius_collapses_to_evaluate():
         point_specs = {
             i: Constant(s.center) if isinstance(s, LpBall) else s for i, s in specs.items()
         }
-        bounds = ibp_propagate(g, point_specs)
+        bounds = node_intervals(g, point_specs)
         values = evaluate(g, {i: np.asarray(point_specs[i].value) for i in g.input_ids})
         for i in range(len(g.nodes)):
             assert bounds[i].lower == pytest.approx(values[i], abs=1e-9)
@@ -81,14 +82,14 @@ def test_ibp_log_domain_error():
     nodes = (Node(0, Input(), (), 1), Node(1, Log(), (0,), 1))
     g = Graph(nodes, 1)
     with pytest.raises(DomainError):
-        ibp_propagate(g, {0: LpBall([1.0], 1.0, math.inf)})
+        compute_bounds(g, {0: LpBall([1.0], 1.0, math.inf)}, BoundStrategy.IBP)
 
 
 def test_ibp_soundness_randomized():
     rng = np.random.default_rng(11)
     for _ in range(20):
         g, specs = random_graph(rng)
-        bounds = ibp_propagate(g, specs)
+        bounds = node_intervals(g, specs)
         assert_sound(g, specs, bounds, rng, n=1000)
 
 
@@ -103,7 +104,7 @@ def test_ibp_inclusion_monotonicity():
                 i: LpBall(s.center, s.eps * scale, s.p) if isinstance(s, LpBall) else s
                 for i, s in specs.items()
             }
-            bounds = ibp_propagate(g, scaled)
+            bounds = node_intervals(g, scaled)
             if previous is not None:
                 for i in range(len(g.nodes)):
                     assert np.all(previous[i].lower >= bounds[i].lower)
@@ -114,7 +115,7 @@ def test_ibp_inclusion_monotonicity():
 def test_ibp_exact_on_monotone_chain_with_point_input():
     g, _ = demo_net()
     specs = {0: Constant([0.5, 1.5])}
-    bounds = ibp_propagate(g, specs)
+    bounds = node_intervals(g, specs)
     values = evaluate(g, {0: np.array([0.5, 1.5])})
     for i in range(len(g.nodes)):
         assert bounds[i].lower == pytest.approx(values[i], abs=0.0)

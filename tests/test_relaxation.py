@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -60,9 +62,22 @@ def test_relu_adaptive_slope_selection():
     assert rel.lower_slope[1] == 0.0  # u <= |l|
 
 
-def test_relu_rejects_inverted_interval():
-    with pytest.raises(ValueError, match="exceeds"):
-        relu_relaxation(np.array([1.0]), np.array([0.0]))
+@pytest.mark.parametrize("kind", ["relu", "exp", "log", "mul"])
+def test_relaxation_collapses_float_noise_and_rejects_real_inversions(kind):
+    relax = {"relu": relu_relaxation, "exp": exp_relaxation, "log": log_relaxation,
+             "mul": lambda l, u: mul_relaxation(l, u, l, u)}[kind]
+    l = np.array([0.25, 1.0, 3.0]) if kind == "log" else np.array([-2.0, 0.0, 3.0])
+    # an upper end one ulp below the lower is rounding noise: the lines of the point [l, l], bit for bit
+    noisy, point = relax(l, np.nextafter(l, -np.inf)), relax(l, l)
+    for f in fields(point):
+        assert getattr(noisy, f.name).tobytes() == getattr(point, f.name).tobytes(), f.name
+    with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
+        relax(l, l - 1.0)
+    with pytest.raises(ValueError, match="interval endpoint shapes differ"):
+        relax(l, l[:2])
+    if kind == "mul":
+        with pytest.raises(ValueError, match="operand shapes differ"):
+            mul_relaxation(l, l, l[:2], l[:2])
 
 
 def test_relu_sampling_soundness():

@@ -10,9 +10,10 @@ generator. The query is ``compute_bounds(g, specs, BACKWARD, relu_mode=ZERO)``
 on one BLAS thread, which runs one backward pass per ReLU operand and one
 for the output. Per net: the median wall time of ``--runs`` runs after one
 warm-up run, the output's total width, and the share of ReLU neurons whose
-supplier interval proves them dead (upper bound <= 0). ``--src`` imports
-lirpa from another checkout's ``src`` directory (default: this one's).
-Prints one JSON line per net.
+supplier interval proves them dead (upper bound <= 0), read from one more
+``BoundQuery`` under the same strategy. ``--src`` imports lirpa from
+another checkout's ``src`` directory (default: this one's). Prints one JSON
+line per net.
 """
 from __future__ import annotations
 
@@ -40,6 +41,7 @@ def main() -> None:
     args = p.parse_args()
     sys.path.insert(0, str(args.src))
     import lirpa
+    from lirpa.backward import BoundQuery
 
     for net in args.nets:
         depth, width = map(int, net.split("x"))
@@ -63,11 +65,12 @@ def main() -> None:
             start = time.perf_counter()
             query()
             times.append((time.perf_counter() - start) * 1000.0)
-        operands = lirpa.intermediate_intervals(g, specs, lirpa.BoundStrategy.BACKWARD, relu_mode=lirpa.ReluLowerMode.ZERO)
-        dead = sum(int(np.sum(b.upper <= 0.0)) for b in operands.values())
+        supplier = BoundQuery(g, specs, lirpa.BoundStrategy.BACKWARD, lirpa.ReluLowerMode.ZERO)
+        operands = [supplier.interval(n.inputs[0]) for n in g.nodes if isinstance(n.op, lirpa.ReLU)]
+        dead = sum(int(np.sum(b.upper <= 0.0)) for b in operands)
         print(json.dumps({"net": net, "time_ms": statistics.median(times), "runs": args.runs,
                           "output_width": float(np.sum(box.upper - box.lower)),
-                          "dead_frac": dead / sum(b.upper.size for b in operands.values())}), flush=True)
+                          "dead_frac": dead / sum(b.upper.size for b in operands)}), flush=True)
 
 
 if __name__ == "__main__":
