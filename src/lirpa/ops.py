@@ -83,8 +83,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy]."""
-    corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
-    return corners.min(axis=0), corners.max(axis=0)
+    a, b, c, d = lx * ly, lx * uy, ux * ly, ux * uy
+    # in this order: on a tie np.minimum and np.maximum return their second argument, so it picks a zero's sign
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    for corner in (c, d):
+        np.minimum(lo, corner, out=lo)
+        np.maximum(hi, corner, out=hi)
+    return lo, hi
 
 
 def _zero_bias(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -461,8 +466,9 @@ class _Planes(OpKind):
 
     @property
     def rel(self):
-        # computed for each rule that reads them, not kept: keeping a query's (dim, t) planes made the
-        # flatness workload's ibp+backward query ~8% slower, and that single pass reads each MatVec once
+        # computed for each rule that reads them, not kept: about twenty elementwise passes over (dim, t),
+        # a fifth of a flatness query's time, whose single ibp+backward pass reads each MatVec once;
+        # keeping a query's planes made that query ~8% slower
         shape = (self.w.lower.shape[0] // self.x.lower.shape[0], self.x.lower.shape[0])
         return mul_relaxation(
             self.w.lower.reshape(shape),

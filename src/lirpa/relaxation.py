@@ -66,11 +66,12 @@ def _inverted(l: np.ndarray, u: np.ndarray) -> bool:
 
 
 def _check_interval(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    l = np.asarray(l, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    # C order: a broadcast view (a MatVec's input row) is read once here, not by every pass below
+    l = np.asarray(l, dtype=np.float64, order="C")
+    u = np.asarray(u, dtype=np.float64, order="C")
     if l.shape != u.shape:
         raise ValueError(f"interval endpoint shapes differ: {l.shape} vs {u.shape}")
-    if np.any(l > u):
+    if (l > u).any():
         # collapse float noise to a point, reject real inversions
         if _inverted(l, u):
             raise ValueError("interval lower bound exceeds upper bound")
@@ -88,15 +89,12 @@ def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> Unary
     l, u = _check_interval(l, u)
     active = l >= 0.0
     crossing = (l < 0.0) & (u > 0.0)
-    denom = np.where(crossing, u - l, 1.0)
-    chord = np.where(crossing, u / denom, 0.0)
-    upper_slope = np.where(active, 1.0, chord)
-    upper_intercept = np.where(crossing, -chord * l, 0.0)
-    if mode is ReluLowerMode.ZERO:
-        lower_slope = np.where(active, 1.0, 0.0)
-    else:
-        lower_slope = np.where(active | (crossing & (u > -l)), 1.0, 0.0)
-    return UnaryRelaxation(lower_slope, np.zeros_like(l), upper_slope, upper_intercept)
+    chord = np.divide(u, u - l, out=np.zeros(l.shape), where=crossing)
+    upper_intercept = np.multiply(-chord, l, out=np.zeros(l.shape), where=crossing)
+    np.copyto(chord, 1.0, where=active)  # now the upper slope
+    # past the active neurons, u > -l holds only on crossing ones wider above zero than below
+    lower = active if mode is ReluLowerMode.ZERO else active | (u > -l)
+    return UnaryRelaxation(lower.astype(np.float64), np.zeros(l.shape), chord, upper_intercept)
 
 
 def exp_relaxation(l, u) -> UnaryRelaxation:
@@ -157,15 +155,21 @@ def mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
         raise ValueError(f"operand shapes differ: {lx.shape} vs {ly.shape}")
     x_const = lx == ux
     y_const = ly == uy
-    conds = [x_const & y_const, x_const, y_const]
-    zeros = np.zeros_like(lx)
-    lower_x = np.select(conds, [zeros, zeros, ly], default=ly)
-    lower_y = np.select(conds, [zeros, lx, zeros], default=lx)
-    lower_const = np.select(conds, [lx * ly, zeros, zeros], default=-lx * ly)
-    upper_x = np.select(conds, [zeros, zeros, ly], default=uy)
-    upper_y = np.select(conds, [zeros, lx, zeros], default=lx)
-    upper_const = np.select(conds, [lx * ly, zeros, zeros], default=-lx * uy)
-    return BinaryRelaxation(lower_x, lower_y, lower_const, upper_x, upper_y, upper_const)
+    both, either = x_const & y_const, x_const | y_const
+    # y pinned: the exact line through ly (not uy: the two differ in the sign of a zero)
+    upper_x = np.where(y_const, ly, uy)
+    np.copyto(upper_x, 0.0, where=x_const)
+    lower_x = np.where(x_const, 0.0, ly)
+    lower_const = np.negative(lx)
+    upper_const = lower_const * uy
+    np.multiply(lower_const, ly, out=lower_const)
+    for const in (lower_const, upper_const):
+        # -lx * y, zero for one pinned operand, the product lx * ly for both
+        np.copyto(const, 0.0, where=either)
+        np.multiply(lx, ly, out=const, where=both)
+    del ly, uy  # C-order copies of a MatVec's broadcast input row: freed before the last two planes
+    y_slope = np.where(y_const, 0.0, lx)  # both planes'
+    return BinaryRelaxation(lower_x, y_slope, lower_const, upper_x, y_slope, upper_const)
 
 
 def unary_relaxation(op, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:

@@ -1,4 +1,4 @@
-"""Shared fixtures: the worked demo net, random graph generators, sampling, oracles."""
+"""Shared fixtures: the worked demo net, random graph generators, sampling, oracles, reference kernels."""
 from __future__ import annotations
 
 import json
@@ -9,6 +9,7 @@ import numpy as np
 from lirpa import (
     Add,
     Affine,
+    BinaryRelaxation,
     BoundStrategy,
     Constant,
     Exp,
@@ -27,11 +28,13 @@ from lirpa import (
     Sub,
     SumReduce,
     Synonym,
+    UnaryRelaxation,
     evaluate,
     interval_oracle,
     topological_order,
 )
 from lirpa.backward import BoundQuery
+from lirpa.relaxation import _check_interval
 
 W1 = [[2.0, 1.0], [-3.0, 4.0]]
 W2 = [[4.0, -2.0], [2.0, 1.0]]
@@ -331,3 +334,42 @@ def dense_weight_perturbed_graph(g, eps_bar):
         else:
             mapping[node.id] = add(node.op, tuple(mapping[j] for j in node.inputs), node.dim)
     return Graph(tuple(nodes), mapping[g.output]), specs, mapping
+
+
+def select_mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
+    """Reference ``mul_relaxation``: the six planes picked with ``np.select``, each branch spelled out."""
+    lx, ux = _check_interval(lx, ux)
+    ly, uy = _check_interval(ly, uy)
+    x_const = lx == ux
+    y_const = ly == uy
+    conds = [x_const & y_const, x_const, y_const]
+    zeros = np.zeros_like(lx)
+    lower_x = np.select(conds, [zeros, zeros, ly], default=ly)
+    lower_y = np.select(conds, [zeros, lx, zeros], default=lx)
+    lower_const = np.select(conds, [lx * ly, zeros, zeros], default=-lx * ly)
+    upper_x = np.select(conds, [zeros, zeros, ly], default=uy)
+    upper_y = np.select(conds, [zeros, lx, zeros], default=lx)
+    upper_const = np.select(conds, [lx * ly, zeros, zeros], default=-lx * uy)
+    return BinaryRelaxation(lower_x, lower_y, lower_const, upper_x, upper_y, upper_const)
+
+
+def stacked_corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
+    """Reference ``ops._corners``: the four corner products stacked, then reduced."""
+    corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
+    return corners.min(axis=0), corners.max(axis=0)
+
+
+def where_relu_relaxation(l, u, mode=ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
+    """Reference ``relu_relaxation``: every line picked by its own ``np.where``."""
+    l, u = _check_interval(l, u)
+    active = l >= 0.0
+    crossing = (l < 0.0) & (u > 0.0)
+    denom = np.where(crossing, u - l, 1.0)
+    chord = np.where(crossing, u / denom, 0.0)
+    upper_slope = np.where(active, 1.0, chord)
+    upper_intercept = np.where(crossing, -chord * l, 0.0)
+    if mode is ReluLowerMode.ZERO:
+        lower_slope = np.where(active, 1.0, 0.0)
+    else:
+        lower_slope = np.where(active | (crossing & (u > -l)), 1.0, 0.0)
+    return UnaryRelaxation(lower_slope, np.zeros_like(l), upper_slope, upper_intercept)

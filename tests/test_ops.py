@@ -329,6 +329,16 @@ def test_backward_rules_leave_one_shared_coefficient_unchanged(relu_mode):
         assert np.array_equal(d_lo, s_lo) and np.array_equal(d_up, s_up), op.kind
 
 
+def test_affine_copies_a_callers_arrays():
+    w, b = np.array([[1.0, -2.0], [3.0, 4.0]]), np.array([0.5, -0.5])
+    affine = Affine(w, b)
+    w[0, 0] = b[0] = 9.0
+    assert affine.weight[0, 0] == 1.0 and affine.bias[0] == 0.5
+    w.flags.writeable = b.flags.writeable = False  # a frozen array is copied as well
+    again = Affine(w, b)
+    assert not np.shares_memory(again.weight, w) and not np.shares_memory(again.bias, b)
+
+
 def test_op_arrays_are_read_only():
     affine = Affine([[1.0, -2.0], [3.0, 4.0]], [0.5, -0.5])
     arrays = [affine.weight, affine.bias, affine.w_pos, affine.w_neg, MatVec(np.zeros(2)).bias]

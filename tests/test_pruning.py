@@ -155,6 +155,18 @@ def test_a_cached_affine_target_keeps_all_its_rows():
         _assert_close(box, _dense_box(query, target), target)
 
 
+def test_a_pruned_affine_pass_op_holds_frozen_slices_of_the_graph_weight():
+    g, specs = _mlp(np.random.default_rng(65), [3, 6, 6, 2], half_dead=True)
+    query = BoundQuery(g, specs, BoundStrategy.IBP_BACKWARD)
+    query.bound(g.output)
+    live = [1, 3, 5]
+    graph_op, pass_op = g.nodes[3].op, query._pass_node(3, False).op
+    assert np.array_equal(pass_op.weight, graph_op.weight[np.ix_(live, live)])
+    assert np.array_equal(pass_op.bias, graph_op.bias[live])
+    for got, source in ((pass_op.weight, graph_op.weight), (pass_op.bias, graph_op.bias)):
+        assert not got.flags.writeable and not np.shares_memory(got, source)
+
+
 def test_affine_steps_receive_only_the_live_columns(monkeypatch):
     # 64-4x32-10 with the even neurons of every hidden layer dead and the odd ones active
     g, specs = _mlp(np.random.default_rng(66), [64, 32, 32, 32, 32, 10], eps=0.01, half_dead=True)

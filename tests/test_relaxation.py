@@ -3,6 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from helpers import select_mul_relaxation, stacked_corners, where_relu_relaxation
 from lirpa import (
     DomainError,
     ReluLowerMode,
@@ -11,6 +12,14 @@ from lirpa import (
     mul_relaxation,
     relu_relaxation,
 )
+from lirpa.ops import _corners
+
+_EDGES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, np.inf, -np.inf])
+
+
+def _assert_same_bytes(got, want):
+    for f in fields(want):
+        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
 
 
 def _check_unary_sandwich(rel, fn, l, u, samples=500, beyond=False):
@@ -68,9 +77,7 @@ def test_relaxation_collapses_float_noise_and_rejects_real_inversions(kind):
              "mul": lambda l, u: mul_relaxation(l, u, l, u)}[kind]
     l = np.array([0.25, 1.0, 3.0]) if kind == "log" else np.array([-2.0, 0.0, 3.0])
     # an upper end one ulp below the lower is rounding noise: the lines of the point [l, l], bit for bit
-    noisy, point = relax(l, np.nextafter(l, -np.inf)), relax(l, l)
-    for f in fields(point):
-        assert getattr(noisy, f.name).tobytes() == getattr(point, f.name).tobytes(), f.name
+    _assert_same_bytes(relax(l, np.nextafter(l, -np.inf)), relax(l, l))
     with pytest.raises(ValueError, match="lower bound exceeds upper bound"):
         relax(l, l - 1.0)
     with pytest.raises(ValueError, match="interval endpoint shapes differ"):
@@ -238,3 +245,46 @@ def test_exp_chord_stays_above_exp_where_exp_of_l_underflows():
     xs = np.linspace(l[0], u[0], 101)
     upper = rel.upper_slope[0] * xs + rel.upper_intercept[0]
     assert np.all(upper >= np.exp(xs) * (1.0 - 1e-12))
+
+
+def _edge_interval(rng, shape, pin):
+    """Intervals with both ends drawn from ``_EDGES`` (either order of two zeros); the point [l, l] where ``pin``."""
+    a, b = rng.choice(_EDGES, shape), rng.choice(_EDGES, shape)
+    lower = np.where(a <= b, a, b)
+    return lower, np.where(pin, lower, np.where(a <= b, b, a))
+
+
+def test_mul_planes_and_corners_match_the_select_and_stack_references_bit_for_bit():
+    rng = np.random.default_rng(14)
+    s, t = 3, 5
+    # y pinned at [-0.0, +0.0]: its exact line reads the lower end, whose zero is negative
+    pinned_neg_zero = (np.array([-1.0]), np.array([1.0]), np.array([-0.0]), np.array([0.0]))
+    with np.errstate(invalid="ignore"):  # inf * 0 corners and planes are NaN on both sides
+        want = select_mul_relaxation(*pinned_neg_zero)
+        _assert_same_bytes(mul_relaxation(*pinned_neg_zero), want)
+        assert np.signbit(want.upper_x[0])
+        for _ in range(200):
+            pin_x, pin_y = rng.random((2, s, t)) < 0.3
+            lx, ux = _edge_interval(rng, (s, t), pin_x)
+            ly, uy = _edge_interval(rng, (s, t), pin_y)
+            _assert_same_bytes(mul_relaxation(lx, ux, ly, uy), select_mul_relaxation(lx, ux, ly, uy))
+            for got, ref in zip(_corners(lx, ux, ly, uy), stacked_corners(lx, ux, ly, uy)):
+                assert got.tobytes() == ref.tobytes()
+            # as a MatVec reads them: the (s, t) weights against one x row, broadcast to (s, t) for the planes
+            rows = [np.broadcast_to(y[0], (s, t)) for y in (ly, uy)]
+            _assert_same_bytes(mul_relaxation(lx, ux, *rows), select_mul_relaxation(lx, ux, *rows))
+            for got, ref in zip(_corners(lx, ux, ly[0], uy[0]), stacked_corners(lx, ux, ly[0], uy[0])):
+                assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("mode", list(ReluLowerMode))
+def test_relu_lines_match_the_where_reference_bit_for_bit(mode):
+    rng = np.random.default_rng(9)
+    signed_zeros = (np.array([-0.0, 0.0, -0.0, 0.0]), np.array([0.0, -0.0, -0.0, 0.0]))
+    with np.errstate(invalid="ignore"):  # the reference's -0 * -inf off the crossing neurons
+        for l, u in [signed_zeros] + [_edge_interval(rng, 16, rng.random(16) < 0.2) for _ in range(50)]:
+            _assert_same_bytes(relu_relaxation(l, u, mode), where_relu_relaxation(l, u, mode))
+    for _ in range(50):
+        l = rng.normal(size=16) * rng.choice([1e-300, 1.0, 1e300], 16)
+        u = np.where(rng.random(16) < 0.3, np.nextafter(l, -np.inf), l + np.abs(rng.normal(size=16)))
+        _assert_same_bytes(relu_relaxation(l, u, mode), where_relu_relaxation(l, u, mode))
