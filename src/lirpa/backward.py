@@ -198,31 +198,20 @@ class BoundQuery:
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}
         self._lines: dict[int, OpKind] = {}
-        self._keeps: dict[int, int] = {}
         self._pass_nodes: dict[tuple[int, bool], Node | _PassNode] = {}
-        self.extend(self.g)
-
-    def extend(self, g: Graph) -> None:
-        """Move the query onto ``g``, which must append non-input nodes to its graph, keeping the caches.
-
-        ``_keeps[i]`` is the relaxed unary node whose live neurons i's coefficient keeps off a pass's
-        target: i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed
-        unary node alone. Pass ops whose columns this moves are rebuilt.
-        """
-        self.g, self._rank = g, {i: r for r, i in enumerate(topological_order(g))}
-        users: list[list[Node]] = [[] for _ in g.nodes]
-        for node in g.nodes:
+        self._rank = {i: r for r, i in enumerate(topological_order(self.g))}
+        # _keeps[i]: the relaxed unary node whose live neurons i's coefficient keeps off a pass's target,
+        # i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed unary alone
+        users: list[list[Node]] = [[] for _ in self.g.nodes]
+        for node in self.g.nodes:
             for j in node.inputs:
                 users[j].append(node)
-        keeps = {}
-        for node, us in zip(g.nodes, users):
+        self._keeps: dict[int, int] = {}
+        for node, us in zip(self.g.nodes, users):
             if isinstance(node.op, UnaryRelaxed) and us and all(isinstance(u.op, Affine) for u in us):
-                keeps[node.id] = node.id
+                self._keeps[node.id] = node.id
             elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(us[0].op, UnaryRelaxed):
-                keeps[node.id] = us[0].id
-        moved = {i for i in keeps.keys() | self._keeps.keys() if keeps.get(i) != self._keeps.get(i)}
-        self._pass_nodes = {k: v for k, v in self._pass_nodes.items() if not moved.intersection((k[0], *v.inputs))}
-        self._keeps = keeps
+                self._keeps[node.id] = us[0].id
 
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
@@ -288,12 +277,18 @@ class BoundQuery:
         return self._lines[r]
 
     def _pass_node(self, i: int, target: bool) -> Node | _PassNode:
-        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed op's lines."""
-        node, key, keeps = self.g.nodes[i], (i, target), self._keeps
-        if key not in self._pass_nodes and (node.op.relaxed or isinstance(node.op, Affine)):
-            # the live columns of i's coefficient and of its input's (None: all)
+        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed op's lines.
+
+        A target keeps all its rows, so it shares its op with the non-target passes that prune none.
+        """
+        node, keeps = self.g.nodes[i], self._keeps
+        if not (node.op.relaxed or isinstance(node.op, Affine)):
+            return node
+        # the live rows of i's coefficient and columns of its input's (None: all)
+        rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
+        key = (i, rows is None)
+        if key not in self._pass_nodes:
             j, op = node.inputs[0], node.op
-            rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
             cols = self._relaxed(keeps[j]).live if j in keeps else None
             if isinstance(op, Affine) and (rows is not None or cols is not None):
                 w, b = (op.weight, op.bias) if rows is None else (op.weight[rows], op.bias[rows])
@@ -306,7 +301,7 @@ class BoundQuery:
                     take, put = (live if rows is None else None), (live if cols is None else None)
                     op = _Lines(slopes, op.lower_const[live], op.upper_const[live], take, put)
             self._pass_nodes[key] = node if op is node.op else _PassNode(op, node.inputs, node.dim)
-        return self._pass_nodes.get(key, node)
+        return self._pass_nodes[key]
 
     def _pass(self, o: int, out_coeff):
         """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""

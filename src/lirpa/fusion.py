@@ -1,14 +1,14 @@
 """Loss fusion and flatness analyses.
 
 Fusing the cross-entropy loss into the graph collapses the bounded output
-from K classes to a single scalar: the graph gains a margin affine layer,
-an exp, and a sum, and one backward pass bounds the loss directly. The
-unfused surrogate instead plugs backward margin lower bounds into the loss.
-Each analysis runs one ``BoundQuery``: a paired report's margin and fused
-passes read the same supplier intervals, and the supplier bounds the
-margin node from its ancestors alone, so it never evaluates exp. The
-flatness score applies the same machinery to networks whose weights are
-re-expressed as perturbed inputs.
+from K classes to a single scalar: the graph gains a negated-margin affine
+node, an exp, and a sum, and one backward pass bounds the loss directly.
+The unfused surrogate instead plugs backward margin lower bounds into the
+loss. Each analysis runs one ``BoundQuery`` on the fused graph: a paired
+report's margin and fused passes read the same supplier intervals, and the
+supplier bounds the margin node from its ancestors alone, so it never
+evaluates exp. The flatness score applies the same machinery to networks
+whose weights are re-expressed as perturbed inputs.
 """
 from __future__ import annotations
 
@@ -78,25 +78,29 @@ def margin_transform(y: int, num_classes: int) -> np.ndarray:
 
 
 def build_fused_loss_graph(g: Graph, margin: MarginSpec) -> Graph:
-    """Append negative margins -> exp -> sum to the logit graph.
+    """Append negated margins -> exp -> sum to the logit graph.
 
     The new scalar output computes S = sum_i exp(f_i - f_y); the
     cross-entropy loss is log S, applied outside the graph after
-    concretization since log is monotone.
+    concretization since log is monotone. The negated-margin node, two
+    before the output, folds an affine logit layer W x + b into
+    Affine(W - W[y], b - b[y]) on that layer's input: each entry is the one
+    difference the product with the margin transform would round, at O(K n)
+    for K classes and n inputs, not O(K^2 n). Any other logit layer is read
+    through ``-margin_transform``.
     """
-    k = g.nodes[g.output].dim
+    out, n = g.nodes[g.output], len(g.nodes)
+    k = out.dim
     if k != margin.num_classes:
         raise GraphError(
             f"output dim {k} does not match margin spec with {margin.num_classes} classes"
         )
-    n = len(g.nodes)
-    neg_margin = Affine(-margin_transform(margin.label, k), np.zeros(k))
-    nodes = g.nodes + (
-        Node(n, neg_margin, (g.output,), k),
-        Node(n + 1, Exp(), (n,), k),
-        Node(n + 2, SumReduce(), (n + 1,), 1),
-    )
-    return Graph(nodes, n + 2)
+    if isinstance(out.op, Affine):
+        w, b, y = out.op.weight, out.op.bias, margin.label
+        neg = Node(n, Affine(w - w[y], b - b[y]), out.inputs, k)
+    else:
+        neg = Node(n, Affine(-margin_transform(margin.label, k), np.zeros(k)), (g.output,), k)
+    return Graph(g.nodes + (neg, Node(n + 1, Exp(), (n,), k), Node(n + 2, SumReduce(), (n + 1,), 1)), n + 2)
 
 
 def _loss_upper(neg_margins: np.ndarray) -> float:
@@ -106,36 +110,25 @@ def _loss_upper(neg_margins: np.ndarray) -> float:
     return float(np.log(np.sum(np.exp(neg_margins))))
 
 
-def _margin_interval(
-    g: Graph,
-    specs: Mapping[int, PerturbationSpec],
-    margin: MarginSpec,
-    strategy: BoundStrategy,
-    relu_mode: ReluLowerMode,
-) -> tuple[IntervalBounds, BoundQuery]:
-    """Margin bounds from one backward pass, and the query that ran it.
+def _negated_margins(query: BoundQuery) -> IntervalBounds:
+    """A fused graph's negated-margin box from one backward pass, cached as that node's interval.
 
-    An affine logit layer W x + b is folded with the margin rows into a node
-    (W[y] - W) x + (b[y] - b) on its input: each entry is the one difference
-    the margin transform's product would round, at O(K n), not O(K^2 n).
+    The margins are ``0.0 - box.upper`` (lower) and ``0.0 - box.lower`` (upper), so row y reads +0.0.
     """
-    out = g.nodes[g.output]
-    if out.dim != margin.num_classes:
-        raise GraphError("output dim does not match margin spec")
-    if isinstance(out.op, Affine):
-        w, b, y = out.op.weight, out.op.bias, margin.label
-        target, coeff = len(g.nodes), None
-        g = Graph(g.nodes + (Node(target, Affine(w[y] - w, b[y] - b), out.inputs, out.dim),), g.output)
-    else:
-        target, coeff = out.id, margin_transform(margin.label, margin.num_classes)
-    query = BoundQuery(g, specs, strategy, relu_mode)
-    return query.box(target, coeff, f"margin {strategy.value}"), query
+    neg = query.g.output - 2
+    query.intervals[neg] = query.box(neg, None, f"margin {query.strategy.value}")
+    return query.intervals[neg]
 
 
-def _fused_pass(query: BoundQuery, o: int) -> float:
-    """log of the fused output o's upper bound, or +inf once the exp input can pass ``EXP_CAP``."""
-    cap = float(np.max(query.interval(o - 2).upper))  # the margin node's
-    if cap > EXP_CAP:
+def _fused_pass(query: BoundQuery) -> float:
+    """log of the fused output's upper bound, or +inf once the exp input can pass ``EXP_CAP``.
+
+    Exp is relaxed on the negated-margin node's cached interval: the margin pass's box when
+    ``_negated_margins`` ran first, else the supplier's, which bounds that node from its
+    ancestors alone and so never evaluates exp before this check.
+    """
+    o = query.g.output
+    if float(np.max(query.interval(o - 2).upper)) > EXP_CAP:
         return math.inf
     return float(np.log(query.box(o, None, "fused loss").upper[0]))
 
@@ -151,11 +144,17 @@ def bound_loss_unfused(
 
     Returns (log sum_i exp(-margin_lower_i), margin lower bounds); the bound
     is +inf once some -margin_lower_i exceeds ``EXP_CAP``. The margins come
-    from one backward pass with the margin transform as output coefficients,
-    on intermediates from the chosen supplier.
+    from one backward pass, on intermediates from the chosen supplier: from
+    the fused graph's negated-margin node when the logit layer is affine,
+    else (a flatness weight op) from the logits, seeded with the margin
+    rows, so that no fused graph is built.
     """
-    margins = _margin_interval(g, specs, margin, strategy, relu_mode)[0]
-    return _loss_upper(-margins.lower), margins.lower
+    if not isinstance(g.nodes[g.output].op, Affine):
+        coeff = margin_transform(margin.label, margin.num_classes)
+        margins = BoundQuery(g, specs, strategy, relu_mode).box(g.output, coeff, f"margin {strategy.value}")
+        return _loss_upper(-margins.lower), margins.lower
+    neg = _negated_margins(BoundQuery(build_fused_loss_graph(g, margin), specs, strategy, relu_mode))
+    return _loss_upper(neg.upper), 0.0 - neg.upper
 
 
 def bound_loss_fused(
@@ -168,11 +167,11 @@ def bound_loss_fused(
     """Upper bound the worst-case loss by bounding the fused graph directly.
 
     One backward pass over the appended scalar loss output relaxes exp with
-    the chord through the margin node's supplier interval; if its upper end
-    exceeds ``EXP_CAP`` the bound is vacuous and +inf is returned instead.
+    the chord through the negated-margin node's supplier interval; if its
+    upper end exceeds ``EXP_CAP`` the bound is vacuous and +inf is returned
+    instead.
     """
-    fused = build_fused_loss_graph(g, margin)
-    return _fused_pass(BoundQuery(fused, specs, strategy, relu_mode), fused.output)
+    return _fused_pass(BoundQuery(build_fused_loss_graph(g, margin), specs, strategy, relu_mode))
 
 
 def fused_loss_report(
@@ -184,16 +183,15 @@ def fused_loss_report(
 ) -> FusedLossReport:
     """Paired fused/unfused loss bounds sharing the same concrete bounds.
 
-    One query runs the margin pass, then the fused pass on the same supplier
-    intervals, relaxing exp on exactly the margin bounds the unfused path
-    consumes. Under that sharing the fused bound never exceeds the unfused
-    one; both are +inf once a -margin_lower_i exceeds ``EXP_CAP``.
+    One query on the fused graph runs the margin pass, then the fused pass
+    on the same supplier intervals, relaxing exp on exactly the margin
+    bounds the unfused path consumes. Under that sharing the fused bound
+    never exceeds the unfused one; both are +inf once a -margin_lower_i
+    exceeds ``EXP_CAP``.
     """
-    margins, query = _margin_interval(g, specs, margin, strategy, relu_mode)
-    fused = build_fused_loss_graph(query.g, margin)  # the K x K matrix made first slows the margin pass
-    query.extend(fused)
-    query.intervals[fused.output - 2] = IntervalBounds(-margins.upper, -margins.lower)
-    return FusedLossReport(_fused_pass(query, fused.output), _loss_upper(-margins.lower), margins.lower)
+    query = BoundQuery(build_fused_loss_graph(g, margin), specs, strategy, relu_mode)
+    neg = _negated_margins(query)
+    return FusedLossReport(_fused_pass(query), _loss_upper(neg.upper), 0.0 - neg.upper)
 
 
 def weight_perturbed_graph(

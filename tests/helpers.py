@@ -31,6 +31,7 @@ from lirpa import (
     UnaryRelaxation,
     evaluate,
     interval_oracle,
+    margin_transform,
     topological_order,
 )
 from lirpa.backward import BoundQuery
@@ -303,6 +304,22 @@ def brute_force_synonym(lb: LinearBounds, spec: Synonym) -> IntervalBounds:
 
 def ce_loss(logits: np.ndarray, label: int) -> float:
     return float(np.log(np.sum(np.exp(logits - logits[label]))))
+
+
+def margin_matrix_fused_loss_graph(g, margin):
+    """Reference ``build_fused_loss_graph``: -margin_transform on the logit node, whatever its op.
+
+    The dense K x K margin matrix multiplies the logits, so an affine logit
+    layer's margins are read through the product with W, not through W - W[y].
+    """
+    k, n = g.nodes[g.output].dim, len(g.nodes)
+    neg_margin = Affine(-margin_transform(margin.label, k), np.zeros(k))
+    nodes = g.nodes + (
+        Node(n, neg_margin, (g.output,), k),
+        Node(n + 1, Exp(), (n,), k),
+        Node(n + 2, SumReduce(), (n + 1,), 1),
+    )
+    return Graph(nodes, n + 2)
 
 
 def dense_weight_perturbed_graph(g, eps_bar):

@@ -4,7 +4,14 @@ import re
 import numpy as np
 import pytest
 
-from helpers import ce_loss, demo_net, dense_weight_perturbed_graph, random_classifier, sample_points
+from helpers import (
+    ce_loss,
+    demo_net,
+    dense_weight_perturbed_graph,
+    margin_matrix_fused_loss_graph,
+    random_classifier,
+    sample_points,
+)
 from lirpa import fusion, ops
 from lirpa import (
     Affine,
@@ -380,22 +387,31 @@ def test_flatness_matches_the_dense_tiled_reference(monkeypatch):
                     assert score == pytest.approx(dense, rel=1e-12, abs=0.0)
 
 
+def _margins(g, specs, margin, strategy, relu_mode):
+    """The margin box of one query on the fused graph, as ``fused_loss_report`` reads it."""
+    neg = fusion._negated_margins(BoundQuery(build_fused_loss_graph(g, margin), specs, strategy, relu_mode))
+    return 0.0 - neg.upper, 0.0 - neg.lower
+
+
+def _assert_same_bytes(lower, upper, box):
+    assert lower.tobytes() == box.lower.tobytes() and upper.tobytes() == box.upper.tobytes()
+
+
 @pytest.mark.parametrize("relu_mode", list(ReluLowerMode))
 @pytest.mark.parametrize(
     "strategy", [BoundStrategy.BACKWARD, BoundStrategy.IBP_BACKWARD, BoundStrategy.FORWARD_BACKWARD]
 )
 def test_folded_margin_pass_equals_the_margin_transform_seed(strategy, relu_mode):
-    # W[y] - W is M @ W entry for entry, so folding the margin rows into the
-    # logit layer keeps every bit of the margin bounds
+    # W - W[y] is -(M @ W) entry for entry, so the negated-margin node folded
+    # into the logit layer keeps every bit of the margin bounds, signed zeros too
     rng = np.random.default_rng(31)
     for _ in range(20):
         k = int(rng.integers(2, 9))
         g, specs = random_classifier(rng, k)
         y = int(rng.integers(0, k))
-        margins = fusion._margin_interval(g, specs, MarginSpec(y, k), strategy, relu_mode)[0]
+        margins = _margins(g, specs, MarginSpec(y, k), strategy, relu_mode)
         box = compute_bounds(g, specs, strategy, out_coeff=margin_transform(y, k), relu_mode=relu_mode)[1]
-        assert np.array_equal(margins.lower, box.lower)
-        assert np.array_equal(margins.upper, box.upper)
+        _assert_same_bytes(*margins, box)
 
 
 @pytest.mark.parametrize(
@@ -407,10 +423,47 @@ def test_margin_pass_on_a_matvec_output_keeps_the_margin_transform_seed(strategy
     wg, weight_specs, mapping = weight_perturbed_graph(g, 0.05)
     assert isinstance(wg.nodes[wg.output].op, MatVec)
     specs = {**weight_specs, mapping[0]: Constant(specs[0].center)}
-    margins = fusion._margin_interval(wg, specs, MarginSpec(2, 4), strategy, ReluLowerMode.ZERO)[0]
+    margins = _margins(wg, specs, MarginSpec(2, 4), strategy, ReluLowerMode.ZERO)
     box = compute_bounds(wg, specs, strategy, out_coeff=margin_transform(2, 4), relu_mode=ReluLowerMode.ZERO)[1]
-    assert np.array_equal(margins.lower, box.lower)
-    assert np.array_equal(margins.upper, box.upper)
+    _assert_same_bytes(*margins, box)
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_an_affine_logit_layer_builds_no_margin_matrix(monkeypatch, strategy):
+    def refuse(*args):
+        raise AssertionError("a K x K margin matrix was built")
+
+    monkeypatch.setattr(fusion, "margin_transform", refuse)
+    rng = np.random.default_rng(41)
+    for _ in range(5):
+        k = int(rng.integers(2, 7))
+        g, specs = random_classifier(rng, k)
+        margin = MarginSpec(int(rng.integers(0, k)), k)
+        report = fused_loss_report(g, specs, margin, strategy)
+        unfused, lowers = bound_loss_unfused(g, specs, margin, strategy)
+        assert unfused == report.unfused_upper and lowers.tobytes() == report.margin_lowers.tobytes()
+        assert math.isfinite(bound_loss_fused(g, specs, margin, strategy))
+
+
+def test_fused_bound_is_never_looser_than_through_the_margin_matrix(monkeypatch):
+    # the folded node bounds W - W[y] directly; through -M @ W, IBP loses the
+    # dependence between f_i and f_y, and the other suppliers round differently
+    tighter = set()
+    for strategy in BoundStrategy:
+        for relu_mode in ReluLowerMode:
+            rng = np.random.default_rng(43)
+            for _ in range(100):
+                k = int(rng.integers(2, 7))
+                g, specs = random_classifier(rng, k)
+                margin = MarginSpec(int(rng.integers(0, k)), k)
+                folded = bound_loss_fused(g, specs, margin, strategy, relu_mode)
+                monkeypatch.setattr(fusion, "build_fused_loss_graph", margin_matrix_fused_loss_graph)
+                reference = bound_loss_fused(g, specs, margin, strategy, relu_mode)
+                monkeypatch.undo()
+                assert folded <= reference + 1e-15 * abs(reference), (strategy, relu_mode)
+                if folded < reference - 1e-12 * abs(reference):
+                    tighter.add(strategy)
+    assert BoundStrategy.IBP in tighter
 
 
 @pytest.mark.parametrize("strategy", list(BoundStrategy))

@@ -20,11 +20,13 @@ from lirpa import (
     Graph,
     Input,
     LpBall,
+    MarginSpec,
     MulElementwise,
     Node,
     ReLU,
     ReluLowerMode,
     Synonym,
+    build_fused_loss_graph,
     compute_bounds,
     evaluate,
     margin_transform,
@@ -165,6 +167,22 @@ def test_a_pruned_affine_pass_op_holds_frozen_slices_of_the_graph_weight():
     assert np.array_equal(pass_op.bias, graph_op.bias[live])
     for got, source in ((pass_op.weight, graph_op.weight), (pass_op.bias, graph_op.bias)):
         assert not got.flags.writeable and not np.shares_memory(got, source)
+
+
+def test_a_target_shares_its_pass_op_with_an_unpruned_non_target():
+    # the fused graph's negated-margin node is the margin pass's target, then the fused pass reads it
+    # through exp, whose lines are all live: one op on the live columns serves both passes
+    g, specs = _mlp(np.random.default_rng(69), [3, 6, 6, 4], half_dead=True)
+    fused = build_fused_loss_graph(g, MarginSpec(1, 4))
+    neg = fused.output - 2
+    for strategy in (BoundStrategy.BACKWARD, BoundStrategy.IBP_BACKWARD):
+        query = BoundQuery(fused, specs, strategy)
+        query.intervals[neg] = query.box(neg, None, "margin")
+        query.box(fused.output, None, "fused loss")
+        assert query._relaxed(neg + 1).live is None
+        assert [key for key in query._pass_nodes if key[0] == neg] == [(neg, True)]
+        assert query._pass_node(neg, False) is query._pass_node(neg, True)
+        assert query._pass_node(neg, False).op.weight.shape == (4, 3)
 
 
 def test_affine_steps_receive_only_the_live_columns(monkeypatch):

@@ -8,12 +8,16 @@ Two checkouts that print the same line give bit-identical bounds on:
   as ``tests/test_acceptance.py`` builds it) and the demo net: ``compute_bounds``
   for every node as target, under every strategy and ReLU mode;
 - 10 ``random_classifier``s (``default_rng(7)``, 3-5 classes): the same, plus
-  ``fused_loss_report``, ``bound_loss_fused`` and ``flatness_score``
-  (eps_bar 0.01, the input's center labelled 0) under every strategy and
-  ReLU mode.
+  ``fused_loss_report``, ``bound_loss_fused``, ``bound_loss_unfused`` and
+  ``flatness_score`` (eps_bar 0.01, the input's center labelled 0) under
+  every strategy and ReLU mode.
 
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
-call that raises is hashed as its exception's type name. ``--src`` imports
+call that raises is hashed as its exception's type name. The first line
+covers every call but ``bound_loss_unfused``'s, so it compares with
+checkouts that did not record those. One indented line follows per
+function and one per field of ``fused_loss_report``'s result, each over
+that function's calls alone. ``--src`` imports
 lirpa from another checkout's ``src`` directory (default: this one's); the
 graphs always come from this checkout's ``tests/helpers.py``.
 """
@@ -27,6 +31,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,20 +47,28 @@ def main() -> None:
     import lirpa
     from helpers import demo_net, random_classifier, random_graph
 
-    digest, count = hashlib.sha256(), 0
+    digests, counts = {}, Counter()
 
     def record(call, *call_args):
-        nonlocal count
-        count += 1
+        # the first line keeps to the calls it has always covered
+        family = call.__name__
+        keys = [family] if family == "bound_loss_unfused" else ["results", family]
+        counts.update(keys)
         try:
             result = call(*call_args)
         except Exception as exc:  # an error is part of the behaviour being pinned
-            digest.update(type(exc).__name__.encode())
-            return
-        for value in result if isinstance(result, tuple) else (result,):
-            fields = vars(value).values() if hasattr(value, "__dict__") else (value,)
-            for field in fields:
-                digest.update(np.asarray(field, dtype=np.float64).tobytes())
+            chunks = [((), type(exc).__name__.encode())]
+        else:
+            chunks = []
+            for value in result if isinstance(result, tuple) else (result,):
+                fields = vars(value).items() if hasattr(value, "__dict__") else [("", value)]
+                for name, field in fields:
+                    # a result object, not a tuple, also feeds one line per field
+                    extra = (f"{family}.{name}",) if value is result and name else ()
+                    chunks.append((extra, np.asarray(field, dtype=np.float64).tobytes()))
+        for extra, data in chunks:
+            for key in (*keys, *extra):
+                digests.setdefault(key, hashlib.sha256()).update(data)
 
     rng = np.random.default_rng(2024)
     graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
@@ -70,9 +83,12 @@ def main() -> None:
                 margin = lirpa.MarginSpec(0, g.nodes[g.output].dim)
                 record(lirpa.fused_loss_report, g, specs, margin, strategy, mode)
                 record(lirpa.bound_loss_fused, g, specs, margin, strategy, mode)
+                record(lirpa.bound_loss_unfused, g, specs, margin, strategy, mode)
                 batch = [({0: specs[0].center}, 0)]
                 record(lirpa.flatness_score, g, 0.01, batch, strategy, mode)
-    print(f"{count} results sha256 {digest.hexdigest()}")
+    print(f"{counts['results']} results sha256 {digests['results'].hexdigest()}")
+    for key in sorted(digests.keys() - {"results"}):
+        print(f"  {counts[key.split('.')[0]]} {key} sha256 {digests[key].hexdigest()}")
 
 
 if __name__ == "__main__":
