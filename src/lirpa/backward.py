@@ -2,7 +2,7 @@
 
 A BFS from the output node pushes coefficient matrices through each op's
 ``backward`` rule until only independent nodes carry coefficients.
-Out-degree bookkeeping guarantees each dependent node is relaxed exactly
+Out-degree bookkeeping guarantees each dependent node is stepped through
 once, with its full accumulated coefficient. Every entry point runs one
 ``BoundQuery``, whose lazily filled caches all its targets share; its
 ``interval(i)`` and ``forward(i)`` are the only all-node sweeps. Its passes
@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .graph import Graph, Node, get_out_degree, topological_order
 from .interval import interval_oracle
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
-from .perturb import PerturbationSpec
+from .perturb import PerturbationSpec, _is_int
 from .relaxation import ReluLowerMode, _inverted
 
 __all__ = [
@@ -66,23 +66,17 @@ class BackwardState:
 
 
 def backward_oracle(
-    op: OpKind,
-    lower_coeff: np.ndarray,
-    upper_coeff: np.ndarray,
-    input_intervals: Sequence[IntervalBounds] | None = None,
-    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
-    in_dim: int | None = None,
+    op: OpKind, lower_coeff: np.ndarray, upper_coeff: np.ndarray, in_dim: int | None = None
 ) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """Push output coefficients of one node onto its inputs.
+    """Push output coefficients of one node onto its inputs; a relaxed op must be relaxed first.
 
     Returns one (lower, upper) coefficient pair per input, in input order,
-    plus the bias increments for both sides. A relaxed op is first relaxed
-    on ``input_intervals``. ``in_dim`` is only consulted by sum_reduce,
-    whose expansion width is not visible in the coefficients.
+    plus the bias increments for both sides. ``in_dim`` is only consulted by
+    sum_reduce and a pruned lines op, whose input width the coefficients do not show.
     """
-    if op.relaxed and input_intervals is None:
-        raise DomainError(f"missing intermediate bounds at nonlinear op {op.kind!r}")
-    return (op.relax(input_intervals, relu_mode) if op.relaxed else op).backward(lower_coeff, upper_coeff, in_dim)
+    if op.relaxed:
+        raise GraphError(f"op {op.kind!r} must be relaxed on its input intervals first")
+    return op.backward(lower_coeff, upper_coeff, in_dim)
 
 
 def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
@@ -92,21 +86,18 @@ def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
     return out_coeff
 
 
-def run_backward(
-    g: Graph,
-    o: int,
-    intermediate: Mapping[int, IntervalBounds],
-    out_coeff: np.ndarray | None = None,
-    relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE,
-) -> BackwardState:
+def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> BackwardState:
     """Run the backward BFS from node o and return the final state.
 
-    ``out_coeff`` (default identity) left-multiplies the output node, so a
-    margin or specification matrix can be bounded in one pass. A node is
-    queued only once its pending out-degree reaches zero, which merges all
-    coefficient contributions before the node is relaxed. One array serves
-    as both sides' coefficients until a relaxation splits them, and an
-    identity seed on an affine output starts from its weight and bias.
+    It only pushes coefficients: each nonlinear node on a path to o must
+    already hold its relaxation's lines op, as ``BoundQuery``'s passes do,
+    or GraphError is raised. ``out_coeff`` (default identity) left-multiplies
+    the output node, so a margin or specification matrix can be bounded in
+    one pass. A node is queued only once its pending out-degree reaches
+    zero, which merges all coefficient contributions before its step. One
+    array serves as both sides' coefficients until a relaxation splits
+    them, and an identity seed on an affine output starts from its weight
+    and bias.
     """
     dim = g.nodes[o].dim
     if out_coeff is not None:
@@ -127,15 +118,6 @@ def run_backward(
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
-        intervals = None
-        if node.op.relaxed:
-            try:
-                intervals = [intermediate[j] for j in node.inputs]
-            except KeyError as exc:
-                raise DomainError(
-                    f"missing intermediate bounds for node {exc.args[0]} "
-                    f"required by nonlinear node {i}"
-                ) from exc
         if lower[i] is None:
             # an identity seed on an affine output: I @ W is W, entry for entry
             w, b = node.op.weight, node.op.bias
@@ -144,7 +126,7 @@ def run_backward(
             # a factored coefficient is expanded where it meets a rule
             in_dim = g.nodes[node.inputs[0]].dim
             lo, up = np.asarray(lower[i]), np.asarray(upper[i])
-            lams, d_lo, d_up = backward_oracle(node.op, lo, up, intervals, relu_mode, in_dim)
+            lams, d_lo, d_up = backward_oracle(node.op, lo, up, in_dim)
         ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
@@ -167,7 +149,6 @@ def run_backward(
 
 # what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops
 _PassGraph = NamedTuple("_PassGraph", [("nodes", list)])
-_PassNode = NamedTuple("_PassNode", [("op", OpKind), ("inputs", tuple), ("dim", int)])
 
 
 @dataclass(eq=False)
@@ -198,7 +179,7 @@ class BoundQuery:
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}
         self._lines: dict[int, OpKind] = {}
-        self._pass_nodes: dict[tuple[int, bool], Node | _PassNode] = {}
+        self._pass_nodes: dict[tuple[int, bool], Node] = {}
         self._rank = {i: r for r, i in enumerate(topological_order(self.g))}
         # _keeps[i]: the relaxed unary node whose live neurons i's coefficient keeps off a pass's target,
         # i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed unary alone
@@ -212,6 +193,12 @@ class BoundQuery:
                 self._keeps[node.id] = node.id
             elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(us[0].op, UnaryRelaxed):
                 self._keeps[node.id] = us[0].id
+
+    def _id(self, i) -> int:
+        """i if it is a node id of the graph (an int or numpy integer in range, not a bool); else GraphError."""
+        if not (_is_int(i) and 0 <= i < len(self.g.nodes)):
+            raise GraphError(f"node id {i!r} is not an integer in [0, {len(self.g.nodes)})")
+        return i
 
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
@@ -239,6 +226,7 @@ class BoundQuery:
     def interval(self, j: int) -> IntervalBounds:
         """Node j's supplier interval; a backward supplier first fills the intervals its pass reads."""
         if j not in self.intervals:
+            self._id(j)
             self._fill((self._operands(j) if self.strategy is BoundStrategy.BACKWARD else []) + [j])
         return self.intervals[j]
 
@@ -256,7 +244,7 @@ class BoundQuery:
     def forward(self, j: int) -> LinearBounds:
         """Node j's forward bounds, filling those of its missing ancestors first."""
         if j not in self._forward:
-            for i in self._missing([j], self._forward):
+            for i in self._missing([self._id(j)], self._forward):
                 node = self.g.nodes[i]
                 if isinstance(node.op, Input):
                     spec, w = self.specs[i], np.zeros((node.dim, self.layout.dim))
@@ -276,7 +264,7 @@ class BoundQuery:
             self._lines[r] = node.op.relax([self.interval(k) for k in node.inputs], self.relu_mode)
         return self._lines[r]
 
-    def _pass_node(self, i: int, target: bool) -> Node | _PassNode:
+    def _pass_node(self, i: int, target: bool) -> Node:
         """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed op's lines.
 
         A target keeps all its rows, so it shares its op with the non-target passes that prune none.
@@ -300,7 +288,7 @@ class BoundQuery:
                     slopes = tuple((lo[live], up[live]) for lo, up in op.slopes)
                     take, put = (live if rows is None else None), (live if cols is None else None)
                     op = _Lines(slopes, op.lower_const[live], op.upper_const[live], take, put)
-            self._pass_nodes[key] = node if op is node.op else _PassNode(op, node.inputs, node.dim)
+            self._pass_nodes[key] = node if op is node.op else Node(i, op, node.inputs, node.dim)
         return self._pass_nodes[key]
 
     def _pass(self, o: int, out_coeff):
@@ -308,7 +296,7 @@ class BoundQuery:
         nodes = list(self.g.nodes)
         for i, d in get_out_degree(self.g, o).items():
             nodes[i] = self._pass_node(i, i == o) if d or i == o else nodes[i]
-        state = run_backward(_PassGraph(nodes), o, {}, out_coeff)  # its ops are relaxed already
+        state = run_backward(_PassGraph(nodes), o, out_coeff)
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order
@@ -337,8 +325,8 @@ class BoundQuery:
         return _fail_closed(self._concretize(*self._pass(target, out_coeff)), what)
 
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
-        """``compute_bounds``' native bound and interval of ``target``."""
-        ibp = self.strategy is BoundStrategy.IBP
+        """``compute_bounds``' native bound and interval of ``target``; GraphError unless it is a node id."""
+        ibp, target = self.strategy is BoundStrategy.IBP, self._id(target)
         if ibp or self.strategy is BoundStrategy.FORWARD:
             native = self.interval(target) if ibp else self.forward(target)
             if out_coeff is not None:
@@ -374,8 +362,7 @@ def compute_bounds(
     supplier and run one backward pass for the target. Raises DomainError
     when the interval has a NaN or is inverted beyond float noise.
     """
-    query = BoundQuery(g, specs, strategy, relu_mode)
-    return query.bound(g.output if target is None else target, out_coeff)
+    return BoundQuery(g, specs, strategy, relu_mode).bound(g.output if target is None else target, out_coeff)
 
 
 def _fail_closed(box: IntervalBounds, what: str) -> IntervalBounds:

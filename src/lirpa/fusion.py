@@ -205,8 +205,8 @@ def weight_perturbed_graph(
     constant. Returns the new graph, the weight-node specs, and the map from
     original node ids to their counterparts.
     """
-    if eps_bar < 0:
-        raise GraphError("weight perturbation scale must be nonnegative")
+    if not 0 <= eps_bar < np.inf:  # NaN fails both comparisons
+        raise GraphError(f"weight perturbation scale must be finite and nonnegative, got {eps_bar}")
     nodes: list[Node] = []
     specs: dict[int, PerturbationSpec] = {}
     mapping: dict[int, int] = {}

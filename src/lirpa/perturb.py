@@ -40,8 +40,8 @@ def _vector(x, what: str) -> np.ndarray:
 
 
 def _is_int(x) -> bool:
-    # bool is a subclass of int, but true is no node id, dim or budget
-    return isinstance(x, int) and not isinstance(x, bool)
+    # bool is a subclass of int, but true is no node id, dim or budget; a numpy integer is one
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _is_number(x) -> bool:

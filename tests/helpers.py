@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from lirpa import (
     Synonym,
     UnaryRelaxation,
     evaluate,
+    get_out_degree,
     interval_oracle,
     margin_transform,
     topological_order,
@@ -80,6 +82,17 @@ def node_intervals(g, specs, strategy=BoundStrategy.IBP, relu_mode=ReluLowerMode
     """Every node's supplier interval, read in topological order from one query."""
     query = BoundQuery(g, specs, strategy, relu_mode)
     return {i: query.interval(i) for i in topological_order(g)}
+
+
+def lines_graph(g, o, intervals, relu_mode=ReluLowerMode.ADAPTIVE):
+    """What ``run_backward`` walks from o: g's nodes, each relaxed one on a path to o relaxed on ``intervals``.
+
+    The ops keep every neuron, so a pass over it is the dense, unpruned pass.
+    """
+    on_path = {i for i, d in get_out_degree(g, o).items() if d} | {o}
+    relaxed = lambda n: n.op.relax([intervals[j] for j in n.inputs], relu_mode)
+    nodes = [Node(n.id, relaxed(n), n.inputs, n.dim) if n.op.relaxed and n.id in on_path else n for n in g.nodes]
+    return SimpleNamespace(nodes=nodes)
 
 
 def node_forward(g, specs, relu_mode=ReluLowerMode.ADAPTIVE):

@@ -15,6 +15,7 @@ from helpers import (
     ce_loss,
     demo_net,
     extremes_box,
+    lines_graph,
     node_intervals,
     random_classifier,
     random_graph,
@@ -98,7 +99,7 @@ def test_criterion_2_worked_example_intermediates():
 
 def test_criterion_3_backward_coefficients_vanish(fuzz_graphs):
     for g, specs in fuzz_graphs:
-        state = run_backward(g, g.output, node_intervals(g, specs))
+        state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
         reachable = {g.output}
         stack = [g.output]
         while stack:

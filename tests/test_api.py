@@ -6,6 +6,7 @@ imports form no cycle, so no module reaches back into one that imports it.
 import ast
 import graphlib
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -70,3 +71,9 @@ def test_bound_query_has_one_mode():
     with pytest.raises(GraphError, match="unknown bound strategy"):
         BoundQuery(g, specs, None)
     assert not hasattr(BoundQuery, "linear")
+
+
+def test_run_backward_takes_the_graph_the_target_and_out_coeff():
+    # perfbench/tracing.py's _rows hook binds these names to count backward.rows,
+    # which perfbench's test_backward_pass_counts_per_query reads: renaming one breaks the benchmark
+    assert list(inspect.signature(lirpa.run_backward).parameters) == ["g", "o", "out_coeff"]

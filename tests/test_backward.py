@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import demo_net, node_forward, node_intervals, random_graph, assert_sound
+from helpers import demo_net, lines_graph, node_forward, node_intervals, random_graph, assert_sound
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -26,10 +26,12 @@ from lirpa import (
     backward_oracle,
     compute_bounds,
     concretize_bounds,
+    forward_oracle,
     run_backward,
     topological_order,
 )
 from lirpa.backward import BoundQuery
+from lirpa.ops import MatVec
 
 ALL_STRATEGIES = (
     BoundStrategy.IBP,
@@ -89,7 +91,7 @@ def test_backward_oracle_affine_step():
 def test_backward_oracle_stable_active_relu_is_identity():
     a = np.array([[0.5, -1.5]])
     box = IntervalBounds([1.0, 2.0], [3.0, 4.0])
-    lams, d_lo, d_up = backward_oracle(ReLU(), a, a, [box])
+    lams, d_lo, d_up = backward_oracle(ReLU().relax([box], ReluLowerMode.ADAPTIVE), a, a)
     assert np.array_equal(lams[0][0], a)
     assert np.array_equal(lams[0][1], a)
     assert np.all(d_lo == 0.0) and np.all(d_up == 0.0)
@@ -99,7 +101,7 @@ def test_backward_oracle_demo_second_relu_then_affine():
     # composite step of the demo net: relu over [-36,28]x[0,170/7], then W2
     a = np.array([[-2.0, 1.0]])
     box = IntervalBounds([-36.0, 0.0], [28.0, 170.0 / 7.0])
-    lams, d_lo, d_up = backward_oracle(ReLU(), a, a, [box], ReluLowerMode.ZERO)
+    lams, d_lo, d_up = backward_oracle(ReLU().relax([box], ReluLowerMode.ZERO), a, a)
     assert lams[0][0] == pytest.approx(np.array([[-0.875, 1.0]]), abs=1e-12)
     assert lams[0][1] == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-12)
     assert d_lo[0] == pytest.approx(-31.5, abs=1e-12)
@@ -129,7 +131,7 @@ def test_backward_coefficients_vanish_on_dependents():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         g, specs = random_graph(rng)
-        state = run_backward(g, g.output, node_intervals(g, specs))
+        state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
         reachable = _reachable_to(g, g.output)
         for i in _dependent_ids(g):
             coeff = state.lower_coeff.get(i)
@@ -343,16 +345,40 @@ def test_strategies_handle_forward_id_references():
         assert_sound(g, specs, {2: box}, rng, n=500)
 
 
-def test_missing_intermediate_raises():
-    from lirpa import DomainError
+# one graph per relaxed op kind: node -2 holds that op as parsed, and an affine output reads it
+_READ = Affine(np.ones((1, 2)), [0.0])
+UNRELAXED = {
+    "relu": (Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2), Node(2, _READ, (1,), 1)),
+    "exp": (Node(0, Input(), (), 2), Node(1, Exp(), (0,), 2), Node(2, _READ, (1,), 1)),
+    "log": (Node(0, Input(), (), 2), Node(1, Log(), (0,), 2), Node(2, _READ, (1,), 1)),
+    "mul": (Node(0, Input(), (), 2), Node(1, MulElementwise(), (0, 0), 2), Node(2, _READ, (1,), 1)),
+    "matvec": (
+        Node(0, Input(), (), 6),
+        Node(1, Input(), (), 3),
+        Node(2, MatVec([0.0, 0.0]), (0, 1), 2),
+        Node(3, _READ, (2,), 1),
+    ),
+}
 
-    g, specs = demo_net()
-    with pytest.raises(DomainError, match="missing intermediate"):
-        run_backward(g, g.output, {})
+
+@pytest.mark.parametrize("kind", sorted(UNRELAXED))
+def test_an_unrelaxed_op_fails_closed_in_every_rule(kind):
+    # no rule reads a relaxed op as parsed: it must be relaxed on its input intervals first
+    g = Graph(UNRELAXED[kind], len(UNRELAXED[kind]) - 1)
+    relaxed = g.output - 1
+    op = g.nodes[relaxed].op
+    assert op.kind == kind and op.relaxed
+    for o in (relaxed, g.output):  # as the pass's target, and reached through the affine output
+        with pytest.raises(GraphError, match="must be relaxed"):
+            run_backward(g, o)
+    with pytest.raises(GraphError, match="must be relaxed"):
+        backward_oracle(op, np.eye(2), np.eye(2), g.nodes[g.nodes[relaxed].inputs[0]].dim)
+    with pytest.raises(GraphError, match="must be relaxed"):
+        forward_oracle(op, [])
 
 
-def _reference_backward_steps(g, o, intermediate):
-    """Step-by-step replica of the BFS built from the public oracle.
+def _reference_backward_steps(g, o):
+    """Step-by-step replica of the BFS over a ``lines_graph``, built from the public oracle.
 
     Yields (lower_coeff, upper_coeff, d_lo, d_up) snapshots after each pop so
     the running sandwich can be checked, then the final state.
@@ -371,20 +397,17 @@ def _reference_backward_steps(g, o, intermediate):
     while queue:
         i = queue.popleft()
         node = g.nodes[i]
-        if node.op.arity == 0:
+        if isinstance(node.op, Input):
             continue
-        intervals = None
-        if any(node.op.kind == k for k in ("relu", "exp", "log", "mul")):
-            intervals = [intermediate[j] for j in node.inputs]
         lams, step_lo, step_up = backward_oracle(
-            node.op, lower[i], upper[i], intervals, in_dim=g.nodes[node.inputs[0]].dim
+            node.op, lower[i], upper[i], in_dim=g.nodes[node.inputs[0]].dim
         )
         ready = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             lower[j] = lower.get(j, 0.0) + lam_lo
             upper[j] = upper.get(j, 0.0) + lam_up
             degree[j] -= 1
-            if degree[j] == 0 and g.nodes[j].op.arity > 0:
+            if degree[j] == 0 and not isinstance(g.nodes[j].op, Input):
                 ready.append(j)
         d_lo = d_lo + step_lo
         d_up = d_up + step_up
@@ -409,7 +432,7 @@ def test_backward_sandwich_holds_at_every_step():
         node_values = evaluate(g, values)
         target = node_values[g.output]
         for lower, upper, d_lo, d_up in _reference_backward_steps(
-            g, g.output, intermediate
+            lines_graph(g, g.output, intermediate), g.output
         ):
             lhs = d_lo[:, None] + sum(
                 a @ node_values[i] for i, a in lower.items() if np.any(a)
@@ -427,10 +450,11 @@ def test_run_backward_matches_stepwise_reference():
         g, specs = random_graph(rng, max_nodes=10, max_dim=3)
         intermediate = node_intervals(g, specs)
         final = None
-        for final in _reference_backward_steps(g, g.output, intermediate):
+        lines = lines_graph(g, g.output, intermediate)
+        for final in _reference_backward_steps(lines, g.output):
             pass
         lower, upper, d_lo, d_up = final
-        state = run_backward(g, g.output, intermediate)
+        state = run_backward(lines, g.output)
         assert np.array_equal(state.lower_bias, d_lo)
         assert np.array_equal(state.upper_bias, d_up)
         for i in g.input_ids:
@@ -545,10 +569,25 @@ def test_identity_seed_on_affine_target_equals_explicit_identity():
 
 def test_run_backward_hands_out_read_only_weights():
     g = Graph((Node(0, Input(), (), 2), Node(1, Affine([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5]), (0,), 2)), 1)
-    state = run_backward(g, 1, {})
+    state = run_backward(g, 1)
     with pytest.raises(ValueError):
         state.lower_coeff[0][0, 0] = 5.0
     assert g.nodes[1].op.weight[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("target", [-1, len(demo_net()[0].nodes), True])
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_an_invalid_target_fails_closed(strategy, target):
+    # not a node id: a negative one would index from the end, and True would bound node 1
+    g, specs = demo_net()
+    message = re.escape(f"node id {target!r} is not an integer in [0, {len(g.nodes)})")
+    with pytest.raises(GraphError, match=message):
+        compute_bounds(g, specs, strategy, target)
+    for entry in ("bound", "interval", "forward"):
+        with pytest.raises(GraphError, match=message):
+            getattr(BoundQuery(g, specs, strategy), entry)(target)
+    # a numpy integer is one
+    assert _same_bits(compute_bounds(g, specs, strategy, np.int64(3))[1], compute_bounds(g, specs, strategy, 3)[1])
 
 
 @pytest.mark.parametrize("strategy", list(BoundStrategy))

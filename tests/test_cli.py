@@ -360,6 +360,16 @@ def test_flatness_subcommand(capsys, tmp_path):
     assert report["flatness"] >= -1e-9
 
 
+@pytest.mark.parametrize("eps_bar", ["nan", "inf", "-0.5"])
+def test_flatness_rejects_a_non_finite_or_negative_eps_bar(capsys, tmp_path, eps_bar):
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(_classifier_doc(1.0, 0.0)))
+    assert main(["flatness", str(path), "--eps-bar", eps_bar, "--label", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: weight perturbation scale must be finite and nonnegative")
+    assert captured.out == ""
+
+
 def test_flatness_data_file(capsys, tmp_path):
     path = tmp_path / "clf.json"
     path.write_text(json.dumps(_classifier_doc(1.0, 0.0)))

@@ -2,8 +2,9 @@
 
 A dead neuron's relaxation lines are all zero, so a query's passes drop its
 column from the coefficients and each affine step multiplies only its
-weight's live rows and columns. The dense reference below is the raw
-``run_backward`` over the original ops and the query's own cached
+weight's live rows and columns. The dense reference below is
+``run_backward`` over ``helpers.lines_graph``: the original affine ops and
+every relaxed node's full lines, relaxed on the query's own cached
 intervals, concretized block by block.
 """
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_sound, random_classifier, random_graph
+from helpers import assert_sound, lines_graph, random_classifier, random_graph
 from lirpa import (
     Add,
     Affine,
@@ -41,7 +42,7 @@ MODES = list(ReluLowerMode)
 
 def _dense_box(query, o, out_coeff=None):
     """The interval of the dense pass from o over the query's cached intervals."""
-    state = run_backward(query.g, o, query.intervals, out_coeff, query.relu_mode)
+    state = run_backward(lines_graph(query.g, o, query.intervals, query.relu_mode), o, out_coeff)
     lb, ub, blocks = state.lower_bias, state.upper_bias, []
     for i in sorted(state.lower_coeff):
         spec = query.specs[i]
