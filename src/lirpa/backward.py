@@ -163,8 +163,9 @@ class BoundQuery:
     query share its intervals, and no bound reads a node after its target.
 
     A cached interval is fixed, so are the lines op of each relaxed node that
-    the forward sweep and the passes read, its live neurons and the sliced
-    weights they decide: each is computed once per query.
+    the forward sweep and the passes read, its live neurons (identity lines
+    first) and the sliced weights they decide: each is computed once per
+    query. Each entry checks that its target is a node id before any cache.
     """
 
     g: Graph
@@ -225,8 +226,7 @@ class BoundQuery:
 
     def interval(self, j: int) -> IntervalBounds:
         """Node j's supplier interval; a backward supplier first fills the intervals its pass reads."""
-        if j not in self.intervals:
-            self._id(j)
+        if self._id(j) not in self.intervals:
             self._fill((self._operands(j) if self.strategy is BoundStrategy.BACKWARD else []) + [j])
         return self.intervals[j]
 
@@ -243,8 +243,8 @@ class BoundQuery:
 
     def forward(self, j: int) -> LinearBounds:
         """Node j's forward bounds, filling those of its missing ancestors first."""
-        if j not in self._forward:
-            for i in self._missing([self._id(j)], self._forward):
+        if self._id(j) not in self._forward:
+            for i in self._missing([j], self._forward):
                 node = self.g.nodes[i]
                 if isinstance(node.op, Input):
                     spec, w = self.specs[i], np.zeros((node.dim, self.layout.dim))
@@ -272,22 +272,22 @@ class BoundQuery:
         node, keeps = self.g.nodes[i], self._keeps
         if not (node.op.relaxed or isinstance(node.op, Affine)):
             return node
-        # the live rows of i's coefficient and columns of its input's (None: all)
+        # the live rows of i's coefficient and columns of its input's, identity lines first (None: all)
         rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
         key = (i, rows is None)
         if key not in self._pass_nodes:
             j, op = node.inputs[0], node.op
             cols = self._relaxed(keeps[j]).live if j in keeps else None
             if isinstance(op, Affine) and (rows is not None or cols is not None):
-                w, b = (op.weight, op.bias) if rows is None else (op.weight[rows], op.bias[rows])
-                op = Affine(w if cols is None else w.take(cols, axis=1), b)
+                w, b = (op.weight, op.bias) if rows is None else (op.weight[rows[0]], op.bias[rows[0]])
+                op = Affine(w if cols is None else w.take(cols[0], axis=1), b)
             elif op.relaxed:
                 op = self._relaxed(i)
                 live = op.live if rows is not None or cols is not None else None
                 if live is not None:  # a side pruned: only a unary node has one
-                    slopes = tuple((lo[live], up[live]) for lo, up in op.slopes)
+                    (live, n), ((lo, up),) = live, op.slopes
                     take, put = (live if rows is None else None), (live if cols is None else None)
-                    op = _Lines(slopes, op.lower_const[live], op.upper_const[live], take, put)
+                    op = _Lines(((lo[live], up[live]),), op.lower_const[live], op.upper_const[live], take, put, n)
             self._pass_nodes[key] = node if op is node.op else Node(i, op, node.inputs, node.dim)
         return self._pass_nodes[key]
 
@@ -321,7 +321,7 @@ class BoundQuery:
 
     def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
         """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""
-        self._fill(self._operands(target))
+        self._fill(self._operands(self._id(target)))
         return _fail_closed(self._concretize(*self._pass(target, out_coeff)), what)
 
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:

@@ -20,6 +20,7 @@ if TYPE_CHECKING:  # the ops (through graph) and the specs build these container
     from .perturb import PerturbationSpec
 
 __all__ = ["IntervalBounds", "LinearBounds", "InputLayout"]
+_F64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -48,14 +49,13 @@ class LinearBounds:
     upper_b: np.ndarray
 
     def __post_init__(self):
-        for name in ("lower_w", "lower_b", "upper_w", "upper_b"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        for name, a in self.__dict__.items():  # the rules' own results are float64 arrays already
+            if type(a) is not np.ndarray or a.dtype is not _F64:
+                object.__setattr__(self, name, np.asarray(a, dtype=np.float64))
         if self.lower_w.shape != self.upper_w.shape or self.lower_b.shape != self.upper_b.shape:
             raise ValueError("lower/upper coefficient shapes differ")
         if self.lower_w.shape[0] != self.lower_b.shape[0]:
-            raise ValueError(
-                f"coefficient rows {self.lower_w.shape[0]} != bias length {self.lower_b.shape[0]}"
-            )
+            raise ValueError(f"coefficient rows {self.lower_w.shape[0]} != bias length {self.lower_b.shape[0]}")
 
     @property
     def input_dim(self) -> int:

@@ -202,7 +202,9 @@ class _Lines(OpKind):
 
     ``slopes`` holds one (lower, upper) slope pair per input. In a backward
     pass on live neurons, ``take`` slices a full-width coefficient to those
-    columns and ``put`` scatters the outgoing one back.
+    columns and ``put`` scatters the outgoing one back. There the first ``n``
+    neurons have identity lines (slopes 1, constants 0): ``backward`` copies
+    their columns of the coefficient and computes only the bending ones.
     """
 
     slopes: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -210,14 +212,19 @@ class _Lines(OpKind):
     upper_const: np.ndarray
     take: np.ndarray | None = None
     put: np.ndarray | None = None
+    n: int = 0
 
     kind = "lines"
+    identity_lines = _frozen(np.array([[1.0], [1.0], [0.0], [0.0]]))  # lower, upper slope; lower, upper constant
 
     @cached_property
-    def live(self) -> np.ndarray | None:
-        """The neurons whose lines are not all zero (None: all)."""
-        live = np.logical_or.reduce([*sum(self.slopes, ()), self.lower_const, self.upper_const]).nonzero()[0]
-        return None if len(live) == len(self.lower_const) else live
+    def live(self) -> tuple[np.ndarray, int] | None:
+        """A unary op's neurons whose lines are not all zero, identity lines first, and how many lead (None: all)."""
+        ((sl, su),) = self.slopes
+        lines = np.array([sl, su, self.lower_const, self.upper_const])
+        live, identity = np.logical_or.reduce(lines), np.logical_and.reduce(lines == self.identity_lines)
+        first, rest = identity.nonzero()[0], (live > identity).nonzero()[0]
+        return None if len(first) + len(rest) == len(live) else (np.concatenate([first, rest]), len(first))
 
     def forward(self, bounds):
         # the constants join the last input's share
@@ -226,14 +233,25 @@ class _Lines(OpKind):
         return LinearBounds(*(sum(parts[1:], parts[0]) for parts in zip(*shares)))
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
+        shared, n, lc, uc = upper_coeff is lower_coeff, self.n, self.lower_const, self.upper_const
         if self.take is not None:  # take, not [:, cols], which returns a column-major array
-            shared, lower_coeff = upper_coeff is lower_coeff, lower_coeff.take(self.take, axis=1)
+            lower_coeff = lower_coeff.take(self.take, axis=1)
             upper_coeff = lower_coeff if shared else upper_coeff.take(self.take, axis=1)
+        if n:  # the leading identity lines pass their columns through: copy them, compute only the rest
+            out = np.array([lower_coeff, upper_coeff])  # one new block; its bending columns are overwritten
+            lower_coeff, upper_coeff, lc, uc = lower_coeff[:, n:], upper_coeff[:, n:], lc[n:], uc[n:]
         lo_pos, lo_neg = _posneg(lower_coeff)
-        up_pos, up_neg = (lo_pos, lo_neg) if upper_coeff is lower_coeff else _posneg(upper_coeff)
-        lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in self.slopes]
-        d_lo = lo_pos @ self.lower_const + lo_neg @ self.upper_const
-        d_up = up_pos @ self.upper_const + up_neg @ self.lower_const
+        up_pos, up_neg = (lo_pos, lo_neg) if shared else _posneg(upper_coeff)
+        if n:
+            sl, su = self.slopes[0][0][n:], self.slopes[0][1][n:]
+            np.add(lo_pos * sl, lo_neg * su, out=out[0, :, n:])
+            np.add(up_pos * su, up_neg * sl, out=out[1, :, n:])
+            lams = [tuple(out)]
+        else:
+            lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in self.slopes]
+        skip = n and not np.count_nonzero(lc)  # a ReLU's lower lines pass through the origin
+        d_lo = lo_neg @ uc if skip else lo_pos @ lc + lo_neg @ uc
+        d_up = up_pos @ uc if skip else up_pos @ uc + up_neg @ lc
         if self.put is not None:
             full = np.zeros((2, len(d_lo), in_dim))
             full[:, :, self.put] = lams[0]

@@ -583,9 +583,15 @@ def test_an_invalid_target_fails_closed(strategy, target):
     message = re.escape(f"node id {target!r} is not an integer in [0, {len(g.nodes)})")
     with pytest.raises(GraphError, match=message):
         compute_bounds(g, specs, strategy, target)
-    for entry in ("bound", "interval", "forward"):
-        with pytest.raises(GraphError, match=message):
-            getattr(BoundQuery(g, specs, strategy), entry)(target)
+    # on a fresh query and on one that has cached node 1, which True would hit
+    cached = BoundQuery(g, specs, strategy)
+    cached.bound(g.output)
+    cached.forward(g.output)
+    assert 1 in cached.intervals and 1 in cached._forward
+    for entry, args in (("bound", ()), ("interval", ()), ("forward", ()), ("box", (None, "x"))):
+        for query in (BoundQuery(g, specs, strategy), cached):
+            with pytest.raises(GraphError, match=message):
+                getattr(query, entry)(target, *args)
     # a numpy integer is one
     assert _same_bits(compute_bounds(g, specs, strategy, np.int64(3))[1], compute_bounds(g, specs, strategy, 3)[1])
 

@@ -180,3 +180,17 @@ def test_forward_synonym_input_end_to_end():
     specs = {0: spec}
     boxes = _concretize_all(g, specs, node_forward(g, specs))
     assert_sound(g, specs, boxes, rng, n=500)
+
+
+def test_linear_bounds_convert_only_what_is_not_a_float64_array():
+    w, b = np.eye(2), np.zeros(2)
+    kept = LinearBounds(w, b, w, b)
+    assert kept.lower_w is w and kept.upper_b is b
+    converted = LinearBounds([[1, 0], [0, 1]], np.zeros(2, dtype=np.float32), w.view(np.matrix), b)
+    for a in (converted.lower_w, converted.lower_b, converted.upper_w):
+        assert type(a) is np.ndarray and a.dtype == np.float64
+    assert np.array_equal(converted.lower_w, w) and np.array_equal(converted.upper_w, w)
+    with pytest.raises(ValueError, match="shapes differ"):
+        LinearBounds(w, b, np.eye(3), b)
+    with pytest.raises(ValueError, match="bias length"):
+        LinearBounds(w, np.zeros(3), w, np.zeros(3))

@@ -36,6 +36,7 @@ from lirpa import (
 )
 from lirpa.backward import BoundQuery
 from lirpa.concretize import concretize_blocks
+from lirpa.ops import _Lines
 
 MODES = list(ReluLowerMode)
 
@@ -61,15 +62,19 @@ def _assert_close(box, dense, what):
     assert np.max(np.abs(box.upper - dense.upper), initial=0.0) <= 1e-12 * scale, what
 
 
-def _mlp(rng, dims, dead_layer=None, eps=0.05, half_dead=False):
+def _mlp(rng, dims, dead_layer=None, eps=0.05, half_dead=False, mixed=False):
     """A ReLU MLP on one linf ball; ``dead_layer``'s biases are pushed down until all its neurons die,
-    ``half_dead`` pushes every hidden layer's even neurons down and the odd ones up, so those stay active."""
+    ``half_dead`` pushes every hidden layer's even neurons down and the odd ones up, so those stay active,
+    ``mixed`` sets every hidden layer's biases to -2, 2 and 0 in turn: with eps 1, some neurons of each
+    layer die, some stay active and some are unstable."""
     nodes = [Node(0, Input(), (), dims[0])]
     for k, (t, s) in enumerate(zip(dims, dims[1:])):
         w = rng.uniform(-1, 1, (s, t)) / math.sqrt(t) * (0.1 if half_dead else 1.0)
         b = rng.uniform(-0.5, 0.5, s) - (50.0 if k == dead_layer else 0.0)
         if half_dead and k < len(dims) - 2:
             b = np.where(np.arange(s) % 2 == 0, -20.0, 20.0)
+        if mixed and k < len(dims) - 2:
+            b = np.array([-2.0, 2.0, 0.0])[np.arange(s) % 3]
         nodes.append(Node(len(nodes), Affine(w, b), (len(nodes) - 1,), s))
         if k < len(dims) - 2:
             nodes.append(Node(len(nodes), ReLU(), (len(nodes) - 1,), s))
@@ -81,6 +86,7 @@ def _corpus():
     problems = [random_graph(rng) for _ in range(50)]
     problems += [random_classifier(rng, int(rng.integers(2, 6))) for _ in range(10)]
     problems += [_mlp(rng, [3, 6, 6, 6, 4], dead_layer=k) for k in (None, 0, 1, 2)]
+    problems += [_mlp(rng, [4, 9, 9, 9, 3], eps=1.0, mixed=True) for _ in range(2)]
     return problems
 
 
@@ -101,6 +107,71 @@ def test_pruned_bounds_equal_the_dense_pass(strategy, relu_mode):
         coeff = rng.uniform(-1, 1, (3, dim))
         _assert_close(query.box(g.output, coeff, "rows"), _dense_box(query, g.output, coeff), (n, "rows"))
         assert_sound(g, specs, {g.output: box}, rng, n=200)
+
+
+@pytest.mark.parametrize("relu_mode", MODES)
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_pruned_bounds_are_never_looser_than_the_dense_pass(strategy, relu_mode):
+    # the identity columns and the dead ones only leave sums of exact zeros out: the rounding order moves
+    for n, (g, specs) in enumerate(_corpus()):
+        query = BoundQuery(g, specs, strategy, relu_mode)
+        box, dense = query.box(g.output, None, "output"), _dense_box(query, g.output)
+        slack = 1e-14 * np.maximum(1.0, np.maximum(np.abs(dense.lower), np.abs(dense.upper)))
+        assert np.all(box.lower >= dense.lower - slack) and np.all(box.upper <= dense.upper + slack), n
+
+
+def _identity(op) -> np.ndarray:
+    """Which neurons of a one-input lines op have identity lines: slopes 1 and constants 0."""
+    (sl, su), = op.slopes
+    return (sl == 1.0) & (su == 1.0) & (op.lower_const == 0.0) & (op.upper_const == 0.0)
+
+
+def test_a_pruned_lines_op_passes_its_leading_identity_columns_through():
+    g, specs = _mlp(np.random.default_rng(70), [4, 9, 9, 9, 3], eps=1.0, mixed=True)
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD)
+    query.bound(g.output)
+    rng = np.random.default_rng(71)
+    for r in (2, 4, 6):
+        full, op = query._relaxed(r), query._pass_node(r, False).op
+        live, n = full.live
+        # the same live neurons as the dense lines show, identity lines first
+        assert set(live.tolist()) == set(np.logical_or.reduce([*full.slopes[0], full.lower_const, full.upper_const]).nonzero()[0])
+        identity = _identity(op)
+        assert op.n == n and 0 < n < len(live) < g.nodes[r].dim
+        assert identity[:n].all() and not identity[n:].any()
+        # the same lines with no identity block: every column goes through the bending rule
+        dense = _Lines(op.slopes, op.lower_const, op.upper_const)
+        c = rng.uniform(-1, 1, (5, len(live)))
+        for lower, upper in ((c, c), (c, rng.uniform(-1, 1, c.shape))):
+            [(lam_lo, lam_up)], d_lo, d_up = op.backward(lower, upper, None)
+            [(ref_lo, ref_up)], ref_d_lo, ref_d_up = dense.backward(lower, upper, None)
+            assert lam_lo[:, :n].tobytes() == lower[:, :n].tobytes() and lam_up[:, :n].tobytes() == upper[:, :n].tobytes()
+            assert lam_lo.tobytes() == ref_lo.tobytes() and lam_up.tobytes() == ref_up.tobytes()
+            assert not any(np.shares_memory(lam, x) for lam in (lam_lo, lam_up) for x in (lower, upper))
+            assert np.allclose(d_lo, ref_d_lo, rtol=1e-14, atol=0) and np.allclose(d_up, ref_d_up, rtol=1e-14, atol=0)
+
+
+def test_only_bending_columns_reach_the_lines_step(monkeypatch):
+    from lirpa import ops
+
+    g, specs = _mlp(np.random.default_rng(70), [4, 9, 9, 9, 3], eps=1.0, mixed=True)
+    seen, steps = [], []
+    backward, posneg = _Lines.backward, ops._posneg
+
+    def spy_backward(op, *args):
+        steps.append(op)
+        return backward(op, *args)
+
+    monkeypatch.setattr(_Lines, "backward", spy_backward)
+    monkeypatch.setattr(ops, "_posneg", lambda a: seen.append((steps[-1], a.shape[1])) or posneg(a))
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD)
+    query.box(g.output, margin_transform(0, 3), "margin")
+    # the passes from nodes 3 and 5 cross 1 and 2 ReLU nodes, the final one all 3; each step splits its
+    # coefficient into positive and negative parts once per side
+    assert len(steps) == 1 + 2 + 3 and {id(op) for op, _ in seen} == {id(op) for op in steps}
+    for op, width in seen:
+        bending = int(np.count_nonzero(~_identity(op)))
+        assert 0 < width == bending < len(op.lower_const)
 
 
 def test_a_layer_with_every_neuron_dead_leaves_zero_width_coefficients(monkeypatch):
@@ -138,7 +209,7 @@ def test_a_dead_affine_that_also_feeds_an_add_keeps_its_rows():
     for strategy in BoundStrategy:
         query = BoundQuery(g, specs, strategy)
         box = query.box(4, None, "output")
-        assert query._relaxed(2).live.tolist() == [2]
+        assert set(query._relaxed(2).live[0].tolist()) == {2}
         assert query._pass_node(1, False).op.weight.shape == (3, 2)
         _assert_close(box, _dense_box(query, 4), strategy)
         assert_sound(g, specs, {4: box}, np.random.default_rng(64), n=500)
@@ -149,7 +220,7 @@ def test_a_cached_affine_target_keeps_all_its_rows():
     g, specs = _mlp(np.random.default_rng(65), [3, 6, 6, 2], half_dead=True)
     query = BoundQuery(g, specs, BoundStrategy.IBP_BACKWARD)
     query.bound(g.output)
-    assert 3 in query.intervals and query._relaxed(4).live.tolist() == [1, 3, 5]
+    assert 3 in query.intervals and set(query._relaxed(4).live[0].tolist()) == {1, 3, 5}
     for target in (1, 3):
         native, box = query.bound(target)
         assert native.lower_w.shape == (6, 3)
