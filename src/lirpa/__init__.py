@@ -11,13 +11,11 @@ graph from one shared cache.
 from .backward import (
     BackwardState,
     BoundStrategy,
-    backward_oracle,
     compute_bounds,
     run_backward,
 )
 from .concretize import concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import forward_oracle
 from .fusion import (
     FusedLossReport,
     MarginSpec,
@@ -38,7 +36,6 @@ from .graph import (
     serialize_problem,
     topological_order,
 )
-from .interval import interval_oracle
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import (
     Add,
@@ -97,7 +94,6 @@ __all__ = [
     "SumReduce",
     "Synonym",
     "UnaryRelaxation",
-    "backward_oracle",
     "bound_loss_fused",
     "bound_loss_unfused",
     "build_fused_loss_graph",
@@ -106,10 +102,8 @@ __all__ = [
     "evaluate",
     "exp_relaxation",
     "flatness_score",
-    "forward_oracle",
     "fused_loss_report",
     "get_out_degree",
-    "interval_oracle",
     "log_relaxation",
     "margin_transform",
     "mul_relaxation",

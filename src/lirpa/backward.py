@@ -5,9 +5,13 @@ A BFS from the output node pushes coefficient matrices through each op's
 Out-degree bookkeeping guarantees each dependent node is stepped through
 once, with its full accumulated coefficient. Every entry point runs one
 ``BoundQuery``, whose lazily filled caches all its targets share; its
-``interval(i)`` and ``forward(i)`` are the only all-node sweeps. Its passes
-leave out dead neurons, whose relaxation lines are all zero: each affine
-step multiplies only its weight's live rows and columns.
+``interval(i)`` and ``forward(i)`` are the only all-node sweeps. IBP takes
+an input's box from its spec and any other node's from its op's
+``interval`` rule; the forward sweep bounds each node by two affine
+functions of the perturbed input coordinates through its op's ``forward``
+rule, a nonlinear op's once relaxed. Its passes leave out dead neurons,
+whose relaxation lines are all zero: each affine step multiplies only its
+weight's live rows and columns.
 """
 from __future__ import annotations
 
@@ -20,18 +24,15 @@ import numpy as np
 
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
-from .forward import forward_oracle
-from .graph import Graph, Node, get_out_degree, topological_order
-from .interval import interval_oracle
+from .graph import Graph, Node, _node_id, get_out_degree, topological_order
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
-from .perturb import PerturbationSpec, _is_int
+from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
 
 __all__ = [
     "BoundStrategy",
     "BackwardState",
-    "backward_oracle",
     "run_backward",
     "compute_bounds",
 ]
@@ -65,20 +66,6 @@ class BackwardState:
     pop_order: tuple[int, ...]
 
 
-def backward_oracle(
-    op: OpKind, lower_coeff: np.ndarray, upper_coeff: np.ndarray, in_dim: int | None = None
-) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray, np.ndarray]:
-    """Push output coefficients of one node onto its inputs; a relaxed op must be relaxed first.
-
-    Returns one (lower, upper) coefficient pair per input, in input order,
-    plus the bias increments for both sides. ``in_dim`` is only consulted by
-    sum_reduce and a pruned lines op, whose input width the coefficients do not show.
-    """
-    if op.relaxed:
-        raise GraphError(f"op {op.kind!r} must be relaxed on its input intervals first")
-    return op.backward(lower_coeff, upper_coeff, in_dim)
-
-
 def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
     out_coeff = np.asarray(out_coeff, dtype=np.float64)
     if out_coeff.ndim != 2 or out_coeff.shape[1] != dim:
@@ -99,7 +86,7 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
     them, and an identity seed on an affine output starts from its weight
     and bias.
     """
-    dim = g.nodes[o].dim
+    dim = g.nodes[_node_id(g, o)].dim
     if out_coeff is not None:
         out_coeff = _checked_out_coeff(out_coeff, dim)
     elif not isinstance(g.nodes[o].op, Affine):
@@ -118,6 +105,8 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
+        if node.op.relaxed:
+            raise GraphError(f"op {node.op.kind!r} must be relaxed on its input intervals first")
         if lower[i] is None:
             # an identity seed on an affine output: I @ W is W, entry for entry
             w, b = node.op.weight, node.op.bias
@@ -126,7 +115,7 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
             # a factored coefficient is expanded where it meets a rule
             in_dim = g.nodes[node.inputs[0]].dim
             lo, up = np.asarray(lower[i]), np.asarray(upper[i])
-            lams, d_lo, d_up = backward_oracle(node.op, lo, up, in_dim)
+            lams, d_lo, d_up = node.op.backward(lo, up, in_dim)
         ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
@@ -195,12 +184,6 @@ class BoundQuery:
             elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(us[0].op, UnaryRelaxed):
                 self._keeps[node.id] = us[0].id
 
-    def _id(self, i) -> int:
-        """i if it is a node id of the graph (an int or numpy integer in range, not a bool); else GraphError."""
-        if not (_is_int(i) and 0 <= i < len(self.g.nodes)):
-            raise GraphError(f"node id {i!r} is not an integer in [0, {len(self.g.nodes)})")
-        return i
-
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
         missing = {i for i in nodes if i not in cache}
@@ -226,7 +209,7 @@ class BoundQuery:
 
     def interval(self, j: int) -> IntervalBounds:
         """Node j's supplier interval; a backward supplier first fills the intervals its pass reads."""
-        if self._id(j) not in self.intervals:
+        if _node_id(self.g, j) not in self.intervals:
             self._fill((self._operands(j) if self.strategy is BoundStrategy.BACKWARD else []) + [j])
         return self.intervals[j]
 
@@ -239,11 +222,11 @@ class BoundQuery:
             return self.specs[i].box()
         if self.strategy is BoundStrategy.BACKWARD:
             return self._concretize(*self._pass(i, None))
-        return interval_oracle(node.op, [self.intervals[k] for k in node.inputs])
+        return node.op.interval([self.intervals[k] for k in node.inputs])
 
     def forward(self, j: int) -> LinearBounds:
         """Node j's forward bounds, filling those of its missing ancestors first."""
-        if self._id(j) not in self._forward:
+        if _node_id(self.g, j) not in self._forward:
             for i in self._missing([j], self._forward):
                 node = self.g.nodes[i]
                 if isinstance(node.op, Input):
@@ -254,7 +237,7 @@ class BoundQuery:
                     self._forward[i] = LinearBounds(w, b, w.copy(), b.copy())
                 else:
                     op = self._relaxed(i) if node.op.relaxed else node.op
-                    self._forward[i] = forward_oracle(op, [self._forward[k] for k in node.inputs])
+                    self._forward[i] = op.forward([self._forward[k] for k in node.inputs])
         return self._forward[j]
 
     def _relaxed(self, r: int) -> OpKind:
@@ -321,18 +304,18 @@ class BoundQuery:
 
     def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
         """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""
-        self._fill(self._operands(self._id(target)))
+        self._fill(self._operands(_node_id(self.g, target)))
         return _fail_closed(self._concretize(*self._pass(target, out_coeff)), what)
 
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
         """``compute_bounds``' native bound and interval of ``target``; GraphError unless it is a node id."""
-        ibp, target = self.strategy is BoundStrategy.IBP, self._id(target)
+        ibp, target = self.strategy is BoundStrategy.IBP, _node_id(self.g, target)
         if ibp or self.strategy is BoundStrategy.FORWARD:
             native = self.interval(target) if ibp else self.forward(target)
             if out_coeff is not None:
                 coeff = _checked_out_coeff(out_coeff, self.g.nodes[target].dim)
-                oracle = interval_oracle if ibp else forward_oracle
-                native = oracle(Affine(coeff, np.zeros(len(coeff))), [native])
+                op = Affine(coeff, np.zeros(len(coeff)))
+                native = op.interval([native]) if ibp else op.forward([native])
             box = native if ibp else concretize_bounds(native, self.layout, self.specs)
         else:  # concretized from the pass's blocks, as ``box`` does
             self._fill(self._operands(target))

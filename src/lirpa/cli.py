@@ -217,14 +217,9 @@ def cmd_flatness(args) -> int:
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser, default_method="ibp+backward") -> None:
+def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("graph", help="path to a graph JSON document")
-    sub.add_argument(
-        "--method",
-        choices=sorted(_METHODS),
-        default=default_method,
-        help="bound strategy",
-    )
+    sub.add_argument("--method", choices=sorted(_METHODS), default="ibp+backward", help="bound strategy")
     sub.add_argument("--eps", type=float, default=None, help="override every lp ball radius")
     sub.add_argument(
         "--p",

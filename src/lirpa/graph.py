@@ -151,14 +151,20 @@ def evaluate(g: Graph, values: Mapping[int, np.ndarray]) -> dict[int, np.ndarray
     return out
 
 
+def _node_id(g: Graph, i) -> int:
+    """i if it is a node id of g (an int or numpy integer in range, not a bool); else GraphError."""
+    if not (_is_int(i) and 0 <= i < len(g.nodes)):
+        raise GraphError(f"node id {i!r} is not an integer in [0, {len(g.nodes)})")
+    return i
+
+
 def get_out_degree(g: Graph, o: int) -> dict[int, int]:
     """For each node i, the number of successor edges of i on paths to o.
 
     Nodes that o does not depend on get degree 0. Computed by a BFS from o
     that counts each (input, consumer) edge once per occurrence.
     """
-    if not 0 <= o < len(g.nodes):
-        raise GraphError(f"node id {o} out of range")
+    _node_id(g, o)
     degree = {i: 0 for i in range(len(g.nodes))}
     seen = {o}
     queue: deque[int] = deque([o])

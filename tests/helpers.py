@@ -32,7 +32,6 @@ from lirpa import (
     UnaryRelaxation,
     evaluate,
     get_out_degree,
-    interval_oracle,
     margin_transform,
     topological_order,
 )
@@ -209,7 +208,7 @@ def random_graph(rng, max_nodes=12, max_dim=5, cap=1e4):
             k2 = j if (len(peers) == 1 or rng.random() < 0.1) else int(rng.choice(peers))
             op_cls = {"add": Add, "sub": Sub, "mul": MulElementwise}[kind]
             op, inputs, dim = op_cls(), (j, k2), dim_j
-        box = interval_oracle(op, [boxes[jj] for jj in inputs])
+        box = op.interval([boxes[jj] for jj in inputs])
         if not np.all(np.isfinite(box.lower)) or _interval_magnitude(box) > cap:
             continue
         add(op, inputs, dim, box, any(depends[jj] for jj in inputs))

@@ -23,10 +23,9 @@ from lirpa import (
     ReLU,
     ReluLowerMode,
     Synonym,
-    backward_oracle,
     compute_bounds,
     concretize_bounds,
-    forward_oracle,
+    get_out_degree,
     run_backward,
     topological_order,
 )
@@ -80,34 +79,34 @@ def test_backward_affine_chain_is_exact():
     assert lb.lower_w == pytest.approx(w2 @ w1, abs=1e-12)
 
 
-def test_backward_oracle_affine_step():
+def test_affine_backward_step():
     op = Affine(np.array([[-2.0, 1.0]]), np.zeros(1))
-    lams, d_lo, d_up = backward_oracle(op, np.eye(1), np.eye(1))
+    lams, d_lo, d_up = op.backward(np.eye(1), np.eye(1), None)
     assert lams[0][0] == pytest.approx(np.array([[-2.0, 1.0]]), abs=0.0)
     assert lams[0][1] == pytest.approx(np.array([[-2.0, 1.0]]), abs=0.0)
     assert d_lo == pytest.approx([0.0]) and d_up == pytest.approx([0.0])
 
 
-def test_backward_oracle_stable_active_relu_is_identity():
+def test_stable_active_relu_lines_step_is_identity():
     a = np.array([[0.5, -1.5]])
     box = IntervalBounds([1.0, 2.0], [3.0, 4.0])
-    lams, d_lo, d_up = backward_oracle(ReLU().relax([box], ReluLowerMode.ADAPTIVE), a, a)
+    lams, d_lo, d_up = ReLU().relax([box], ReluLowerMode.ADAPTIVE).backward(a, a, None)
     assert np.array_equal(lams[0][0], a)
     assert np.array_equal(lams[0][1], a)
     assert np.all(d_lo == 0.0) and np.all(d_up == 0.0)
 
 
-def test_backward_oracle_demo_second_relu_then_affine():
+def test_demo_second_relu_then_affine_backward_steps():
     # composite step of the demo net: relu over [-36,28]x[0,170/7], then W2
     a = np.array([[-2.0, 1.0]])
     box = IntervalBounds([-36.0, 0.0], [28.0, 170.0 / 7.0])
-    lams, d_lo, d_up = backward_oracle(ReLU().relax([box], ReluLowerMode.ZERO), a, a)
+    lams, d_lo, d_up = ReLU().relax([box], ReluLowerMode.ZERO).backward(a, a, None)
     assert lams[0][0] == pytest.approx(np.array([[-0.875, 1.0]]), abs=1e-12)
     assert lams[0][1] == pytest.approx(np.array([[0.0, 1.0]]), abs=1e-12)
     assert d_lo[0] == pytest.approx(-31.5, abs=1e-12)
     assert d_up[0] == pytest.approx(0.0, abs=0.0)
     w2 = Affine(np.array([[4.0, -2.0], [2.0, 1.0]]), np.zeros(2))
-    lams2, _, _ = backward_oracle(w2, lams[0][0], lams[0][1])
+    lams2, _, _ = w2.backward(lams[0][0], lams[0][1], None)
     assert lams2[0][0] == pytest.approx(np.array([[-1.5, 2.75]]), abs=1e-12)
     assert lams2[0][1] == pytest.approx(np.array([[2.0, 1.0]]), abs=1e-12)
 
@@ -371,14 +370,12 @@ def test_an_unrelaxed_op_fails_closed_in_every_rule(kind):
     for o in (relaxed, g.output):  # as the pass's target, and reached through the affine output
         with pytest.raises(GraphError, match="must be relaxed"):
             run_backward(g, o)
-    with pytest.raises(GraphError, match="must be relaxed"):
-        backward_oracle(op, np.eye(2), np.eye(2), g.nodes[g.nodes[relaxed].inputs[0]].dim)
-    with pytest.raises(GraphError, match="must be relaxed"):
-        forward_oracle(op, [])
+    # and it has no rule to step it by until it is relaxed
+    assert not hasattr(op, "forward") and not hasattr(op, "backward")
 
 
 def _reference_backward_steps(g, o):
-    """Step-by-step replica of the BFS over a ``lines_graph``, built from the public oracle.
+    """Step-by-step replica of the BFS over a ``lines_graph``, built from each op's ``backward`` rule.
 
     Yields (lower_coeff, upper_coeff, d_lo, d_up) snapshots after each pop so
     the running sandwich can be checked, then the final state.
@@ -390,8 +387,6 @@ def _reference_backward_steps(g, o):
     upper = {o: np.eye(dim)}
     d_lo = np.zeros(dim)
     d_up = np.zeros(dim)
-    from lirpa import get_out_degree
-
     degree = get_out_degree(g, o)
     queue = deque([o])
     while queue:
@@ -399,9 +394,7 @@ def _reference_backward_steps(g, o):
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
-        lams, step_lo, step_up = backward_oracle(
-            node.op, lower[i], upper[i], in_dim=g.nodes[node.inputs[0]].dim
-        )
+        lams, step_lo, step_up = node.op.backward(lower[i], upper[i], g.nodes[node.inputs[0]].dim)
         ready = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             lower[j] = lower.get(j, 0.0) + lam_lo
@@ -575,7 +568,7 @@ def test_run_backward_hands_out_read_only_weights():
     assert g.nodes[1].op.weight[0, 0] == 1.0
 
 
-@pytest.mark.parametrize("target", [-1, len(demo_net()[0].nodes), True])
+@pytest.mark.parametrize("target", [-1, len(demo_net()[0].nodes), True, 2.0])
 @pytest.mark.parametrize("strategy", list(BoundStrategy))
 def test_an_invalid_target_fails_closed(strategy, target):
     # not a node id: a negative one would index from the end, and True would bound node 1
@@ -583,6 +576,9 @@ def test_an_invalid_target_fails_closed(strategy, target):
     message = re.escape(f"node id {target!r} is not an integer in [0, {len(g.nodes)})")
     with pytest.raises(GraphError, match=message):
         compute_bounds(g, specs, strategy, target)
+    for walk in (run_backward, get_out_degree):  # the query's own walks check it too
+        with pytest.raises(GraphError, match=message):
+            walk(g, target)
     # on a fresh query and on one that has cached node 1, which True would hit
     cached = BoundQuery(g, specs, strategy)
     cached.bound(g.output)

@@ -21,7 +21,7 @@ from lirpa import (
     compute_bounds,
     concretize_bounds,
     evaluate,
-    forward_oracle,
+    run_backward,
     LinearBounds,
 )
 
@@ -72,18 +72,20 @@ def test_forward_affine_all_positive_weight_has_no_mixing():
         rng.uniform(-1, 1, (2, 2)), rng.uniform(-1, 1, 2),
         rng.uniform(1, 2, (2, 2)), rng.uniform(1, 2, 2),
     )
-    out = forward_oracle(Affine(w, np.zeros(3)), [child])
+    out = Affine(w, np.zeros(3)).forward([child])
     assert np.array_equal(out.lower_w, w @ child.lower_w)
     assert np.array_equal(out.upper_w, w @ child.upper_w)
 
 
-def test_forward_oracle_rejects_an_unrelaxed_op():
+def test_an_unrelaxed_op_has_no_forward_rule():
     # a query relaxes a nonlinear op on its operands' intervals before its forward rule runs
     child = LinearBounds(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+    assert not hasattr(ReLU(), "forward") and not hasattr(ReLU(), "backward")
+    g = Graph((Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2)), 1)
     with pytest.raises(GraphError, match="'relu' must be relaxed"):
-        forward_oracle(ReLU(), [child])
+        run_backward(g, 1)
     lines = ReLU().relax([IntervalBounds([-1.0, 1.0], [1.0, 2.0])], ReluLowerMode.ZERO)
-    assert forward_oracle(lines, [child]).upper_b.tolist() == [0.5, 0.0]
+    assert lines.forward([child]).upper_b.tolist() == [0.5, 0.0]
 
 
 def test_forward_mul_with_constant_operand_matches_affine_path():
