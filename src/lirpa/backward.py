@@ -165,6 +165,8 @@ class BoundQuery:
     def __post_init__(self):
         if not isinstance(self.strategy, BoundStrategy):
             raise GraphError(f"unknown bound strategy {self.strategy!r}")
+        if not isinstance(self.relu_mode, ReluLowerMode):
+            raise GraphError(f"unknown ReLU lower mode {self.relu_mode!r}")
         self.layout = InputLayout.from_specs(self.g, self.specs)
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}

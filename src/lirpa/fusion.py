@@ -49,6 +49,9 @@ class MarginSpec:
     num_classes: int
 
     def __post_init__(self):
+        # as ``perturb._is_int``: a bool is no label, a numpy integer is one
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in vars(self).values()):
+            raise GraphError(f"label {self.label!r} and class count {self.num_classes!r} must be integers")
         if not 0 <= self.label < self.num_classes:
             raise GraphError(
                 f"label {self.label} out of range for {self.num_classes} classes"
@@ -256,7 +259,7 @@ def flatness_score(
             if i not in values:
                 raise GraphError(f"batch entry missing value for input node {i}")
             specs[mapping[i]] = Constant(values[i])
-        margin = MarginSpec(int(label), num_classes)
+        margin = MarginSpec(label, num_classes)
         certified, _ = bound_loss_unfused(wg, specs, margin, strategy, relu_mode)
         logits = evaluate(g, values)[g.output]
         nominal = _loss_upper(logits - logits[margin.label])

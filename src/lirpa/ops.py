@@ -9,7 +9,8 @@ A dependent op defines:
 - ``backward(lower_coeff, upper_coeff, in_dim)``: one (lower, upper)
   coefficient pair per input, in input order, plus the bias increments of
   both sides. Both coefficients may be one array, and no rule writes to its
-  arguments.
+  arguments. A lines op's rules compute only the products its lines need:
+  a zero line, or a sign no slope has, adds none.
 
 A ``relaxed`` op defines ``relax(intervals, relu_mode)`` in place of the
 last two: from its inputs' intervals it returns an op with fixed lines,
@@ -97,20 +98,22 @@ def _zero_bias(coeff: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zero, zero.copy()
 
 
-def _mix_rows(slope: np.ndarray, on_pos: np.ndarray, on_neg: np.ndarray) -> np.ndarray:
-    """diag_+(slope) @ on_pos + diag_-(slope) @ on_neg as row scaling."""
-    pos, neg = _posneg(slope)
+def _mix_rows(slope: np.ndarray, on_pos: np.ndarray, on_neg: np.ndarray, signed: bool) -> np.ndarray:
+    """diag_+(slope) @ on_pos + diag_-(slope) @ on_neg as row scaling; unless ``signed``, no slope is negative."""
     if on_pos.ndim == 2:
-        return pos[:, None] * on_pos + neg[:, None] * on_neg
+        slope = slope[:, None]
+    if not signed:  # diag_-(slope) is zero: one product
+        return slope * on_pos
+    pos, neg = _posneg(slope)
     return pos * on_pos + neg * on_neg
 
 
-def _unary_mix(lower_slope, lower_icpt, upper_slope, upper_icpt, b: LinearBounds) -> tuple:
+def _unary_mix(lower_slope, lower_icpt, upper_slope, upper_icpt, b: LinearBounds, signed=True) -> tuple:
     """The (lower_w, lower_b, upper_w, upper_b) of lines with these slopes and intercepts over ``b``."""
-    lw = _mix_rows(lower_slope, b.lower_w, b.upper_w)
-    lb_ = _mix_rows(lower_slope, b.lower_b, b.upper_b) + lower_icpt
-    uw = _mix_rows(upper_slope, b.upper_w, b.lower_w)
-    ub = _mix_rows(upper_slope, b.upper_b, b.lower_b) + upper_icpt
+    lw = _mix_rows(lower_slope, b.lower_w, b.upper_w, signed)
+    lb_ = _mix_rows(lower_slope, b.lower_b, b.upper_b, signed) + lower_icpt
+    uw = _mix_rows(upper_slope, b.upper_w, b.lower_w, signed)
+    ub = _mix_rows(upper_slope, b.upper_b, b.lower_b, signed) + upper_icpt
     return lw, lb_, uw, ub
 
 
@@ -205,6 +208,10 @@ class _Lines(OpKind):
     columns and ``put`` scatters the outgoing one back. There the first ``n``
     neurons have identity lines (slopes 1, constants 0): ``backward`` copies
     their columns of the coefficient and computes only the bending ones.
+    Each step computes only the products its lines need: where every bending
+    lower line is 0 below a positive upper slope (a ZERO-mode ReLU's), each
+    side's coefficient bends on one sign only, and where no slope is negative
+    (a monotone op's lines), ``forward`` mixes one input bound per side.
     """
 
     slopes: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -226,32 +233,42 @@ class _Lines(OpKind):
         first, rest = identity.nonzero()[0], (live > identity).nonzero()[0]
         return None if len(first) + len(rest) == len(live) else (np.concatenate([first, rest]), len(first))
 
+    @cached_property
+    def zero_lower(self) -> tuple[bool, bool]:
+        """Whether the bending lines' lower constants are 0, and their lower slopes too below positive upper ones."""
+        n, ((sl, su), *more), const = self.n, self.slopes, not np.count_nonzero(self.lower_const[self.n:])
+        return const, const and not more and not np.count_nonzero(sl[n:]) and bool((su[n:] > 0.0).all())
+
     def forward(self, bounds):
-        # the constants join the last input's share
+        # the constants join the last input's share; a monotone op's lines (ReLU, exp, log) have no negative slope
         consts = [(0.0, 0.0)] * (len(bounds) - 1) + [(self.lower_const, self.upper_const)]
-        shares = [_unary_mix(sl, cl, su, cu, b) for (sl, su), (cl, cu), b in zip(self.slopes, consts, bounds)]
+        signed = len(bounds) > 1 or bool((np.array(self.slopes[0]) < 0.0).any())
+        shares = [_unary_mix(sl, cl, su, cu, b, signed) for (sl, su), (cl, cu), b in zip(self.slopes, consts, bounds)]
         return LinearBounds(*(sum(parts[1:], parts[0]) for parts in zip(*shares)))
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
-        shared, n, lc, uc = upper_coeff is lower_coeff, self.n, self.lower_const, self.upper_const
+        shared, n, slopes, lc, uc = upper_coeff is lower_coeff, self.n, self.slopes, self.lower_const, self.upper_const
+        (zero_const, zero_lower), out = self.zero_lower, (None, None)
         if self.take is not None:  # take, not [:, cols], which returns a column-major array
             lower_coeff = lower_coeff.take(self.take, axis=1)
             upper_coeff = lower_coeff if shared else upper_coeff.take(self.take, axis=1)
         if n:  # the leading identity lines pass their columns through: copy them, compute only the rest
-            out = np.array([lower_coeff, upper_coeff])  # one new block; its bending columns are overwritten
+            block = np.array([lower_coeff, upper_coeff])  # one new block; its bending columns are overwritten
+            out, slopes = (block[0, :, n:], block[1, :, n:]), [(sl[n:], su[n:]) for sl, su in slopes]
             lower_coeff, upper_coeff, lc, uc = lower_coeff[:, n:], upper_coeff[:, n:], lc[n:], uc[n:]
-        lo_pos, lo_neg = _posneg(lower_coeff)
-        up_pos, up_neg = (lo_pos, lo_neg) if shared else _posneg(upper_coeff)
-        if n:
-            sl, su = self.slopes[0][0][n:], self.slopes[0][1][n:]
-            np.add(lo_pos * sl, lo_neg * su, out=out[0, :, n:])
-            np.add(up_pos * su, up_neg * sl, out=out[1, :, n:])
-            lams = [tuple(out)]
+        if zero_lower:  # lower lines 0: only a negative lower and a positive upper coefficient meet a line
+            lo_neg, up_pos, su = np.minimum(lower_coeff, 0.0), np.maximum(upper_coeff, 0.0), slopes[0][1]
+            lams = [(np.multiply(lo_neg, su, out=out[0]), np.multiply(up_pos, su, out=out[1]))]
         else:
-            lams = [(lo_pos * sl + lo_neg * su, up_pos * su + up_neg * sl) for sl, su in self.slopes]
-        skip = n and not np.count_nonzero(lc)  # a ReLU's lower lines pass through the origin
-        d_lo = lo_neg @ uc if skip else lo_pos @ lc + lo_neg @ uc
-        d_up = up_pos @ uc if skip else up_pos @ uc + up_neg @ lc
+            lo_pos, lo_neg = _posneg(lower_coeff)
+            up_pos, up_neg = (lo_pos, lo_neg) if shared else _posneg(upper_coeff)
+            lams = [(np.add(lo_pos * sl, lo_neg * su, out=out[0]), np.add(up_pos * su, up_neg * sl, out=out[1]))
+                    for sl, su in slopes]
+        # zero lower constants (a ReLU's lines pass through the origin) need no products
+        d_lo = lo_neg @ uc if zero_const else lo_pos @ lc + lo_neg @ uc
+        d_up = up_pos @ uc if zero_const else up_pos @ uc + up_neg @ lc
+        if n:
+            lams = [tuple(block)]
         if self.put is not None:
             full = np.zeros((2, len(d_lo), in_dim))
             full[:, :, self.put] = lams[0]

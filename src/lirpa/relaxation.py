@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, GraphError
 
 __all__ = [
     "ReluLowerMode",
@@ -86,6 +86,8 @@ def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> Unary
     neurons take the chord through (l, 0) and (u, u) as the upper line and a
     zero-intercept lower line with slope picked by ``mode``.
     """
+    if not isinstance(mode, ReluLowerMode):
+        raise GraphError(f"unknown ReLU lower mode {mode!r}")
     l, u = _check_interval(l, u)
     active = l >= 0.0
     crossing = (l < 0.0) & (u > 0.0)

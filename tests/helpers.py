@@ -402,3 +402,43 @@ def where_relu_relaxation(l, u, mode=ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
     else:
         lower_slope = np.where(active | (crossing & (u > -l)), 1.0, 0.0)
     return UnaryRelaxation(lower_slope, np.zeros_like(l), upper_slope, upper_intercept)
+
+
+def four_product_lines_backward(op, lower_coeff, upper_coeff, in_dim):
+    """Reference ``_Lines.backward``: the leading ``op.n`` identity columns copied, every other column's
+    coefficients split into signed parts, each part times its slope, and both constants' products taken."""
+    if op.take is not None:
+        lower_coeff, upper_coeff = lower_coeff.take(op.take, axis=1), upper_coeff.take(op.take, axis=1)
+    n, lc, uc = op.n, op.lower_const[op.n:], op.upper_const[op.n:]
+    lo_pos, lo_neg = np.maximum(lower_coeff[:, n:], 0.0), np.minimum(lower_coeff[:, n:], 0.0)
+    up_pos, up_neg = np.maximum(upper_coeff[:, n:], 0.0), np.minimum(upper_coeff[:, n:], 0.0)
+    lams = [
+        (
+            np.concatenate([lower_coeff[:, :n], lo_pos * sl[n:] + lo_neg * su[n:]], axis=1),
+            np.concatenate([upper_coeff[:, :n], up_pos * su[n:] + up_neg * sl[n:]], axis=1),
+        )
+        for sl, su in op.slopes
+    ]
+    d_lo, d_up = lo_pos @ lc + lo_neg @ uc, up_pos @ uc + up_neg @ lc
+    if op.put is not None:
+        full = np.zeros((2, len(d_lo), in_dim))
+        full[:, :, op.put] = lams[0]
+        lams = [tuple(full)]
+    return lams, d_lo, d_up
+
+
+def signed_mix(slope, on_pos, on_neg):
+    """Reference ``ops._mix_rows``: the slope split into signed parts, each part scaling the rows of its own bound."""
+    slope = slope[:, None] if on_pos.ndim == 2 else slope
+    return np.maximum(slope, 0.0) * on_pos + np.minimum(slope, 0.0) * on_neg
+
+
+def signed_lines_forward(op, b: LinearBounds) -> LinearBounds:
+    """Reference one-input ``_Lines.forward``: each side's slope mixes both bounds through ``signed_mix``."""
+    ((sl, su),) = op.slopes
+    return LinearBounds(
+        signed_mix(sl, b.lower_w, b.upper_w),
+        signed_mix(sl, b.lower_b, b.upper_b) + op.lower_const,
+        signed_mix(su, b.upper_w, b.lower_w),
+        signed_mix(su, b.upper_b, b.lower_b) + op.upper_const,
+    )

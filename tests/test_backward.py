@@ -665,3 +665,24 @@ def test_input_layout_built_once_per_query(monkeypatch):
         calls.clear()
         flatness_score(g, 0.01, [({0: specs[0].center}, 0), ({0: -specs[0].center}, 2)], strategy)
         assert len(calls) == 2  # one query per example
+
+
+@pytest.mark.parametrize("mode", ["zero", None, 0, "bogus"])
+def test_an_unknown_relu_mode_fails_closed(mode):
+    # a mode that is not a ReluLowerMode used to run ADAPTIVE silently
+    from lirpa import MarginSpec, flatness_score, fused_loss_report, relu_relaxation
+    from helpers import random_classifier
+
+    g, specs = demo_net()
+    c, c_specs = random_classifier(np.random.default_rng(44), 3)
+    calls = [
+        lambda strategy: compute_bounds(g, specs, strategy, relu_mode=mode),
+        lambda strategy: fused_loss_report(c, c_specs, MarginSpec(0, 3), strategy, mode),
+        lambda strategy: flatness_score(c, 0.01, [({0: c_specs[0].center}, 0)], strategy, mode),
+    ]
+    for strategy in BoundStrategy:
+        for call in calls:
+            with pytest.raises(GraphError, match="unknown ReLU lower mode"):
+                call(strategy)
+    with pytest.raises(GraphError, match="unknown ReLU lower mode"):
+        relu_relaxation(np.array([-1.0]), np.array([1.0]), mode)

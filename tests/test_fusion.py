@@ -164,6 +164,24 @@ def test_fused_loss_report_runs_the_supplier_once(monkeypatch):
         assert len({i for *_, i in calls}) == len(calls)  # no node supplied twice
 
 
+@pytest.mark.parametrize("label, classes", [(True, 3), (1.0, 3), ("1", 3), (1, 3.0), (np.float64(1.0), 3)])
+def test_a_margin_spec_takes_integers_only(label, classes):
+    # a bool label was True, a float one failed later with IndexError
+    with pytest.raises(GraphError, match="must be integers"):
+        MarginSpec(label, classes)
+
+
+def test_a_numpy_integer_is_a_label():
+    g, specs = random_classifier(np.random.default_rng(13), 3)
+    margin = MarginSpec(np.int64(1), np.int64(3))
+    assert margin.label == 1
+    report = fused_loss_report(g, specs, margin)
+    assert report.margin_lowers[1] == 0.0
+    assert flatness_score(g, 0.01, [({0: specs[0].center}, np.int64(1))]) >= 0.0
+    with pytest.raises(GraphError, match="must be integers"):
+        flatness_score(g, 0.01, [({0: specs[0].center}, 1.0)])
+
+
 def test_scalar_output_padded_to_two_classes():
     # pad the scalar demo net with a second, constant-zero logit: the margin
     # for the padded class is the scalar output itself, so the surrogate

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import assert_linear_sound, assert_sound, sample_points
+from helpers import assert_linear_sound, assert_sound, sample_points, signed_lines_forward, signed_mix
 from lirpa import (
     Add,
     Affine,
@@ -327,6 +327,53 @@ def test_backward_rules_leave_one_shared_coefficient_unchanged(relu_mode):
         for (lo, up), (want_lo, want_up) in zip(lams, split):
             assert np.array_equal(lo, want_lo) and np.array_equal(up, want_up), op.kind
         assert np.array_equal(d_lo, s_lo) and np.array_equal(d_up, s_up), op.kind
+
+
+def _bounds_with_signed_zeros(rng, rows, cols) -> LinearBounds:
+    parts = [rng.uniform(-1, 1, shape) for shape in ((rows, cols), (rows,)) * 2]
+    for part in parts:
+        pick = rng.integers(0, 4, part.shape)
+        part[pick == 0], part[pick == 1] = 0.0, -0.0
+    return LinearBounds(*parts)
+
+
+def test_a_monotone_lines_op_mixes_one_bound_per_side(monkeypatch):
+    from lirpa import ops
+
+    rng = np.random.default_rng(19)
+    l = np.array([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, -3.0, 0.2])
+    u = np.array([-1.0, 1.0, 2.0, 0.0, 1.5, 1.0, 0.5, 3.0])  # dead, unstable, active and pinned neurons
+    box, positive = IntervalBounds(l, u), IntervalBounds(np.abs(l) + 0.1, np.abs(l) + 0.1 + (u - l))
+    lines = [ReLU().relax([box], mode) for mode in ReluLowerMode]
+    lines += [Exp().relax([box], ReluLowerMode.ZERO), Log().relax([positive], ReluLowerMode.ZERO)]
+    b = _bounds_with_signed_zeros(rng, len(l), 5)
+    split, posneg = [], ops._posneg
+    monkeypatch.setattr(ops, "_posneg", lambda a: split.append(a.shape) or posneg(a))
+    for op in lines:
+        got, want = op.forward([b]), signed_lines_forward(op, b)
+        assert all(np.array_equal(x, y) for x, y in zip(vars(got).values(), vars(want).values()))
+    assert split == []  # no slope of these lines is negative: nothing to split
+
+
+def test_matvec_planes_mix_both_bounds_even_where_no_slope_is_negative(monkeypatch):
+    # every slope on W's terms is an x bound >= 0, as after a ReLU; each mix keeps the signed split, bit for bit
+    from lirpa import ops
+
+    rng = np.random.default_rng(20)
+    s, t = 3, 4
+    w, x = rng.uniform(-1, 1, s * t), rng.uniform(0.0, 1.0, t)
+    box = [IntervalBounds(w - 0.1, w + 0.1), IntervalBounds(x, x + 0.2)]
+    planes = MatVec(rng.uniform(-1, 1, s)).relax(box, ReluLowerMode.ZERO)
+    mixes, mix_rows = [], ops._mix_rows
+
+    def checked(slope, on_pos, on_neg, signed):
+        mixed = mix_rows(slope, on_pos, on_neg, signed)
+        mixes.append((slope.min() >= 0.0, mixed.tobytes() == signed_mix(slope, on_pos, on_neg).tobytes()))
+        return mixed
+
+    monkeypatch.setattr(ops, "_mix_rows", checked)
+    planes.forward([_bounds_with_signed_zeros(rng, s * t, 6), _bounds_with_signed_zeros(rng, t, 6)])
+    assert mixes == [(True, True)] * 4
 
 
 def test_affine_copies_a_callers_arrays():

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_sound, lines_graph, random_classifier, random_graph
+from helpers import assert_sound, four_product_lines_backward, lines_graph, random_classifier, random_graph
 from lirpa import (
     Add,
     Affine,
@@ -20,6 +20,8 @@ from lirpa import (
     Exp,
     Graph,
     Input,
+    IntervalBounds,
+    Log,
     LpBall,
     MarginSpec,
     MulElementwise,
@@ -172,6 +174,84 @@ def test_only_bending_columns_reach_the_lines_step(monkeypatch):
     for op, width in seen:
         bending = int(np.count_nonzero(~_identity(op)))
         assert 0 < width == bending < len(op.lower_const)
+
+
+def _signed_zeros(rng, shape):
+    """Uniform coefficients with about a quarter of the entries +0.0 and a quarter -0.0."""
+    c = rng.uniform(-1, 1, shape)
+    pick = rng.integers(0, 4, shape)
+    c[pick == 0], c[pick == 1] = 0.0, -0.0
+    return c
+
+
+def test_zero_mode_relu_lines_steps_equal_the_four_product_step():
+    rng = np.random.default_rng(72)
+    dead, active, unstable = (-2.0, -0.5), (0.5, 2.0), (-1.0, 1.5)
+    kinds = [dead] * 4 + [active] * 4 + [unstable] * 8
+    order = rng.permutation(len(kinds))  # so the identity lines do not already lead
+    mixed = IntervalBounds(*np.array([kinds[k] for k in order]).T)
+    bending = IntervalBounds(np.array([-1.0, -2.0, -0.5, -3.0, -1.0]), np.array([1.0, 0.5, 2.0, 3.0, 0.1]))
+    some_dead = IntervalBounds(np.concatenate([bending.lower, [-2.0]]), np.concatenate([bending.upper, [-1.0]]))
+    ops_ = []  # (op, its input's dim)
+    for box in (mixed, bending, some_dead):
+        full, dim = ReLU().relax([box], ReluLowerMode.ZERO), len(box.lower)
+        ops_.append((full, dim))
+        if full.live is not None:  # as ``BoundQuery._pass_node`` prunes one: no side, then each side alone
+            (live, n), ((lo, up),) = full.live, full.slopes
+            for take, put in ((None, None), (live, None), (None, live)):
+                pruned = _Lines(((lo[live], up[live]),), full.lower_const[live], full.upper_const[live], take, put, n)
+                ops_.append((pruned, dim))
+    # the unpruned ops with dead or active neurons keep the signed split (a dead neuron's upper slope is 0)
+    assert [op.zero_lower[1] for op, _ in ops_] == [False] + [True] * 3 + [True] + [False] + [True] * 3
+    assert [op.n for op, _ in ops_] == [0] + [4] * 3 + [0] * 5
+    for op, dim in ops_:
+        lower = _signed_zeros(rng, (6, dim if op.take is not None else len(op.lower_const)))
+        for upper in (lower, _signed_zeros(rng, lower.shape)):
+            (lams,), d_lo, d_up = op.backward(lower, upper, dim)
+            (ref,), ref_d_lo, ref_d_up = four_product_lines_backward(op, lower, upper, dim)
+            assert [lam.tobytes() for lam in lams] == [lam.tobytes() for lam in ref]
+            # equal values; a bias's zero sign may differ, and run_backward adds it to +0.0
+            assert np.array_equal(d_lo, ref_d_lo) and np.array_equal(d_up, ref_d_up)
+
+
+def test_a_zero_mode_relu_lines_step_never_splits_a_coefficient_into_signed_parts(monkeypatch):
+    from lirpa import ops
+
+    g, specs = _mlp(np.random.default_rng(71), [4, 9, 9, 9, 3], eps=1.0, mixed=True)
+    steps, split = [], []
+    backward, posneg = _Lines.backward, ops._posneg
+    monkeypatch.setattr(_Lines, "backward", lambda op, *args: steps.append(op) or backward(op, *args))
+    monkeypatch.setattr(ops, "_posneg", lambda a: split.append(a.shape) or posneg(a))
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD, ReluLowerMode.ZERO)
+    query.box(g.output, margin_transform(0, 3), "margin")
+    assert len(steps) == 1 + 2 + 3 and split == []
+    for r in (2, 4, 6):  # every ReLU layer has dead, stable-active and unstable neurons
+        box = query.intervals[r - 1]
+        dead, active = box.upper <= 0.0, box.lower >= 0.0
+        assert dead.any() and active.any() and not (dead | active).all()
+    assert all(op.n > 0 and op.zero_lower[1] for op in steps)
+
+
+def test_exp_log_and_mul_lines_steps_keep_the_signed_split(monkeypatch):
+    from lirpa import ops
+
+    nodes = (
+        Node(0, Input(), (), 2),
+        Node(1, Affine([[0.5, -0.3], [0.2, 0.4]], [0.1, -0.2]), (0,), 2),
+        Node(2, Exp(), (1,), 2),
+        Node(3, Log(), (2,), 2),
+        Node(4, MulElementwise(), (2, 3), 2),
+        Node(5, Affine([[1.0, -1.0]], [0.0]), (4,), 1),
+    )
+    g, specs = Graph(nodes, 5), {0: LpBall([0.2, -0.1], 0.3, math.inf)}
+    steps, split = [], []
+    backward, posneg = _Lines.backward, ops._posneg
+    monkeypatch.setattr(_Lines, "backward", lambda op, *args: steps.append(op) or backward(op, *args))
+    monkeypatch.setattr(ops, "_posneg", lambda a: split.append(steps[-1]) or posneg(a))
+    for mode in ReluLowerMode:
+        BoundQuery(g, specs, BoundStrategy.BACKWARD, mode).box(g.output, None, "output")
+    assert len(steps) > 6 and {id(op) for op in split} == {id(op) for op in steps}
+    assert not any(op.zero_lower[1] for op in steps)
 
 
 def test_a_layer_with_every_neuron_dead_leaves_zero_width_coefficients(monkeypatch):

@@ -40,6 +40,9 @@ def test_a_sweep_prints_one_json_row_per_setting(script, args, setting):
 
 
 def test_the_digest_prints_its_count_and_one_line_per_function():
-    first, *rest = _run("bound_digest.py")
+    first, *rest, folded = _run("bound_digest.py")
     assert re.fullmatch(r"4800 results sha256 [0-9a-f]{64}", first)
     assert rest and all(re.fullmatch(r"  \d+ [\w.]+ sha256 [0-9a-f]{64}", line) for line in rest)
+    # the last line covers every call, bound_loss_unfused's too, with each zero's sign folded
+    unfused = next(int(line.split()[0]) for line in rest if " bound_loss_unfused " in line)
+    assert re.fullmatch(rf"  {4800 + unfused} folded sha256 [0-9a-f]{{64}}", folded)

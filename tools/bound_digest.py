@@ -17,9 +17,11 @@ call that raises is hashed as its exception's type name. The first line
 covers every call but ``bound_loss_unfused``'s, so it compares with
 checkouts that did not record those. One indented line follows per
 function and one per field of ``fused_loss_report``'s result, each over
-that function's calls alone. ``--src`` imports
-lirpa from another checkout's ``src`` directory (default: this one's); the
-graphs always come from this checkout's ``tests/helpers.py``.
+that function's calls alone. The last line, ``folded``, covers every
+call with each float's sign of zero folded (``x + 0.0``), so a change that
+flips only the signs of zeros can show it gives the same values. ``--src``
+imports lirpa from another checkout's ``src`` directory (default: this
+one's); the graphs always come from this checkout's ``tests/helpers.py``.
 """
 from __future__ import annotations
 
@@ -53,11 +55,12 @@ def main() -> None:
         # the first line keeps to the calls it has always covered
         family = call.__name__
         keys = [family] if family == "bound_loss_unfused" else ["results", family]
-        counts.update(keys)
+        counts.update(keys + ["folded"])
         try:
             result = call(*call_args)
         except Exception as exc:  # an error is part of the behaviour being pinned
-            chunks = [((), type(exc).__name__.encode())]
+            name = type(exc).__name__.encode()
+            chunks = [((), name, name)]
         else:
             chunks = []
             for value in result if isinstance(result, tuple) else (result,):
@@ -65,10 +68,12 @@ def main() -> None:
                 for name, field in fields:
                     # a result object, not a tuple, also feeds one line per field
                     extra = (f"{family}.{name}",) if value is result and name else ()
-                    chunks.append((extra, np.asarray(field, dtype=np.float64).tobytes()))
-        for extra, data in chunks:
+                    data = np.asarray(field, dtype=np.float64)
+                    chunks.append((extra, data.tobytes(), (data + 0.0).tobytes()))
+        for extra, data, folded in chunks:
             for key in (*keys, *extra):
                 digests.setdefault(key, hashlib.sha256()).update(data)
+            digests.setdefault("folded", hashlib.sha256()).update(folded)
 
     rng = np.random.default_rng(2024)
     graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
@@ -87,7 +92,7 @@ def main() -> None:
                 batch = [({0: specs[0].center}, 0)]
                 record(lirpa.flatness_score, g, 0.01, batch, strategy, mode)
     print(f"{counts['results']} results sha256 {digests['results'].hexdigest()}")
-    for key in sorted(digests.keys() - {"results"}):
+    for key in sorted(digests.keys() - {"results", "folded"}) + ["folded"]:
         print(f"  {counts[key.split('.')[0]]} {key} sha256 {digests[key].hexdigest()}")
 
 
