@@ -50,7 +50,7 @@ class MarginSpec:
 
     def __post_init__(self):
         # as ``perturb._is_int``: a bool is no label, a numpy integer is one
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in vars(self).values()):
+        if not all(type(v) is int or isinstance(v, np.integer) for v in vars(self).values()):
             raise GraphError(f"label {self.label!r} and class count {self.num_classes!r} must be integers")
         if not 0 <= self.label < self.num_classes:
             raise GraphError(

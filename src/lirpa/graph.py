@@ -48,7 +48,9 @@ class Node:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "inputs", tuple(int(j) for j in self.inputs))
+        if not (_is_int(self.id) and _is_int(self.dim) and all(map(_is_int, self.inputs))):
+            raise GraphError(f"node {self.id!r}: id, dim {self.dim!r} and inputs {self.inputs!r} must be integers")
+        object.__setattr__(self, "inputs", tuple(map(int, self.inputs)))
         object.__setattr__(self, "dim", int(self.dim))
 
 
@@ -81,13 +83,13 @@ class Graph:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "output", int(self.output))
         for idx, node in enumerate(self.nodes):
             if node.id != idx:
                 raise GraphError(f"node ids must be dense: position {idx} holds id {node.id}")
             _check_node(node, self.nodes)
-        if not 0 <= self.output < len(self.nodes):
-            raise GraphError(f"output id {self.output} out of range")
+        if not (_is_int(self.output) and 0 <= self.output < len(self.nodes)):
+            raise GraphError(f"output id {self.output!r} is not an integer in [0, {len(self.nodes)})")
+        object.__setattr__(self, "output", int(self.output))
         topological_order(self)  # raises on cycles
 
     @property

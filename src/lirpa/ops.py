@@ -12,6 +12,12 @@ A dependent op defines:
   arguments. A lines op's rules compute only the products its lines need:
   a zero line, or a sign no slope has, adds none.
 
+A monotone op declares ``signs`` (+1 or -1 per input: rising or falling in
+it) and inherits ``interval``, its ``eval`` at the input ends they pick. A
+linear op inherits ``forward``, the same picking on coefficient rows and
+offsets, and an elementwise one ``backward``: each input gets the
+coefficient, negated where its sign is -1.
+
 A ``relaxed`` op defines ``relax(intervals, relu_mode)`` in place of the
 last two: from its inputs' intervals it returns an op with fixed lines,
 which is not relaxed and carries the ``forward`` and ``backward`` rules.
@@ -42,9 +48,17 @@ class OpKind:
     kind: ClassVar[str]
     arity: ClassVar[int]
     relaxed: ClassVar[bool] = False
+    signs: ClassVar[tuple[int, ...]]  # a monotone op's: +1 per input it rises in, -1 per input it falls in
 
     def check(self, dim: int, in_dims: list[int]) -> str | None:
         """What is wrong with the node's dims, if anything."""
+
+    def interval(self, inputs):
+        return IntervalBounds(self._picked(inputs, "lower", "upper"), self._picked(inputs, "upper", "lower"))
+
+    def _picked(self, inputs, end, other):
+        """``eval`` on each input's field ``end`` where the op rises in it, its field ``other`` where it falls."""
+        return self.eval([getattr(x, end if s > 0 else other) for s, x in zip(self.signs, inputs)])
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,24 @@ class Elementwise(OpKind):
     def check(self, dim, in_dims):
         if any(d != dim for d in in_dims):
             return f"{self.kind} requires equal dims, got {in_dims} -> {dim}"
+
+
+class _Linear(OpKind):
+    """A linear op, exact on linear bounds; ``_rows`` is its ``_picked`` map without a constant term."""
+
+    _rows = OpKind._picked  # an op whose map has a constant term overrides it
+
+    def forward(self, b):
+        lw, uw = self._rows(b, "lower_w", "upper_w"), self._rows(b, "upper_w", "lower_w")
+        return LinearBounds(lw, self._picked(b, "lower_b", "upper_b"), uw, self._picked(b, "upper_b", "lower_b"))
+
+    def backward(self, lower_coeff, upper_coeff, in_dim):
+        # an elementwise op's: each input's coefficient is the output's, negated where the op falls in it
+        sides = {1: (lower_coeff, upper_coeff)}
+        if -1 in self.signs:  # one negated array serves both sides of a shared coefficient
+            neg = -lower_coeff
+            sides[-1] = (neg, neg if upper_coeff is lower_coeff else -upper_coeff)
+        return [sides[s] for s in self.signs], *_zero_bias(lower_coeff)
 
 
 def _align_batch(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,8 +150,8 @@ def _unary_mix(lower_slope, lower_icpt, upper_slope, upper_icpt, b: LinearBounds
 
 
 @dataclass(frozen=True, eq=False)
-class Affine(OpKind):
-    """h = weight @ x + bias with a constant weight matrix."""
+class Affine(_Linear):
+    """h = weight @ x + bias with a constant weight matrix; h_i rises in x_j where weight[i, j] > 0."""
 
     weight: np.ndarray
     bias: np.ndarray
@@ -166,20 +198,11 @@ class Affine(OpKind):
         y = self.weight @ xs[0]
         return y + (self.bias if y.ndim == 1 else self.bias[:, None])
 
-    def interval(self, inputs):
-        x = inputs[0]
-        lo = self.w_pos @ x.lower + self.w_neg @ x.upper + self.bias
-        hi = self.w_pos @ x.upper + self.w_neg @ x.lower + self.bias
-        return IntervalBounds(lo, hi)
+    def _rows(self, inputs, end, other):
+        return self.w_pos @ getattr(inputs[0], end) + self.w_neg @ getattr(inputs[0], other)
 
-    def forward(self, bounds):
-        b = bounds[0]
-        return LinearBounds(
-            self.w_pos @ b.lower_w + self.w_neg @ b.upper_w,
-            self.w_pos @ b.lower_b + self.w_neg @ b.upper_b + self.bias,
-            self.w_pos @ b.upper_w + self.w_neg @ b.lower_w,
-            self.w_pos @ b.upper_b + self.w_neg @ b.lower_b + self.bias,
-        )
+    def _picked(self, inputs, end, other):
+        return self._rows(inputs, end, other) + self.bias
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
         lam, d = lower_coeff @ self.weight, lower_coeff @ self.bias
@@ -193,6 +216,7 @@ class UnaryRelaxed(Elementwise):
 
     arity = 1
     relaxed = True
+    signs = (1,)
 
     def relax(self, intervals, relu_mode):
         rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
@@ -283,9 +307,6 @@ class ReLU(UnaryRelaxed):
     def eval(self, xs):
         return np.maximum(xs[0], 0.0)
 
-    def interval(self, inputs):
-        return IntervalBounds(np.maximum(inputs[0].lower, 0.0), np.maximum(inputs[0].upper, 0.0))
-
 
 @dataclass(frozen=True)
 class Exp(UnaryRelaxed):
@@ -293,9 +314,6 @@ class Exp(UnaryRelaxed):
 
     def eval(self, xs):
         return np.exp(xs[0])
-
-    def interval(self, inputs):
-        return IntervalBounds(np.exp(inputs[0].lower), np.exp(inputs[0].upper))
 
 
 @dataclass(frozen=True)
@@ -307,82 +325,37 @@ class Log(UnaryRelaxed):
             raise DomainError("log of a non-positive value")
         return np.log(xs[0])
 
-    def interval(self, inputs):
-        if np.any(inputs[0].lower <= 0.0):
-            raise DomainError("log over an interval touching zero or below")
-        return IntervalBounds(np.log(inputs[0].lower), np.log(inputs[0].upper))
-
 
 @dataclass(frozen=True)
-class Neg(Elementwise):
+class Neg(Elementwise, _Linear):
     kind = "neg"
     arity = 1
+    signs = (-1,)
 
     def eval(self, xs):
         return -xs[0]
 
-    def interval(self, inputs):
-        return IntervalBounds(-inputs[0].upper, -inputs[0].lower)
-
-    def forward(self, bounds):
-        b = bounds[0]
-        return LinearBounds(-b.upper_w, -b.upper_b, -b.lower_w, -b.lower_b)
-
-    def backward(self, lower_coeff, upper_coeff, in_dim):
-        return [(-lower_coeff, -upper_coeff)], *_zero_bias(lower_coeff)
-
 
 @dataclass(frozen=True)
-class Add(Elementwise):
+class Add(Elementwise, _Linear):
     kind = "add"
     arity = 2
+    signs = (1, 1)
 
     def eval(self, xs):
         a, b = _align_batch(xs[0], xs[1])
         return a + b
 
-    def interval(self, inputs):
-        x, y = inputs
-        return IntervalBounds(x.lower + y.lower, x.upper + y.upper)
-
-    def forward(self, bounds):
-        x, y = bounds
-        return LinearBounds(
-            x.lower_w + y.lower_w,
-            x.lower_b + y.lower_b,
-            x.upper_w + y.upper_w,
-            x.upper_b + y.upper_b,
-        )
-
-    def backward(self, lower_coeff, upper_coeff, in_dim):
-        return [(lower_coeff, upper_coeff)] * 2, *_zero_bias(lower_coeff)
-
 
 @dataclass(frozen=True)
-class Sub(Elementwise):
+class Sub(Elementwise, _Linear):
     kind = "sub"
     arity = 2
+    signs = (1, -1)
 
     def eval(self, xs):
         a, b = _align_batch(xs[0], xs[1])
         return a - b
-
-    def interval(self, inputs):
-        x, y = inputs
-        return IntervalBounds(x.lower - y.upper, x.upper - y.lower)
-
-    def forward(self, bounds):
-        x, y = bounds
-        return LinearBounds(
-            x.lower_w - y.upper_w,
-            x.lower_b - y.upper_b,
-            x.upper_w - y.lower_w,
-            x.upper_b - y.lower_b,
-        )
-
-    def backward(self, lower_coeff, upper_coeff, in_dim):
-        lams = [(lower_coeff, upper_coeff), (-lower_coeff, -upper_coeff)]
-        return lams, *_zero_bias(lower_coeff)
 
 
 @dataclass(frozen=True)
@@ -552,9 +525,10 @@ class _Planes(OpKind):
 
 
 @dataclass(frozen=True)
-class SumReduce(OpKind):
+class SumReduce(_Linear):
     kind = "sum_reduce"
     arity = 1
+    signs = (1,)
 
     def check(self, dim, in_dims):
         return "sum_reduce output dim must be 1" if dim != 1 else None
@@ -562,22 +536,10 @@ class SumReduce(OpKind):
     def eval(self, xs):
         return np.sum(xs[0], axis=0, keepdims=True)
 
-    def interval(self, inputs):
-        x = inputs[0]
-        return IntervalBounds(np.sum(x.lower, keepdims=True), np.sum(x.upper, keepdims=True))
-
-    def forward(self, bounds):
-        b = bounds[0]
-        return LinearBounds(
-            b.lower_w.sum(axis=0, keepdims=True),
-            b.lower_b.sum(keepdims=True),
-            b.upper_w.sum(axis=0, keepdims=True),
-            b.upper_b.sum(keepdims=True),
-        )
-
     def backward(self, lower_coeff, upper_coeff, in_dim):
         # the expansion width is not visible in the coefficients
         if in_dim is None:
             raise GraphError("sum_reduce backward rule needs the input dimension")
         ones = np.ones((1, in_dim))
-        return [(lower_coeff @ ones, upper_coeff @ ones)], *_zero_bias(lower_coeff)
+        lam = lower_coeff @ ones
+        return [(lam, lam if upper_coeff is lower_coeff else upper_coeff @ ones)], *_zero_bias(lower_coeff)

@@ -41,7 +41,7 @@ def _vector(x, what: str) -> np.ndarray:
 
 def _is_int(x) -> bool:
     # bool is a subclass of int, but true is no node id, dim or budget; a numpy integer is one
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return type(x) is int or isinstance(x, np.integer)
 
 
 def _is_number(x) -> bool:
@@ -210,8 +210,10 @@ class Synonym(PerturbationSpec):
     kind = "synonym"
 
     def __post_init__(self):
+        if not _is_int(self.budget):
+            raise GraphError(f"substitution budget 'delta' must be an integer, got {self.budget!r}")
         words = tuple(self.words)
-        subs = {int(t): tuple(ws) for t, ws in self.substitutions.items() if len(ws) > 0}
+        subs = {t: tuple(ws) for t, ws in self.substitutions.items() if len(ws) > 0}
         embeddings = {w: _vector(e, f"embedding of {w!r}") for w, e in self.embeddings.items()}
         budget = min(int(self.budget), len(words))
         if budget < 0:
@@ -222,8 +224,8 @@ class Synonym(PerturbationSpec):
         if len(dims) != 1:
             raise GraphError(f"embeddings must share one dimension, got {sorted(dims)}")
         for t in subs:
-            if not 0 <= t < len(words):
-                raise GraphError(f"substitution position {t} out of range")
+            if not (_is_int(t) and 0 <= t < len(words)):
+                raise GraphError(f"substitution position {t!r} out of range")
         slots = 1 + max(map(len, subs.values()), default=0)
         options = [((w,) + subs.get(t, ()) + (w,) * slots)[:slots] for t, w in enumerate(words)]
         missing = {w for row in options for w in row} - embeddings.keys()
@@ -232,7 +234,7 @@ class Synonym(PerturbationSpec):
         table = np.array([[embeddings[w] for w in row] for row in options])
         table.flags.writeable = False
         object.__setattr__(self, "words", words)
-        object.__setattr__(self, "substitutions", MappingProxyType(subs))
+        object.__setattr__(self, "substitutions", MappingProxyType({int(t): ws for t, ws in subs.items()}))
         object.__setattr__(self, "embeddings", MappingProxyType(embeddings))
         object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "option_table", table)
@@ -328,11 +330,9 @@ class Synonym(PerturbationSpec):
         subs = obj.get("substitutions", {})
         if not isinstance(subs, dict):
             raise GraphError(f"synonym 'substitutions' must be an object, got {subs!r}")
-        subs = {int(t): _strings(ws, f"substitutions at {t}") for t, ws in subs.items()}
-        delta = obj["delta"]
-        if not _is_int(delta):
-            raise GraphError(f"synonym 'delta' must be an integer, got {delta!r}")
-        return cls(words, subs, dict(obj["embeddings"]), delta)
+        position = lambda t: int(t) if t.isascii() and t.isdecimal() else t  # the spec rejects any other key
+        subs = {position(t): _strings(ws, f"substitutions at {t}") for t, ws in subs.items()}
+        return cls(words, subs, dict(obj["embeddings"]), obj["delta"])
 
 
 # the parse registry: document type -> spec class

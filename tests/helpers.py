@@ -13,6 +13,7 @@ from lirpa import (
     BinaryRelaxation,
     BoundStrategy,
     Constant,
+    DomainError,
     Exp,
     Graph,
     GraphError,
@@ -442,3 +443,63 @@ def signed_lines_forward(op, b: LinearBounds) -> LinearBounds:
         signed_mix(su, b.upper_w, b.lower_w),
         signed_mix(su, b.upper_b, b.lower_b) + op.upper_const,
     )
+
+
+def explicit_interval(op, inputs) -> IntervalBounds:
+    """Reference ``interval`` of the linear and monotone ops, each written out by hand."""
+    x = inputs[0]
+    if isinstance(op, Affine):
+        lo = op.w_pos @ x.lower + op.w_neg @ x.upper + op.bias
+        return IntervalBounds(lo, op.w_pos @ x.upper + op.w_neg @ x.lower + op.bias)
+    if isinstance(op, ReLU):
+        return IntervalBounds(np.maximum(x.lower, 0.0), np.maximum(x.upper, 0.0))
+    if isinstance(op, Exp):
+        return IntervalBounds(np.exp(x.lower), np.exp(x.upper))
+    if isinstance(op, Log):
+        if np.any(x.lower <= 0.0):
+            raise DomainError("log over an interval touching zero or below")
+        return IntervalBounds(np.log(x.lower), np.log(x.upper))
+    if isinstance(op, Neg):
+        return IntervalBounds(-x.upper, -x.lower)
+    if isinstance(op, SumReduce):
+        return IntervalBounds(np.sum(x.lower, keepdims=True), np.sum(x.upper, keepdims=True))
+    y = inputs[1]
+    if isinstance(op, Add):
+        return IntervalBounds(x.lower + y.lower, x.upper + y.upper)
+    return IntervalBounds(x.lower - y.upper, x.upper - y.lower)  # Sub
+
+
+def explicit_forward(op, bounds) -> LinearBounds:
+    """Reference ``forward`` of the linear ops, each written out by hand."""
+    x = bounds[0]
+    if isinstance(op, Affine):
+        return LinearBounds(
+            op.w_pos @ x.lower_w + op.w_neg @ x.upper_w,
+            op.w_pos @ x.lower_b + op.w_neg @ x.upper_b + op.bias,
+            op.w_pos @ x.upper_w + op.w_neg @ x.lower_w,
+            op.w_pos @ x.upper_b + op.w_neg @ x.lower_b + op.bias,
+        )
+    if isinstance(op, Neg):
+        return LinearBounds(-x.upper_w, -x.upper_b, -x.lower_w, -x.lower_b)
+    if isinstance(op, SumReduce):
+        sums = (x.lower_w.sum(axis=0, keepdims=True), x.lower_b.sum(keepdims=True))
+        return LinearBounds(*sums, x.upper_w.sum(axis=0, keepdims=True), x.upper_b.sum(keepdims=True))
+    y = bounds[1]
+    if isinstance(op, Add):
+        return LinearBounds(x.lower_w + y.lower_w, x.lower_b + y.lower_b, x.upper_w + y.upper_w, x.upper_b + y.upper_b)
+    return LinearBounds(x.lower_w - y.upper_w, x.lower_b - y.upper_b, x.upper_w - y.lower_w, x.upper_b - y.lower_b)
+
+
+def explicit_backward(op, lower_coeff, upper_coeff, in_dim):
+    """Reference ``backward`` of the elementwise linear ops and ``SumReduce``, each written out by hand."""
+    zero = np.zeros(lower_coeff.shape[0])
+    if isinstance(op, Neg):
+        lams = [(-lower_coeff, -upper_coeff)]
+    elif isinstance(op, Add):
+        lams = [(lower_coeff, upper_coeff)] * 2
+    elif isinstance(op, Sub):
+        lams = [(lower_coeff, upper_coeff), (-lower_coeff, -upper_coeff)]
+    else:  # SumReduce
+        ones = np.ones((1, in_dim))
+        lams = [(lower_coeff @ ones, upper_coeff @ ones)]
+    return lams, zero, zero.copy()

@@ -14,6 +14,7 @@ from lirpa import (
     Node,
     ReLU,
     SumReduce,
+    Synonym,
     evaluate,
     get_out_degree,
     parse_problem,
@@ -204,6 +205,70 @@ def test_graph_validation_rejects_bad_structures():
         Graph((Node(1, Input(), (), 1),), 0)
     with pytest.raises(GraphError, match="sum_reduce"):
         Graph((Node(0, Input(), (), 3), Node(1, SumReduce(), (0,), 3)), 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Graph((Node(0, Input(), (), 1), Node(1, ReLU(), (0,), 1)), True),
+        lambda: Graph((Node(0, Input(), (), 1), Node(1, ReLU(), (0,), 1)), 1.0),
+        lambda: Node(0, Input(), (), 2.9),
+        lambda: Node(1, ReLU(), (0.7,), 1),
+        lambda: Node(1, ReLU(), (True,), 1),
+        lambda: Graph((Node(0, Input(), (), 1), Node(True, ReLU(), (0,), 1)), 0),
+    ],
+)
+def test_a_non_integer_node_id_or_dim_fails_closed(build):
+    # these were truncated by int(...): a bool output id bounded node 1, dim 2.9 became 2
+    with pytest.raises(GraphError, match="integer"):
+        build()
+
+
+def test_numpy_integer_ids_and_dims_are_accepted():
+    one = np.int64(1)
+    g = Graph((Node(0, Input(), (), np.int64(2)), Node(one, ReLU(), (np.int32(0),), 2)), one)
+    assert g.output == 1 and g.nodes[1].inputs == (0,) and g.nodes[0].dim == 2
+
+
+def _synonym(budget=1, substitutions=None):
+    emb = {w: np.array([float(k)]) for k, w in enumerate("abcd")}
+    return Synonym(("a", "b"), {0: ("c",), 1: ("d",)} if substitutions is None else substitutions, emb, budget)
+
+
+@pytest.mark.parametrize(
+    "budget, substitutions, message",
+    [
+        (1.9, None, "'delta' must be an integer, got 1.9"),
+        (True, None, "'delta' must be an integer, got True"),
+        ("1", None, "'delta' must be an integer, got '1'"),
+        (1, {0.6: ("c",)}, "substitution position 0.6 out of range"),
+        (1, {True: ("c",)}, "substitution position True out of range"),
+        (1, {"1": ("c",)}, "substitution position '1' out of range"),
+    ],
+)
+def test_a_non_integer_synonym_budget_or_position_fails_closed(budget, substitutions, message):
+    # built directly, the spec runs the check that its document form runs: budget 1.9 was truncated to 1
+    with pytest.raises(GraphError, match=re.escape(message)):
+        _synonym(budget, substitutions)
+
+
+def test_numpy_integer_synonym_budget_and_positions_are_accepted():
+    spec = _synonym(np.int64(1), {np.int64(1): ("d",)})
+    assert spec.budget == 1 and dict(spec.substitutions) == {1: ("d",)}
+    assert type(spec.budget) is int and all(type(t) is int for t in spec.substitutions)
+
+
+@pytest.mark.parametrize("key", ["1_0", " 1", "+1", "1.0", "١", "-1"])
+def test_a_document_position_key_is_decimal_digits(key):
+    # int() read "1_0" as 10 and "١" (an Arabic-Indic one) as 1
+    words = [f"w{t}" for t in range(11)]
+    emb = {w: [float(k)] for k, w in enumerate(words + ["s"])}
+    doc = _synonym_doc(words=words, substitutions={key: ["s"]}, embeddings=emb)
+    doc["nodes"][0]["dim"] = 11
+    with pytest.raises(GraphError, match=re.escape(f"substitution position {key!r} out of range")):
+        parse_problem(json.dumps(doc))
+    doc["perturbations"][0]["substitutions"] = {"10": ["s"]}
+    assert dict(parse_problem(json.dumps(doc))[1][0].substitutions) == {10: ("s",)}
 
 
 def test_topological_order_chain():

@@ -5,11 +5,21 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from helpers import assert_linear_sound, assert_sound, sample_points, signed_lines_forward, signed_mix
+from helpers import (
+    assert_linear_sound,
+    assert_sound,
+    explicit_backward,
+    explicit_forward,
+    explicit_interval,
+    sample_points,
+    signed_lines_forward,
+    signed_mix,
+)
 from lirpa import (
     Add,
     Affine,
     BoundStrategy,
+    DomainError,
     Exp,
     Graph,
     GraphError,
@@ -31,7 +41,7 @@ from lirpa import (
     evaluate,
 )
 from lirpa.backward import BoundQuery
-from lirpa.ops import Elementwise, MatVec, OpKind
+from lirpa.ops import Elementwise, MatVec, OpKind, _Linear
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +163,93 @@ def test_relaxed_op_defined_outside_the_package_is_bounded(strategy):
 def test_op_defined_outside_the_package_checks_its_dims():
     with pytest.raises(GraphError, match="node 1: scale by 3 factors"):
         Graph((Node(0, Input(), (), 2), Node(1, Scale(np.ones(3)), (0,), 2)), 1)
+
+
+@dataclass(frozen=True)
+class YMinusXMinusZ(_Linear):
+    """h = y - x - z coordinatewise, defined by its map, its dims check and its signs alone."""
+
+    kind = "y_minus_x_minus_z"
+    arity = 3
+    signs = (-1, 1, -1)
+
+    def check(self, dim, in_dims):
+        return None if in_dims == [dim] * 3 else f"{self.kind} requires equal dims, got {in_dims} -> {dim}"
+
+    def eval(self, xs):
+        return xs[1] - xs[0] - xs[2]
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_a_linear_op_defined_by_its_map_and_signs_alone_is_bounded(strategy):
+    rng = np.random.default_rng(23)
+    head = (
+        Node(0, Input(), (), 3),
+        Node(1, Affine(rng.uniform(-1, 1, (3, 3)), rng.uniform(-0.5, 0.5, 3)), (0,), 3),
+        Node(2, ReLU(), (1,), 3),
+    )
+    tail = lambda k: (Node(k, ReLU(), (k - 1,), 3), Node(k + 1, Affine(np.array([[1.0, -2.0, 0.5]]), [0.25]), (k,), 1))
+    g = Graph(head + (Node(3, YMinusXMinusZ(), (1, 2, 0), 3),) + tail(4), 5)
+    # the same map from built-in ops: (y - x) - z
+    built = Graph(head + (Node(3, Sub(), (2, 1), 3), Node(4, Sub(), (3, 0), 3)) + tail(5), 6)
+    specs = {0: LpBall(rng.uniform(-1, 1, 3), 0.4, math.inf)}
+    for target, built_target in ((3, 4), (5, 6)):
+        for mode in ReluLowerMode:
+            native, box = compute_bounds(g, specs, strategy, target, relu_mode=mode)
+            assert_sound(g, specs, {target: box}, rng, n=2000, slack=1e-9)
+            if strategy is not BoundStrategy.IBP:
+                assert_linear_sound(g, specs, {target: native}, rng, n=2000, slack=1e-9)
+            want = compute_bounds(built, specs, strategy, built_target, relu_mode=mode)[1]
+            assert np.allclose(box.lower, want.lower, rtol=0, atol=1e-12)
+            assert np.allclose(box.upper, want.upper, rtol=0, atol=1e-12)
+
+
+_ENDS = np.array([-np.inf, -2.5, -1.0, -0.0, 0.0, 0.5, 3.0, np.inf])
+
+
+def _same_bytes(got, want) -> bool:
+    got, want = list(got), list(want)
+    return len(got) == len(want) and all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_derived_rules_equal_the_explicit_ones_bit_for_bit():
+    # interval, forward and backward of each op whose rules come from its map and signs, against helpers' references
+    rng = np.random.default_rng(29)
+    pairs = np.array([(l, u) for l in _ENDS for u in _ENDS if l <= u])  # -0.0 <= 0.0 and 0.0 <= -0.0 both hold
+    d, positive = len(pairs), pairs[pairs[:, 0] > 0.0]
+    boxes = [IntervalBounds(*pairs[rng.permutation(d)].T) for _ in range(2)]
+    log_domain = [IntervalBounds(*positive[rng.integers(0, len(positive), d)].T) for _ in range(2)]
+    weight, bias = rng.choice([-1.5, -0.0, 0.0, 2.0], (3, d)), rng.choice([-0.5, -0.0, 0.0, 1.0], 3)
+    ops = [Affine(weight, bias), ReLU(), Exp(), Log(), Neg(), Add(), Sub(), SumReduce()]
+    block = lambda: LinearBounds(*(rng.choice(_ENDS, shape) for shape in ((d, 4), (d,)) * 2))
+    checked = []
+    with np.errstate(all="ignore"):
+        for op in ops:
+            for inputs in (boxes[:op.arity], log_domain[:op.arity]):
+                try:
+                    want = explicit_interval(op, inputs)
+                except DomainError:  # a log whose interval touches zero: outside its domain both ways
+                    with pytest.raises(DomainError):
+                        op.interval(inputs)
+                    continue
+                got = op.interval(inputs)
+                assert _same_bytes((got.lower, got.upper), (want.lower, want.upper)), op.kind
+                checked.append((op.kind, "interval"))
+            if op.relaxed:  # its lines op carries forward and backward
+                continue
+            bounds = [block() for _ in range(op.arity)]
+            got, want = op.forward(bounds), explicit_forward(op, bounds)
+            assert _same_bytes(vars(got).values(), vars(want).values()), op.kind
+            checked.append((op.kind, "forward"))
+            if isinstance(op, Affine):  # its own backward is unchanged
+                continue
+            lower, upper = (rng.choice(_ENDS, (3, 1 if isinstance(op, SumReduce) else d)) for _ in range(2))
+            for lo, up in ((lower, upper), (lower, lower)):
+                (lams, d_lo, d_up), (want, w_lo, w_up) = op.backward(lo, up, d), explicit_backward(op, lo, up, d)
+                assert _same_bytes([a for pair in lams for a in pair], [a for pair in want for a in pair]), op.kind
+                assert _same_bytes((d_lo, d_up), (w_lo, w_up)), op.kind
+            checked.append((op.kind, "backward"))
+    assert len(checked) == 2 * len(ops) - 1 + 5 + 4  # log's interval only on its domain
 
 
 def test_matvec_eval_is_the_reshaped_product():
@@ -322,6 +419,8 @@ def test_backward_rules_leave_one_shared_coefficient_unchanged(relu_mode):
         rule = op.relax(intervals, relu_mode) if op.relaxed else op
         lams, d_lo, d_up = rule.backward(coeff, coeff, 4)
         assert np.array_equal(coeff, before), op.kind
+        if not op.relaxed:  # exact, so one array still serves both sides of each input
+            assert all(lo is up for lo, up in lams), op.kind
         # the same bits as two separate arrays give
         split, s_lo, s_up = rule.backward(coeff.copy(), coeff.copy(), 4)
         for (lo, up), (want_lo, want_up) in zip(lams, split):

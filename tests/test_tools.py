@@ -43,6 +43,8 @@ def test_the_digest_prints_its_count_and_one_line_per_function():
     first, *rest, folded = _run("bound_digest.py")
     assert re.fullmatch(r"4800 results sha256 [0-9a-f]{64}", first)
     assert rest and all(re.fullmatch(r"  \d+ [\w.]+ sha256 [0-9a-f]{64}", line) for line in rest)
-    # the last line covers every call, bound_loss_unfused's too, with each zero's sign folded
-    unfused = next(int(line.split()[0]) for line in rest if " bound_loss_unfused " in line)
-    assert re.fullmatch(rf"  {4800 + unfused} folded sha256 [0-9a-f]{{64}}", folded)
+    # the last line covers every call, also those the first line leaves out, with each zero's sign folded
+    counts = {line.split()[1]: int(line.split()[0]) for line in rest}
+    assert counts["compute_bounds_margin"] == 100  # 10 classifiers, 5 strategies, 2 ReLU modes
+    left_out = counts["bound_loss_unfused"] + counts["compute_bounds_margin"]
+    assert re.fullmatch(rf"  {4800 + left_out} folded sha256 [0-9a-f]{{64}}", folded)

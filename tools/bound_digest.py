@@ -8,14 +8,18 @@ Two checkouts that print the same line give bit-identical bounds on:
   as ``tests/test_acceptance.py`` builds it) and the demo net: ``compute_bounds``
   for every node as target, under every strategy and ReLU mode;
 - 10 ``random_classifier``s (``default_rng(7)``, 3-5 classes): the same, plus
-  ``fused_loss_report``, ``bound_loss_fused``, ``bound_loss_unfused`` and
-  ``flatness_score`` (eps_bar 0.01, the input's center labelled 0) under
-  every strategy and ReLU mode.
+  ``fused_loss_report``, ``bound_loss_fused``, ``bound_loss_unfused``,
+  ``flatness_score`` (eps_bar 0.01, the input's center labelled 0) and
+  ``compute_bounds_margin`` (the output's ``compute_bounds`` with the label-0
+  ``margin_transform`` as ``out_coeff``, the only call whose native ``ibp``
+  and ``forward`` bounds pass through ``Affine.interval`` and
+  ``Affine.forward`` after the query) under every strategy and ReLU mode.
 
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
 call that raises is hashed as its exception's type name. The first line
-covers every call but ``bound_loss_unfused``'s, so it compares with
-checkouts that did not record those. One indented line follows per
+covers every call but those of ``bound_loss_unfused`` and
+``compute_bounds_margin``, so it compares with checkouts that did not
+record those. One indented line follows per
 function and one per field of ``fused_loss_report``'s result, each over
 that function's calls alone. The last line, ``folded``, covers every
 call with each float's sign of zero folded (``x + 0.0``), so a change that
@@ -51,10 +55,14 @@ def main() -> None:
 
     digests, counts = {}, Counter()
 
+    def compute_bounds_margin(g, specs, strategy, mode):
+        margins = lirpa.margin_transform(0, g.nodes[g.output].dim)
+        return lirpa.compute_bounds(g, specs, strategy, None, margins, mode)
+
     def record(call, *call_args):
         # the first line keeps to the calls it has always covered
         family = call.__name__
-        keys = [family] if family == "bound_loss_unfused" else ["results", family]
+        keys = [family] if family in ("bound_loss_unfused", "compute_bounds_margin") else ["results", family]
         counts.update(keys + ["folded"])
         try:
             result = call(*call_args)
@@ -91,6 +99,7 @@ def main() -> None:
                 record(lirpa.bound_loss_unfused, g, specs, margin, strategy, mode)
                 batch = [({0: specs[0].center}, 0)]
                 record(lirpa.flatness_score, g, 0.01, batch, strategy, mode)
+                record(compute_bounds_margin, g, specs, strategy, mode)
     print(f"{counts['results']} results sha256 {digests['results'].hexdigest()}")
     for key in sorted(digests.keys() - {"results", "folded"}) + ["folded"]:
         print(f"  {counts[key.split('.')[0]]} {key} sha256 {digests[key].hexdigest()}")
