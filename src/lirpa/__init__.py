@@ -52,9 +52,7 @@ from .ops import (
 )
 from .perturb import Constant, LpBall, PerturbationSpec, Synonym
 from .relaxation import (
-    BinaryRelaxation,
     ReluLowerMode,
-    UnaryRelaxation,
     exp_relaxation,
     log_relaxation,
     mul_relaxation,
@@ -68,7 +66,6 @@ __all__ = [
     "Add",
     "Affine",
     "BackwardState",
-    "BinaryRelaxation",
     "BoundStrategy",
     "Constant",
     "DomainError",
@@ -93,7 +90,6 @@ __all__ = [
     "Sub",
     "SumReduce",
     "Synonym",
-    "UnaryRelaxation",
     "bound_loss_fused",
     "bound_loss_unfused",
     "build_fused_loss_graph",

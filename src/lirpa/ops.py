@@ -21,7 +21,9 @@ coefficient, negated where its sign is -1.
 A ``relaxed`` op defines ``relax(intervals, relu_mode)`` in place of the
 last two: from its inputs' intervals it returns an op with fixed lines,
 which is not relaxed and carries the ``forward`` and ``backward`` rules.
-A query relaxes each relaxed node once.
+The ``relaxation`` functions return that op's fields as ``_Lines`` holds
+them: one (lower, upper) slope pair per input and the two constants. A
+query relaxes each relaxed node once.
 """
 from __future__ import annotations
 
@@ -219,8 +221,7 @@ class UnaryRelaxed(Elementwise):
     signs = (1,)
 
     def relax(self, intervals, relu_mode):
-        rel = unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode)
-        return _Lines(((rel.lower_slope, rel.upper_slope),), rel.lower_intercept, rel.upper_intercept)
+        return _Lines(*unary_relaxation(self, intervals[0].lower, intervals[0].upper, relu_mode))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,9 +375,7 @@ class MulElementwise(Elementwise):
 
     def relax(self, intervals, relu_mode):
         ix, iy = intervals
-        rel = mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper)
-        slopes = (rel.lower_x, rel.upper_x), (rel.lower_y, rel.upper_y)
-        return _Lines(slopes, rel.lower_const, rel.upper_const)
+        return _Lines(*mul_relaxation(ix.lower, ix.upper, iy.lower, iy.upper))
 
 
 class _WeightCoeff:
@@ -487,38 +486,35 @@ class _Planes(OpKind):
 
     def forward(self, bounds):
         w, x = bounds
-        rel = self.rel
-        s, t = rel.lower_x.shape
+        ((lx, ux), (ly, uy)), lc, uc = self.rel
+        s, t = lx.shape
         # one row per term W_ij x_j from W's bounds, then x's part of each row's sum
-        terms = _unary_mix(rel.lower_x.ravel(), 0.0, rel.upper_x.ravel(), 0.0, w)
+        terms = _unary_mix(lx.ravel(), 0.0, ux.ravel(), 0.0, w)
 
         def row_sum(on_w, slope, on_pos, on_neg, const):
             pos, neg = _posneg(slope)
             return on_w.reshape(s, t, *on_w.shape[1:]).sum(axis=1) + pos @ on_pos + neg @ on_neg + const
 
-        lower_const = rel.lower_const.sum(axis=1) + self.bias
-        upper_const = rel.upper_const.sum(axis=1) + self.bias
+        lower_const = lc.sum(axis=1) + self.bias
+        upper_const = uc.sum(axis=1) + self.bias
         return LinearBounds(
-            row_sum(terms[0], rel.lower_y, x.lower_w, x.upper_w, 0.0),
-            row_sum(terms[1], rel.lower_y, x.lower_b, x.upper_b, lower_const),
-            row_sum(terms[2], rel.upper_y, x.upper_w, x.lower_w, 0.0),
-            row_sum(terms[3], rel.upper_y, x.upper_b, x.lower_b, upper_const),
+            row_sum(terms[0], ly, x.lower_w, x.upper_w, 0.0),
+            row_sum(terms[1], ly, x.lower_b, x.upper_b, lower_const),
+            row_sum(terms[2], uy, x.upper_w, x.lower_w, 0.0),
+            row_sum(terms[3], uy, x.upper_b, x.lower_b, upper_const),
         )
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
-        rel = self.rel
+        ((lx, ux), (ly, uy)), lc, uc = self.rel
         lo_pos, lo_neg = _posneg(lower_coeff)
         up_pos, up_neg = _posneg(upper_coeff)
 
         lams = [
-            (
-                _WeightCoeff(lo_pos, lo_neg, rel.lower_x, rel.upper_x),
-                _WeightCoeff(up_pos, up_neg, rel.upper_x, rel.lower_x),
-            ),
-            (lo_pos @ rel.lower_y + lo_neg @ rel.upper_y, up_pos @ rel.upper_y + up_neg @ rel.lower_y),
+            (_WeightCoeff(lo_pos, lo_neg, lx, ux), _WeightCoeff(up_pos, up_neg, ux, lx)),
+            (lo_pos @ ly + lo_neg @ uy, up_pos @ uy + up_neg @ ly),
         ]
-        lower_const = rel.lower_const.sum(axis=1)
-        upper_const = rel.upper_const.sum(axis=1)
+        lower_const = lc.sum(axis=1)
+        upper_const = uc.sum(axis=1)
         d_lo = lo_pos @ lower_const + lo_neg @ upper_const + lower_coeff @ self.bias
         d_up = up_pos @ upper_const + up_neg @ lower_const + upper_coeff @ self.bias
         return lams, d_lo, d_up

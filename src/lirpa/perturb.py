@@ -327,12 +327,13 @@ class Synonym(PerturbationSpec):
     @classmethod
     def from_json(cls, obj: dict) -> "Synonym":
         words = _strings(obj["words"], "synonym 'words'")
-        subs = obj.get("substitutions", {})
-        if not isinstance(subs, dict):
-            raise GraphError(f"synonym 'substitutions' must be an object, got {subs!r}")
+        subs, embeddings = obj.get("substitutions", {}), obj["embeddings"]
+        for name, value in (("substitutions", subs), ("embeddings", embeddings)):
+            if not isinstance(value, dict):
+                raise GraphError(f"synonym {name!r} must be an object, got {value!r}")
         position = lambda t: int(t) if t.isascii() and t.isdecimal() else t  # the spec rejects any other key
         subs = {position(t): _strings(ws, f"substitutions at {t}") for t, ws in subs.items()}
-        return cls(words, subs, dict(obj["embeddings"]), obj["delta"])
+        return cls(words, subs, embeddings, obj["delta"])
 
 
 # the parse registry: document type -> spec class

@@ -1,13 +1,13 @@
 """Per-neuron linear relaxations of nonlinear operations.
 
-Every relaxation produces slopes and intercepts such that, for all points of
-the given pre-activation interval, the true function is sandwiched between
-the lower and the upper line (plane for binary ops). A relaxed op's
-``relax`` rule turns these parameters into an op with fixed lines.
+Every relaxation returns ``(slopes, lower_const, upper_const)``: one
+(lower, upper) slope pair per input, then the two intercepts, such that for
+all points of the given input intervals the true function lies between
+sum_k lower_slope_k * x_k + lower_const and the same with the upper ones.
+A relaxed op's ``relax`` rule makes these the lines of an op.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -16,8 +16,6 @@ from .errors import DomainError, GraphError
 
 __all__ = [
     "ReluLowerMode",
-    "UnaryRelaxation",
-    "BinaryRelaxation",
     "relu_relaxation",
     "exp_relaxation",
     "log_relaxation",
@@ -35,28 +33,6 @@ class ReluLowerMode(Enum):
 
     ADAPTIVE = "adaptive"
     ZERO = "zero"
-
-
-@dataclass(frozen=True)
-class UnaryRelaxation:
-    """lower_slope*x + lower_intercept <= f(x) <= upper_slope*x + upper_intercept."""
-
-    lower_slope: np.ndarray
-    lower_intercept: np.ndarray
-    upper_slope: np.ndarray
-    upper_intercept: np.ndarray
-
-
-@dataclass(frozen=True)
-class BinaryRelaxation:
-    """Per-neuron bounding planes a*x + b*y + c around f(x, y)."""
-
-    lower_x: np.ndarray
-    lower_y: np.ndarray
-    lower_const: np.ndarray
-    upper_x: np.ndarray
-    upper_y: np.ndarray
-    upper_const: np.ndarray
 
 
 def _inverted(l: np.ndarray, u: np.ndarray) -> bool:
@@ -79,7 +55,7 @@ def _check_interval(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return l, u
 
 
-def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
+def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> tuple:
     """Relax max(x, 0) on [l, u].
 
     Stable neurons collapse to the exact line (zero or identity). Unstable
@@ -91,15 +67,20 @@ def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> Unary
     l, u = _check_interval(l, u)
     active = l >= 0.0
     crossing = (l < 0.0) & (u > 0.0)
-    chord = np.divide(u, u - l, out=np.zeros(l.shape), where=crossing)
+    with np.errstate(over="ignore"):
+        width = u - l
+    chord = np.divide(u, width, out=np.zeros(l.shape), where=crossing)
+    if np.isinf(width).any():  # u - l overflowed: halve the ends, exact as they are far from subnormal
+        wide = crossing & np.isinf(width)
+        chord[wide] = 0.5 * u[wide] / (0.5 * u[wide] - 0.5 * l[wide])
     upper_intercept = np.multiply(-chord, l, out=np.zeros(l.shape), where=crossing)
     np.copyto(chord, 1.0, where=active)  # now the upper slope
     # past the active neurons, u > -l holds only on crossing ones wider above zero than below
     lower = active if mode is ReluLowerMode.ZERO else active | (u > -l)
-    return UnaryRelaxation(lower.astype(np.float64), np.zeros(l.shape), chord, upper_intercept)
+    return ((lower.astype(np.float64), chord),), np.zeros(l.shape), upper_intercept
 
 
-def exp_relaxation(l, u) -> UnaryRelaxation:
+def exp_relaxation(l, u) -> tuple:
     """Relax exp on [l, u]: chord above, tangent below.
 
     The tangent point is min((l+u)/2, log(chord slope)) clamped into [l, u];
@@ -126,10 +107,10 @@ def exp_relaxation(l, u) -> UnaryRelaxation:
     d = np.clip(np.minimum(0.5 * (l + u), equalizer), l, u)
     lower_slope = np.exp(d)
     lower_intercept = lower_slope * (1.0 - d)
-    return UnaryRelaxation(lower_slope, lower_intercept, upper_slope, upper_intercept)
+    return ((lower_slope, upper_slope),), lower_intercept, upper_intercept
 
 
-def log_relaxation(l, u) -> UnaryRelaxation:
+def log_relaxation(l, u) -> tuple:
     """Relax log on [l, u] with l > 0: chord below, tangent above (concavity)."""
     l, u = _check_interval(l, u)
     if np.any(l <= 0.0):
@@ -141,10 +122,10 @@ def log_relaxation(l, u) -> UnaryRelaxation:
     d = np.clip(np.minimum(0.5 * (l + u), 1.0 / lower_slope), l, u)
     upper_slope = 1.0 / d
     upper_intercept = np.log(d) - 1.0
-    return UnaryRelaxation(lower_slope, lower_intercept, upper_slope, upper_intercept)
+    return ((lower_slope, upper_slope),), lower_intercept, upper_intercept
 
 
-def mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
+def mul_relaxation(lx, ux, ly, uy) -> tuple:
     """Relax elementwise x*y over the box [lx, ux] x [ly, uy].
 
     Uses one fixed pair of bounding planes: below z >= ly*x + lx*y - lx*ly
@@ -171,10 +152,10 @@ def mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
         np.multiply(lx, ly, out=const, where=both)
     del ly, uy  # C-order copies of a MatVec's broadcast input row: freed before the last two planes
     y_slope = np.where(y_const, 0.0, lx)  # both planes'
-    return BinaryRelaxation(lower_x, y_slope, lower_const, upper_x, y_slope, upper_const)
+    return ((lower_x, upper_x), (y_slope, y_slope)), lower_const, upper_const
 
 
-def unary_relaxation(op, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
+def unary_relaxation(op, l, u, relu_mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> tuple:
     """The relaxation of a unary nonlinear op of kind ``relu``, ``exp`` or ``log`` on [l, u]."""
     if op.kind == "relu":
         return relu_relaxation(l, u, relu_mode)

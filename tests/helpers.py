@@ -10,7 +10,6 @@ import numpy as np
 from lirpa import (
     Add,
     Affine,
-    BinaryRelaxation,
     BoundStrategy,
     Constant,
     DomainError,
@@ -30,7 +29,6 @@ from lirpa import (
     Sub,
     SumReduce,
     Synonym,
-    UnaryRelaxation,
     evaluate,
     get_out_degree,
     margin_transform,
@@ -366,7 +364,7 @@ def dense_weight_perturbed_graph(g, eps_bar):
     return Graph(tuple(nodes), mapping[g.output]), specs, mapping
 
 
-def select_mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
+def select_mul_relaxation(lx, ux, ly, uy) -> tuple:
     """Reference ``mul_relaxation``: the six planes picked with ``np.select``, each branch spelled out."""
     lx, ux = _check_interval(lx, ux)
     ly, uy = _check_interval(ly, uy)
@@ -380,7 +378,7 @@ def select_mul_relaxation(lx, ux, ly, uy) -> BinaryRelaxation:
     upper_x = np.select(conds, [zeros, zeros, ly], default=uy)
     upper_y = np.select(conds, [zeros, lx, zeros], default=lx)
     upper_const = np.select(conds, [lx * ly, zeros, zeros], default=-lx * uy)
-    return BinaryRelaxation(lower_x, lower_y, lower_const, upper_x, upper_y, upper_const)
+    return ((lower_x, upper_x), (lower_y, upper_y)), lower_const, upper_const
 
 
 def stacked_corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
@@ -389,20 +387,23 @@ def stacked_corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
     return corners.min(axis=0), corners.max(axis=0)
 
 
-def where_relu_relaxation(l, u, mode=ReluLowerMode.ADAPTIVE) -> UnaryRelaxation:
+def where_relu_relaxation(l, u, mode=ReluLowerMode.ADAPTIVE) -> tuple:
     """Reference ``relu_relaxation``: every line picked by its own ``np.where``."""
     l, u = _check_interval(l, u)
     active = l >= 0.0
     crossing = (l < 0.0) & (u > 0.0)
-    denom = np.where(crossing, u - l, 1.0)
-    chord = np.where(crossing, u / denom, 0.0)
+    with np.errstate(over="ignore"):
+        denom = np.where(crossing, u - l, 1.0)
+    # a width past the float range: the chord through the halved ends
+    wide = np.isinf(denom)
+    chord = np.where(crossing, np.where(wide, 0.5 * u, u) / np.where(wide, 0.5 * u - 0.5 * l, denom), 0.0)
     upper_slope = np.where(active, 1.0, chord)
     upper_intercept = np.where(crossing, -chord * l, 0.0)
     if mode is ReluLowerMode.ZERO:
         lower_slope = np.where(active, 1.0, 0.0)
     else:
         lower_slope = np.where(active | (crossing & (u > -l)), 1.0, 0.0)
-    return UnaryRelaxation(lower_slope, np.zeros_like(l), upper_slope, upper_intercept)
+    return ((lower_slope, upper_slope),), np.zeros_like(l), upper_intercept
 
 
 def four_product_lines_backward(op, lower_coeff, upper_coeff, in_dim):

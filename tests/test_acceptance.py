@@ -92,8 +92,8 @@ def test_criterion_2_worked_example_intermediates():
     )
     assert lb.upper_w[0] == pytest.approx([0.40, 3.74], abs=0.01)
     assert lb.lower_w[0] == pytest.approx([-1.75, -0.875], abs=0.001)
-    rel = relu_relaxation(box.lower, box.upper, ReluLowerMode.ZERO)
-    assert rel.upper_slope == pytest.approx([0.58, 0.64], abs=0.01)
+    ((_, upper_slope),), _, _ = relu_relaxation(box.lower, box.upper, ReluLowerMode.ZERO)
+    assert upper_slope == pytest.approx([0.58, 0.64], abs=0.01)
     _ok(2, "pre-activation box exact, input coefficients and relu slopes on target")
 
 

@@ -10,18 +10,19 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lirpa
-from helpers import demo_net
+from helpers import demo_net, random_graph
 from lirpa import GraphError
 from lirpa.backward import BoundQuery
 
 PUBLIC = {
-    "Add", "Affine", "BackwardState", "BinaryRelaxation", "BoundStrategy", "Constant", "DomainError",
+    "Add", "Affine", "BackwardState", "BoundStrategy", "Constant", "DomainError",
     "Exp", "FusedLossReport", "Graph", "GraphError", "Input", "InputLayout", "IntervalBounds",
     "LinearBounds", "Log", "LpBall", "MarginSpec", "MulElementwise", "Neg", "Node", "OpKind",
-    "PerturbationSpec", "ReLU", "ReluLowerMode", "Sub", "SumReduce", "Synonym", "UnaryRelaxation",
+    "PerturbationSpec", "ReLU", "ReluLowerMode", "Sub", "SumReduce", "Synonym",
     "bound_loss_fused", "bound_loss_unfused", "build_fused_loss_graph", "compute_bounds",
     "concretize_bounds", "evaluate", "exp_relaxation", "flatness_score", "fused_loss_report",
     "get_out_degree", "log_relaxation", "margin_transform", "mul_relaxation", "parse_problem",
@@ -77,3 +78,25 @@ def test_run_backward_takes_the_graph_the_target_and_out_coeff():
     # perfbench/tracing.py's _rows hook binds these names to count backward.rows,
     # which perfbench's test_backward_pass_counts_per_query reads: renaming one breaks the benchmark
     assert list(inspect.signature(lirpa.run_backward).parameters) == ["g", "o", "out_coeff"]
+
+
+def test_each_relaxed_unary_node_goes_through_unary_relaxation_once(monkeypatch):
+    # perfbench/tracing.py's _unstable hook binds these names on every call to count
+    # relaxation.relu_unstable_frac and unary_relaxation.calls: a relax rule that
+    # bypassed the function would read 0 there
+    assert list(inspect.signature(lirpa.unary_relaxation).parameters) == ["op", "l", "u", "relu_mode"]
+    calls, relax = [], lirpa.ops.unary_relaxation
+    monkeypatch.setattr(lirpa.ops, "unary_relaxation", lambda op, *args: calls.append(op.kind) or relax(op, *args))
+    g, specs = demo_net()
+    lirpa.compute_bounds(g, specs, lirpa.BoundStrategy.BACKWARD)
+    assert calls == ["relu", "relu"]
+    # acceptance corpus graph 21: its output adds relu 7 to relu 9 = relu(relu 7), and relu 5 is off its paths
+    rng = np.random.default_rng(2024)
+    g, specs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(22)][-1]
+    assert g.nodes[g.output].op.kind == "add" and g.nodes[g.output].inputs == (9, 7) and g.nodes[9].inputs == (7,)
+    unary = [i for i, n in enumerate(g.nodes) if isinstance(n.op, lirpa.ops.UnaryRelaxed)]
+    assert unary == [4, 5, 7, 9] and lirpa.get_out_degree(g, g.output)[5] == 0
+    for strategy in lirpa.BoundStrategy:
+        calls.clear()
+        lirpa.compute_bounds(g, specs, strategy)
+        assert calls == ([] if strategy is lirpa.BoundStrategy.IBP else ["relu"] * 3), strategy

@@ -686,3 +686,13 @@ def test_an_unknown_relu_mode_fails_closed(mode):
                 call(strategy)
     with pytest.raises(GraphError, match="unknown ReLU lower mode"):
         relu_relaxation(np.array([-1.0]), np.array([1.0]), mode)
+
+
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_a_relu_interval_wider_than_the_float_range_keeps_its_chord(strategy):
+    # the pre-activation is [-1e308, 1e308]: its width overflows, yet the ReLU reaches 1e308 at x = 1
+    nodes = (Node(0, Input(), (), 1), Node(1, Affine([[1e308]], [0.0]), (0,), 1), Node(2, ReLU(), (1,), 1))
+    g, specs = Graph(nodes, 2), {0: LpBall([0.0], 1.0, math.inf)}
+    for mode in ReluLowerMode:
+        box = compute_bounds(g, specs, strategy, relu_mode=mode)[1]
+        assert box.lower[0] <= 0.0 and box.upper[0] >= 1e308

@@ -136,6 +136,8 @@ def test_parse_rejects_non_finite_embedding():
         ({"delta": 1.7}, "'delta' must be an integer, got 1.7"),
         ({"delta": True}, "'delta' must be an integer, got True"),
         ({"delta": "1"}, "'delta' must be an integer, got '1'"),
+        # dict() once read these pairs as the object README documents
+        ({"embeddings": [["a", [1.0, 0.0]], ["b", [0.0, 1.0]]]}, "'embeddings' must be an object, got [['a'"),
     ],
 )
 def test_parse_rejects_malformed_synonym_fields(fields, message):

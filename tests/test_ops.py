@@ -364,13 +364,13 @@ def _weight_coeffs(rng, rows=5, s=3, t=4, pin=False):
     lower[1] = upper[3] = 0.0
     planes = MatVec(rng.uniform(-1, 1, s)).relax(intervals, ReluLowerMode.ZERO)
     lams = planes.backward(lower, upper, s * t)[0]
-    rel = planes.rel
+    ((lower_x, upper_x), _), _, _ = planes.rel
 
     def on_w(coeff, slope_pos, slope_neg):
         pos, neg = np.maximum(coeff, 0.0), np.minimum(coeff, 0.0)
         return (pos[:, :, None] * slope_pos + neg[:, :, None] * slope_neg).reshape(len(pos), -1)
 
-    dense = on_w(lower, rel.lower_x, rel.upper_x), on_w(upper, rel.upper_x, rel.lower_x)
+    dense = on_w(lower, lower_x, upper_x), on_w(upper, upper_x, lower_x)
     return lams[0], dense
 
 

@@ -1,5 +1,3 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
@@ -17,9 +15,22 @@ from lirpa.ops import _corners
 _EDGES = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -3.0, np.inf, -np.inf])
 
 
+def _arrays(rel):
+    """A relaxation's arrays: each input's lower and upper slope, then the lower and upper constant."""
+    slopes, lower_const, upper_const = rel
+    return [a for pair in slopes for a in pair] + [lower_const, upper_const]
+
+
 def _assert_same_bytes(got, want):
-    for f in fields(want):
-        assert getattr(got, f.name).tobytes() == getattr(want, f.name).tobytes(), f.name
+    assert len(got[0]) == len(want[0])
+    for k, (a, b) in enumerate(zip(_arrays(got), _arrays(want))):
+        assert a.tobytes() == b.tobytes(), k
+
+
+def _planes(rel):
+    """A mul relaxation's lower and upper plane, each as its (x slope, y slope, constant)."""
+    ((lx, ux), (ly, uy)), lower_const, upper_const = rel
+    return (lx, ly, lower_const), (ux, uy, upper_const)
 
 
 def _check_unary_sandwich(rel, fn, l, u, samples=500, beyond=False):
@@ -31,44 +42,45 @@ def _check_unary_sandwich(rel, fn, l, u, samples=500, beyond=False):
     xs[:, 0] = lo
     xs[:, 1] = hi
     fx = fn(xs)
-    lower = rel.lower_slope[:, None] * xs + rel.lower_intercept[:, None]
-    upper = rel.upper_slope[:, None] * xs + rel.upper_intercept[:, None]
+    ((lower_slope, upper_slope),), lower_intercept, upper_intercept = rel
+    lower = lower_slope[:, None] * xs + lower_intercept[:, None]
+    upper = upper_slope[:, None] * xs + upper_intercept[:, None]
     assert np.all(lower <= fx + 1e-9)
     assert np.all(fx <= upper + 1e-9)
 
 
 def test_relu_crossing_golden():
-    rel = relu_relaxation(np.array([-5.0]), np.array([7.0]), ReluLowerMode.ZERO)
-    assert rel.upper_slope[0] == pytest.approx(7.0 / 12.0, abs=1e-12)
-    assert rel.upper_intercept[0] == pytest.approx(35.0 / 12.0, abs=1e-12)
-    assert rel.lower_slope[0] == 0.0 and rel.lower_intercept[0] == 0.0
+    ((ls, us),), lc, uc = relu_relaxation(np.array([-5.0]), np.array([7.0]), ReluLowerMode.ZERO)
+    assert us[0] == pytest.approx(7.0 / 12.0, abs=1e-12)
+    assert uc[0] == pytest.approx(35.0 / 12.0, abs=1e-12)
+    assert ls[0] == 0.0 and lc[0] == 0.0
 
 
 def test_relu_stable_active_is_identity():
     for mode in ReluLowerMode:
-        rel = relu_relaxation(np.array([1.0]), np.array([3.0]), mode)
-        assert rel.upper_slope[0] == 1.0 and rel.upper_intercept[0] == 0.0
-        assert rel.lower_slope[0] == 1.0 and rel.lower_intercept[0] == 0.0
+        ((ls, us),), lc, uc = relu_relaxation(np.array([1.0]), np.array([3.0]), mode)
+        assert us[0] == 1.0 and uc[0] == 0.0
+        assert ls[0] == 1.0 and lc[0] == 0.0
 
 
 def test_relu_stable_inactive_is_zero():
-    rel = relu_relaxation(np.array([-3.0]), np.array([-1.0]))
-    assert rel.upper_slope[0] == 0.0 and rel.upper_intercept[0] == 0.0
-    assert rel.lower_slope[0] == 0.0
+    ((ls, us),), _, uc = relu_relaxation(np.array([-3.0]), np.array([-1.0]))
+    assert us[0] == 0.0 and uc[0] == 0.0
+    assert ls[0] == 0.0
 
 
 def test_relu_adaptive_tie_picks_zero_slope():
     # u == |l| is not a strict win for the identity lower line
-    rel = relu_relaxation(np.array([-1.5]), np.array([1.5]), ReluLowerMode.ADAPTIVE)
-    assert rel.upper_slope[0] == pytest.approx(0.5, abs=1e-12)
-    assert rel.upper_intercept[0] == pytest.approx(0.75, abs=1e-12)
-    assert rel.lower_slope[0] == 0.0
+    ((ls, us),), _, uc = relu_relaxation(np.array([-1.5]), np.array([1.5]), ReluLowerMode.ADAPTIVE)
+    assert us[0] == pytest.approx(0.5, abs=1e-12)
+    assert uc[0] == pytest.approx(0.75, abs=1e-12)
+    assert ls[0] == 0.0
 
 
 def test_relu_adaptive_slope_selection():
-    rel = relu_relaxation(np.array([-1.0, -3.0]), np.array([2.0, 1.0]), ReluLowerMode.ADAPTIVE)
-    assert rel.lower_slope[0] == 1.0  # u > |l|
-    assert rel.lower_slope[1] == 0.0  # u <= |l|
+    ((ls, _),), _, _ = relu_relaxation(np.array([-1.0, -3.0]), np.array([2.0, 1.0]), ReluLowerMode.ADAPTIVE)
+    assert ls[0] == 1.0  # u > |l|
+    assert ls[1] == 0.0  # u <= |l|
 
 
 @pytest.mark.parametrize("kind", ["relu", "exp", "log", "mul"])
@@ -103,36 +115,36 @@ def test_relu_zero_mode_dominates_interval_bound():
     rng = np.random.default_rng(2)
     l = -rng.uniform(0.1, 5, 8)
     u = rng.uniform(0.1, 5, 8)
-    rel = relu_relaxation(l, u, ReluLowerMode.ZERO)
-    assert np.all(rel.lower_slope == 0.0) and np.all(rel.lower_intercept == 0.0)
+    ((ls, us),), lc, uc = relu_relaxation(l, u, ReluLowerMode.ZERO)
+    assert np.all(ls == 0.0) and np.all(lc == 0.0)
     xs = np.linspace(l, u, 101).T
-    chord = rel.upper_slope[:, None] * xs + rel.upper_intercept[:, None]
+    chord = us[:, None] * xs + uc[:, None]
     assert np.all(chord <= np.maximum(u, 0.0)[:, None] + 1e-12)
 
 
 def test_exp_point_interval_degenerates_to_tangent():
-    rel = exp_relaxation(np.array([0.0]), np.array([0.0]))
-    assert rel.upper_slope[0] == pytest.approx(1.0, abs=1e-12)
-    assert rel.upper_intercept[0] == pytest.approx(1.0, abs=1e-12)
-    assert rel.lower_slope[0] == pytest.approx(1.0, abs=1e-12)
-    assert rel.lower_intercept[0] == pytest.approx(1.0, abs=1e-12)
+    ((ls, us),), lc, uc = exp_relaxation(np.array([0.0]), np.array([0.0]))
+    assert us[0] == pytest.approx(1.0, abs=1e-12)
+    assert uc[0] == pytest.approx(1.0, abs=1e-12)
+    assert ls[0] == pytest.approx(1.0, abs=1e-12)
+    assert lc[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exp_chord_golden():
-    rel = exp_relaxation(np.array([-1.5]), np.array([1.5]))
+    ((_, us),), _, uc = exp_relaxation(np.array([-1.5]), np.array([1.5]))
     slope = (np.exp(1.5) - np.exp(-1.5)) / 3.0
-    assert rel.upper_slope[0] == pytest.approx(slope, abs=1e-9)
-    assert rel.upper_intercept[0] == pytest.approx(np.exp(-1.5) + 1.5 * slope, abs=1e-9)
+    assert us[0] == pytest.approx(slope, abs=1e-9)
+    assert uc[0] == pytest.approx(np.exp(-1.5) + 1.5 * slope, abs=1e-9)
 
 
 def test_exp_tangent_point_choice():
     # tangent sits at min(midpoint, log of chord slope), clamped into [l, u]
     l, u = np.array([-2.0]), np.array([3.0])
-    rel = exp_relaxation(l, u)
+    ((ls, _),), lc, _ = exp_relaxation(l, u)
     chord = (np.exp(u) - np.exp(l)) / (u - l)
     d = np.minimum(0.5 * (l + u), np.log(chord))
-    assert rel.lower_slope[0] == pytest.approx(np.exp(d)[0], abs=1e-12)
-    assert rel.lower_intercept[0] == pytest.approx((np.exp(d) * (1.0 - d))[0], abs=1e-12)
+    assert ls[0] == pytest.approx(np.exp(d)[0], abs=1e-12)
+    assert lc[0] == pytest.approx((np.exp(d) * (1.0 - d))[0], abs=1e-12)
 
 
 def test_exp_sampling_soundness_and_global_tangent():
@@ -143,21 +155,22 @@ def test_exp_sampling_soundness_and_global_tangent():
         rel = exp_relaxation(l, u)
         _check_unary_sandwich(rel, np.exp, l, u, samples=200)
         # convexity: the tangent holds beyond the interval too
+        ((ls, _),), lc, _ = rel
         xs = np.linspace(l - 3, u + 3, 101).T
-        lower = rel.lower_slope[:, None] * xs + rel.lower_intercept[:, None]
+        lower = ls[:, None] * xs + lc[:, None]
         assert np.all(lower <= np.exp(xs) + 1e-9)
 
 
 def test_exp_chord_wider_than_expm1_range_stays_finite():
     # expm1(1396) overflows; the chord slope is exp(696) * (1 - exp(-1396)) / 1396
     l, u = np.array([-700.0, -1.0]), np.array([696.0, 2.0])
-    rel = exp_relaxation(l, u)
-    assert rel.upper_slope[0] == pytest.approx(np.exp(696.0) / 1396.0, rel=1e-12)
-    assert np.all(np.isfinite(rel.upper_intercept))
+    ((_, us),), _, uc = exp_relaxation(l, u)
+    assert us[0] == pytest.approx(np.exp(696.0) / 1396.0, rel=1e-12)
+    assert np.all(np.isfinite(uc))
     # the chord meets exp at both ends
-    assert rel.upper_slope[0] * u[0] + rel.upper_intercept[0] == pytest.approx(np.exp(696.0), rel=1e-12)
+    assert us[0] * u[0] + uc[0] == pytest.approx(np.exp(696.0), rel=1e-12)
     # an interval the old form handles keeps its bits
-    assert rel.upper_slope[1] == np.exp(-1.0) * np.expm1(3.0) / 3.0
+    assert us[1] == np.exp(-1.0) * np.expm1(3.0) / 3.0
 
 
 def test_exp_rejects_nonfinite():
@@ -183,7 +196,7 @@ def test_mul_constant_x_operand_is_exact():
     rel = mul_relaxation(
         np.array([3.0]), np.array([3.0]), np.array([-1.0]), np.array([2.0])
     )
-    for plane in ((rel.lower_x, rel.lower_y, rel.lower_const), (rel.upper_x, rel.upper_y, rel.upper_const)):
+    for plane in _planes(rel):
         assert plane[0][0] == 0.0 and plane[1][0] == 3.0 and plane[2][0] == 0.0
 
 
@@ -191,17 +204,17 @@ def test_mul_constant_y_operand_is_exact():
     rel = mul_relaxation(
         np.array([-1.0]), np.array([2.0]), np.array([4.0]), np.array([4.0])
     )
-    for plane in ((rel.lower_x, rel.lower_y, rel.lower_const), (rel.upper_x, rel.upper_y, rel.upper_const)):
+    for plane in _planes(rel):
         assert plane[0][0] == 4.0 and plane[1][0] == 0.0 and plane[2][0] == 0.0
 
 
 def test_mul_unit_box_planes():
     zero = np.array([0.0])
     one = np.array([1.0])
-    rel = mul_relaxation(zero, one, zero, one)
+    lower, upper = _planes(mul_relaxation(zero, one, zero, one))
     # z >= 0 below, z <= x above
-    assert (rel.lower_x[0], rel.lower_y[0], rel.lower_const[0]) == (0.0, 0.0, 0.0)
-    assert (rel.upper_x[0], rel.upper_y[0], rel.upper_const[0]) == (1.0, 0.0, 0.0)
+    assert tuple(a[0] for a in lower) == (0.0, 0.0, 0.0)
+    assert tuple(a[0] for a in upper) == (1.0, 0.0, 0.0)
 
 
 def test_mul_grid_soundness():
@@ -211,7 +224,7 @@ def test_mul_grid_soundness():
         ux = lx + rng.uniform(0, 3, 4)
         ly = rng.uniform(-3, 3, 4)
         uy = ly + rng.uniform(0, 3, 4)
-        rel = mul_relaxation(lx, ux, ly, uy)
+        ((lx_s, ux_s), (ly_s, uy_s)), lc, uc = mul_relaxation(lx, ux, ly, uy)
         ts = np.linspace(0, 1, 21)
         xs = lx[:, None] + (ux - lx)[:, None] * ts
         ys = ly[:, None] + (uy - ly)[:, None] * ts
@@ -219,8 +232,8 @@ def test_mul_grid_soundness():
             for b in range(21):
                 x, y = xs[:, a], ys[:, b]
                 z = x * y
-                lo = rel.lower_x * x + rel.lower_y * y + rel.lower_const
-                hi = rel.upper_x * x + rel.upper_y * y + rel.upper_const
+                lo = lx_s * x + ly_s * y + lc
+                hi = ux_s * x + uy_s * y + uc
                 assert np.all(lo <= z + 1e-9)
                 assert np.all(z <= hi + 1e-9)
 
@@ -240,10 +253,10 @@ def test_exp_chord_stays_above_exp_where_exp_of_l_underflows():
     # exp(-800) underflows to 0, but exp(-700) = 9.9e-305 does not: the chord
     # must come from exp(u) * (1 - exp(-width)), not from 0 * expm1(width)
     l, u = np.array([-800.0]), np.array([-700.0])
-    rel = exp_relaxation(l, u)
-    assert rel.upper_slope[0] > 0.0
+    ((_, us),), _, uc = exp_relaxation(l, u)
+    assert us[0] > 0.0
     xs = np.linspace(l[0], u[0], 101)
-    upper = rel.upper_slope[0] * xs + rel.upper_intercept[0]
+    upper = us[0] * xs + uc[0]
     assert np.all(upper >= np.exp(xs) * (1.0 - 1e-12))
 
 
@@ -262,7 +275,8 @@ def test_mul_planes_and_corners_match_the_select_and_stack_references_bit_for_bi
     with np.errstate(invalid="ignore"):  # inf * 0 corners and planes are NaN on both sides
         want = select_mul_relaxation(*pinned_neg_zero)
         _assert_same_bytes(mul_relaxation(*pinned_neg_zero), want)
-        assert np.signbit(want.upper_x[0])
+        ((_, upper_x), _), _, _ = want
+        assert np.signbit(upper_x[0])
         for _ in range(200):
             pin_x, pin_y = rng.random((2, s, t)) < 0.3
             lx, ux = _edge_interval(rng, (s, t), pin_x)
@@ -288,3 +302,19 @@ def test_relu_lines_match_the_where_reference_bit_for_bit(mode):
         l = rng.normal(size=16) * rng.choice([1e-300, 1.0, 1e300], 16)
         u = np.where(rng.random(16) < 0.3, np.nextafter(l, -np.inf), l + np.abs(rng.normal(size=16)))
         _assert_same_bytes(relu_relaxation(l, u, mode), where_relu_relaxation(l, u, mode))
+
+
+@pytest.mark.parametrize("mode", list(ReluLowerMode))
+def test_relu_chord_of_finite_ends_wider_than_the_float_range(mode):
+    # u - l overflows to inf: u / inf would give a crossing neuron an all-zero upper line
+    l, u = np.array([-1e308, -1.7e308, -1e292, -1.0]), np.array([1e308, 1e308, 1.797e308, 1.0])
+    rel = relu_relaxation(l, u, mode)
+    ((ls, us),), lc, uc = rel
+    assert us[0] == 0.5 and uc[0] == 5e307
+    assert np.all(us > 0.0) and us[3] == 0.5 and uc[3] == 0.5
+    _assert_same_bytes(rel, where_relu_relaxation(l, u, mode))
+    # both lines sandwich max(x, 0) across the interval, up to rounding at the lines' scale
+    xs = np.linspace(0.0, 1.0, 101)[:, None] * u + np.linspace(1.0, 0.0, 101)[:, None] * l
+    fx, slack = np.maximum(xs, 0.0), 1e-12 * np.maximum(u, -l)
+    assert np.all(ls * xs + lc <= fx + slack)
+    assert np.all(fx <= us * xs + uc + slack)

@@ -13,13 +13,17 @@ Two checkouts that print the same line give bit-identical bounds on:
   ``compute_bounds_margin`` (the output's ``compute_bounds`` with the label-0
   ``margin_transform`` as ``out_coeff``, the only call whose native ``ibp``
   and ``forward`` bounds pass through ``Affine.interval`` and
-  ``Affine.forward`` after the query) under every strategy and ReLU mode.
+  ``Affine.forward`` after the query) under every strategy and ReLU mode;
+- ``relax``: the lines (``slopes``, ``lower_const``, ``upper_const``) of
+  ``op.relax`` for ReLU in both modes, Exp, Log and Mul, on intervals with
+  signed-zero ends, one ulp or 1e-12 wide, and wide but of finite width,
+  each wherever the op is defined, and on pinned Mul operands.
 
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
 call that raises is hashed as its exception's type name. The first line
-covers every call but those of ``bound_loss_unfused`` and
-``compute_bounds_margin``, so it compares with checkouts that did not
-record those. One indented line follows per
+covers every call but those of ``bound_loss_unfused``,
+``compute_bounds_margin`` and ``relax``, so it compares with checkouts that
+did not record those. One indented line follows per
 function and one per field of ``fused_loss_report``'s result, each over
 that function's calls alone. The last line, ``folded``, covers every
 call with each float's sign of zero folded (``x + 0.0``), so a change that
@@ -62,7 +66,7 @@ def main() -> None:
     def record(call, *call_args):
         # the first line keeps to the calls it has always covered
         family = call.__name__
-        keys = [family] if family in ("bound_loss_unfused", "compute_bounds_margin") else ["results", family]
+        keys = [family] if family in ("bound_loss_unfused", "compute_bounds_margin", "relax") else ["results", family]
         counts.update(keys + ["folded"])
         try:
             result = call(*call_args)
@@ -82,6 +86,32 @@ def main() -> None:
             for key in (*keys, *extra):
                 digests.setdefault(key, hashlib.sha256()).update(data)
             digests.setdefault("folded", hashlib.sha256()).update(folded)
+
+    def relax(op, intervals, mode):
+        lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
+        return np.asarray(lines.slopes), lines.lower_const, lines.upper_const
+
+    def grids(points, wide):
+        """Intervals by family: signed-zero ends, one ulp and 1e-12 wide at ``points``, and ``wide``."""
+        zero = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -1.0, -1.0], [-0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]])
+        points = np.array(points)
+        thin = [np.array([points, np.nextafter(points, np.inf)]), np.array([points, points + 1e-12])]
+        return ([zero] if points.min() < 0.0 else []) + thin + [np.array(wide).T]
+
+    real = grids([-3.0, -1.0, -1e-3, -1e-300, 1e-300, 1e-3, 0.5, 2.0], [(-1e300, 1e300), (-1e300, 1.0), (-1.0, 1e300)])
+    exp = grids([-800.0, -3.0, -1e-3, 1e-3, 2.0, 700.0], [(-700.0, 696.0), (-800.0, -700.0), (-1e3, 700.0)])
+    log = grids([1e-300, 1e-3, 0.5, 2.0, 1e300], [(1e-300, 1.0), (1e-3, 1e300)])
+    products = grids([-3.0, -1e-3, 1e-3, 0.5, 2.0], [(-1e150, 1e150), (-1e150, 1.0), (-1.0, 1e150)])
+    for mode in lirpa.ReluLowerMode:
+        for box in real:
+            record(relax, lirpa.ReLU(), [box], mode)
+    for op, family in ((lirpa.Exp(), exp), (lirpa.Log(), log)):
+        for box in family:
+            record(relax, op, [box], lirpa.ReluLowerMode.ZERO)
+    for box in products:
+        x, y = np.repeat(box, box.shape[1], axis=1), np.tile(box, box.shape[1])  # every pair of the family's intervals
+        for pair in ((x, y), (x[[0, 0]], y), (x, y[[0, 0]]), (x[[0, 0]], y[[0, 0]])):  # [[0, 0]]: pinned at l
+            record(relax, lirpa.MulElementwise(), pair, lirpa.ReluLowerMode.ZERO)
 
     rng = np.random.default_rng(2024)
     graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
