@@ -31,7 +31,6 @@ from .graph import (
     Graph,
     Node,
     evaluate,
-    get_out_degree,
     parse_problem,
     serialize_problem,
     topological_order,
@@ -99,7 +98,6 @@ __all__ = [
     "exp_relaxation",
     "flatness_score",
     "fused_loss_report",
-    "get_out_degree",
     "log_relaxation",
     "margin_transform",
     "mul_relaxation",

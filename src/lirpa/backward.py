@@ -1,30 +1,29 @@
 """Backward-mode linear bound propagation and the strategy driver.
 
-A BFS from the output node pushes coefficient matrices through each op's
-``backward`` rule until only independent nodes carry coefficients.
-Out-degree bookkeeping guarantees each dependent node is stepped through
-once, with its full accumulated coefficient. Every entry point runs one
-``BoundQuery``, whose lazily filled caches all its targets share; its
-``interval(i)`` and ``forward(i)`` are the only all-node sweeps. IBP takes
-an input's box from its spec and any other node's from its op's
-``interval`` rule; the forward sweep bounds each node by two affine
-functions of the perturbed input coordinates through its op's ``forward``
-rule, a nonlinear op's once relaxed. Its passes leave out dead neurons,
-whose relaxation lines are all zero: each affine step multiplies only its
-weight's live rows and columns.
+A walk from the output node pushes coefficient matrices through each
+op's ``backward`` rule until only independent nodes carry coefficients.
+The graph's ``pop_order``, computed once per target, steps each
+dependent node through once, with its full accumulated coefficient.
+Every entry point runs one ``BoundQuery``, whose lazily filled caches
+all its targets share; its ``interval(i)`` and ``forward(i)`` are the
+only all-node sweeps. IBP takes an input's box from its spec and any
+other node's from its op's ``interval`` rule; the forward sweep bounds
+each node by two affine functions of the perturbed input coordinates
+through its op's ``forward`` rule, a nonlinear op's once relaxed. Its
+passes leave out dead neurons, whose relaxation lines are all zero: each
+affine step multiplies only its weight's live rows and columns.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, NamedTuple
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
-from .graph import Graph, Node, _node_id, get_out_degree, topological_order
+from .graph import Graph, Node, _node_id, topological_order
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
@@ -53,10 +52,11 @@ class BackwardState:
     """Coefficient maps and bias terms of one backward pass.
 
     A dependent node's coefficients are dropped once it is relaxed, so after
-    termination only independent nodes keep entries; ``pop_order`` records
-    the BFS processing sequence. An input's coefficient may be a factored
-    array (a ``MatVec`` weight's) with ``shape``, ``@ vector`` and
-    ``row_norms(q)``, which ``np.asarray`` expands.
+    termination only independent nodes keep entries; ``pop_order`` is the
+    graph's pop order from the target, the sequence the pass stepped
+    through. An input's coefficient may be a factored array (a ``MatVec``
+    weight's) with ``shape``, ``@ vector`` and ``row_norms(q)``, which
+    ``np.asarray`` expands.
     """
 
     lower_coeff: dict[int, np.ndarray]
@@ -74,19 +74,21 @@ def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
 
 
 def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> BackwardState:
-    """Run the backward BFS from node o and return the final state.
+    """Run the backward pass from node o and return the final state.
 
-    It only pushes coefficients: each nonlinear node on a path to o must
-    already hold its relaxation's lines op, as ``BoundQuery``'s passes do,
-    or GraphError is raised. ``out_coeff`` (default identity) left-multiplies
-    the output node, so a margin or specification matrix can be bounded in
-    one pass. A node is queued only once its pending out-degree reaches
-    zero, which merges all coefficient contributions before its step. One
-    array serves as both sides' coefficients until a relaxation splits
-    them, and an identity seed on an affine output starts from its weight
-    and bias.
+    g needs only ``nodes`` and ``pop_order``, as a ``Graph`` has them: the
+    pass steps through ``g.pop_order(o)``, which lists each dependent node
+    after all of its consumers on paths to o, so every coefficient
+    contribution is merged before its step. It only pushes coefficients:
+    each nonlinear node on a path to o must already hold its relaxation's
+    lines op, as ``BoundQuery``'s passes do, or GraphError is raised.
+    ``out_coeff`` (default identity) left-multiplies the output node, so a
+    margin or specification matrix can be bounded in one pass. One array
+    serves as both sides' coefficients until a relaxation splits them, and
+    an identity seed on an affine output starts from its weight and bias.
     """
-    dim = g.nodes[_node_id(g, o)].dim
+    pops = g.pop_order(o)
+    dim = g.nodes[o].dim
     if out_coeff is not None:
         out_coeff = _checked_out_coeff(out_coeff, dim)
     elif not isinstance(g.nodes[o].op, Affine):
@@ -96,12 +98,7 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
     upper = dict(lower)
     d_lower = np.zeros(rows)
     d_upper = np.zeros(rows)
-    degree = get_out_degree(g, o)
-    queue: deque[int] = deque([o])
-    pops: list[int] = []
-    while queue:
-        i = queue.popleft()
-        pops.append(i)
+    for i in pops:
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
@@ -116,7 +113,6 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
             in_dim = g.nodes[node.inputs[0]].dim
             lo, up = np.asarray(lower[i]), np.asarray(upper[i])
             lams, d_lo, d_up = node.op.backward(lo, up, in_dim)
-        ready: list[int] = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
             if j in lower:  # a second contribution: add the dense arrays
@@ -126,18 +122,14 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
             else:
                 lower[j] = lam_lo
                 upper[j] = lam_up
-            degree[j] -= 1
-            if degree[j] == 0 and not isinstance(g.nodes[j].op, Input):
-                ready.append(j)
         d_lower = d_lower + d_lo
         d_upper = d_upper + d_up
         del lower[i], upper[i]
-        queue.extend(sorted(ready))
-    return BackwardState(lower, upper, d_lower, d_upper, tuple(pops))
+    return BackwardState(lower, upper, d_lower, d_upper, pops)
 
 
-# what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops
-_PassGraph = NamedTuple("_PassGraph", [("nodes", list)])
+# what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops, and its pop orders
+_PassGraph = NamedTuple("_PassGraph", [("nodes", list), ("pop_order", Callable[[int], tuple])])
 
 
 @dataclass(eq=False)
@@ -199,7 +191,7 @@ class BoundQuery:
 
     def _operands(self, o: int) -> list[int]:
         """The intervals a pass from o reads: relaxed nodes' operands on paths to o, in topological order."""
-        nodes, scope = self.g.nodes, [o] + [i for i, d in get_out_degree(self.g, o).items() if d]
+        nodes, scope = self.g.nodes, self.g.pop_order(o)
         return sorted({j for i in scope if nodes[i].op.relaxed for j in nodes[i].inputs}, key=self._rank.get)
 
     def _fill(self, nodes: list[int]) -> None:
@@ -279,9 +271,9 @@ class BoundQuery:
     def _pass(self, o: int, out_coeff):
         """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""
         nodes = list(self.g.nodes)
-        for i, d in get_out_degree(self.g, o).items():
-            nodes[i] = self._pass_node(i, i == o) if d or i == o else nodes[i]
-        state = run_backward(_PassGraph(nodes), o, out_coeff)
+        for i in self.g.pop_order(o):
+            nodes[i] = self._pass_node(i, i == o)
+        state = run_backward(_PassGraph(nodes, self.g.pop_order), o, out_coeff)
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order

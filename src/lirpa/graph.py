@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import heapq
 import json
-from collections import deque
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -29,7 +28,6 @@ __all__ = [
     "serialize_problem",
     "topological_order",
     "evaluate",
-    "get_out_degree",
 ]
 
 
@@ -75,7 +73,9 @@ class Graph:
     """Immutable DAG with a single designated output node.
 
     Safe to share across concurrent queries; all analyses treat it as
-    read-only and build fresh result maps.
+    read-only and build fresh result maps. The one cache it keeps, its pop
+    orders, holds pure functions of the graph, so concurrent queries can
+    only write equal values to it.
     """
 
     nodes: tuple[Node, ...]
@@ -91,10 +91,34 @@ class Graph:
             raise GraphError(f"output id {self.output!r} is not an integer in [0, {len(self.nodes)})")
         object.__setattr__(self, "output", int(self.output))
         topological_order(self)  # raises on cycles
+        object.__setattr__(self, "_pop_orders", {})
 
     @property
     def input_ids(self) -> tuple[int, ...]:
         return tuple(n.id for n in self.nodes if isinstance(n.op, Input))
+
+    def pop_order(self, o: int) -> tuple[int, ...]:
+        """The order a backward pass from o steps through the nodes, computed once per target.
+
+        A BFS from o queues a dependent node once every consumer on its paths
+        to o (each edge counted per occurrence) has been popped, so it is
+        stepped through once, with its full coefficient. Each batch of nodes
+        made ready by one pop is queued in id order. No input but o is in it.
+        """
+        o = int(_node_id(self, o))
+        if o not in self._pop_orders:
+            nodes, degree, stack, pops = self.nodes, [0] * len(self.nodes), [o], [o]
+            while stack:  # degree[j]: the edges out of j on paths to o; a DAG never reaches o again
+                for j in nodes[stack.pop()].inputs:
+                    degree[j] += 1
+                    if degree[j] == 1:
+                        stack.append(j)
+            for i in pops:  # pops grows as it is walked: the BFS queue
+                for j in nodes[i].inputs:
+                    degree[j] -= 1
+                pops.extend(sorted({j for j in nodes[i].inputs if nodes[j].op.arity and not degree[j]}))
+            self._pop_orders[o] = tuple(pops)
+        return self._pop_orders[o]
 
 
 def topological_order(g: Graph) -> list[int]:
@@ -158,26 +182,6 @@ def _node_id(g: Graph, i) -> int:
     if not (_is_int(i) and 0 <= i < len(g.nodes)):
         raise GraphError(f"node id {i!r} is not an integer in [0, {len(g.nodes)})")
     return i
-
-
-def get_out_degree(g: Graph, o: int) -> dict[int, int]:
-    """For each node i, the number of successor edges of i on paths to o.
-
-    Nodes that o does not depend on get degree 0. Computed by a BFS from o
-    that counts each (input, consumer) edge once per occurrence.
-    """
-    _node_id(g, o)
-    degree = {i: 0 for i in range(len(g.nodes))}
-    seen = {o}
-    queue: deque[int] = deque([o])
-    while queue:
-        i = queue.popleft()
-        for j in g.nodes[i].inputs:
-            degree[j] += 1
-            if j not in seen:
-                seen.add(j)
-                queue.append(j)
-    return degree
 
 
 def _reject_constant(name: str):

@@ -74,6 +74,9 @@ def relu_relaxation(l, u, mode: ReluLowerMode = ReluLowerMode.ADAPTIVE) -> tuple
         wide = crossing & np.isinf(width)
         chord[wide] = 0.5 * u[wide] / (0.5 * u[wide] - 0.5 * l[wide])
     upper_intercept = np.multiply(-chord, l, out=np.zeros(l.shape), where=crossing)
+    if chord[crossing].min(initial=1.0) < np.finfo(np.float64).tiny:  # underflowed, to 0 or a subnormal's few bits
+        flat = crossing & (chord < np.finfo(np.float64).tiny) & (l > -np.inf)  # finite ends: the flat line at u
+        chord[flat], upper_intercept[flat] = 0.0, u[flat]
     np.copyto(chord, 1.0, where=active)  # now the upper slope
     # past the active neurons, u > -l holds only on crossing ones wider above zero than below
     lower = active if mode is ReluLowerMode.ZERO else active | (u > -l)
@@ -117,7 +120,9 @@ def log_relaxation(l, u) -> tuple:
         raise DomainError("log relaxation requires strictly positive lower bounds")
     width = u - l
     safe = np.where(width > 0.0, width, 1.0)
-    lower_slope = np.where(width > 0.0, np.log1p(width / l) / safe, 1.0 / l)
+    with np.errstate(over="ignore"):  # width / l past the float range: the chord rises log(u) - log(l)
+        rise = np.log1p(width / l)
+    lower_slope = np.where(width > 0.0, np.where(np.isfinite(rise), rise, np.log(u) - np.log(l)) / safe, 1.0 / l)
     lower_intercept = np.log(l) - lower_slope * l
     d = np.clip(np.minimum(0.5 * (l + u), 1.0 / lower_slope), l, u)
     upper_slope = 1.0 / d

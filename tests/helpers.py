@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +31,6 @@ from lirpa import (
     SumReduce,
     Synonym,
     evaluate,
-    get_out_degree,
     margin_transform,
     topological_order,
 )
@@ -87,10 +87,45 @@ def lines_graph(g, o, intervals, relu_mode=ReluLowerMode.ADAPTIVE):
 
     The ops keep every neuron, so a pass over it is the dense, unpruned pass.
     """
-    on_path = {i for i, d in get_out_degree(g, o).items() if d} | {o}
+    on_path = set(g.pop_order(o))
     relaxed = lambda n: n.op.relax([intervals[j] for j in n.inputs], relu_mode)
     nodes = [Node(n.id, relaxed(n), n.inputs, n.dim) if n.op.relaxed and n.id in on_path else n for n in g.nodes]
-    return SimpleNamespace(nodes=nodes)
+    return SimpleNamespace(nodes=nodes, pop_order=g.pop_order)
+
+
+def counted_out_degree(g, o) -> dict[int, int]:
+    """For each node i, the number of successor edges of i on paths to o (0 off them).
+
+    A BFS from o that counts each (input, consumer) edge once per occurrence.
+    """
+    degree = {i: 0 for i in range(len(g.nodes))}
+    seen = {o}
+    queue = deque([o])
+    while queue:
+        i = queue.popleft()
+        for j in g.nodes[i].inputs:
+            degree[j] += 1
+            if j not in seen:
+                seen.add(j)
+                queue.append(j)
+    return degree
+
+
+def kahn_pop_order(g, o) -> tuple[int, ...]:
+    """Reference ``Graph.pop_order``: a BFS from o that queues a dependent node once its pending
+    ``counted_out_degree`` reaches zero, the nodes one pop makes ready in sorted order."""
+    degree = counted_out_degree(g, o)
+    queue, pops = deque([o]), []
+    while queue:
+        i = queue.popleft()
+        pops.append(i)
+        ready = []
+        for j in g.nodes[i].inputs:
+            degree[j] -= 1
+            if degree[j] == 0 and not isinstance(g.nodes[j].op, Input):
+                ready.append(j)
+        queue.extend(sorted(ready))
+    return tuple(pops)
 
 
 def node_forward(g, specs, relu_mode=ReluLowerMode.ADAPTIVE):

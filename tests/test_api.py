@@ -25,7 +25,7 @@ PUBLIC = {
     "PerturbationSpec", "ReLU", "ReluLowerMode", "Sub", "SumReduce", "Synonym",
     "bound_loss_fused", "bound_loss_unfused", "build_fused_loss_graph", "compute_bounds",
     "concretize_bounds", "evaluate", "exp_relaxation", "flatness_score", "fused_loss_report",
-    "get_out_degree", "log_relaxation", "margin_transform", "mul_relaxation", "parse_problem",
+    "log_relaxation", "margin_transform", "mul_relaxation", "parse_problem",
     "relu_relaxation", "run_backward", "serialize_problem", "topological_order", "unary_relaxation",
     "weight_perturbed_graph",
 }
@@ -95,7 +95,7 @@ def test_each_relaxed_unary_node_goes_through_unary_relaxation_once(monkeypatch)
     g, specs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(22)][-1]
     assert g.nodes[g.output].op.kind == "add" and g.nodes[g.output].inputs == (9, 7) and g.nodes[9].inputs == (7,)
     unary = [i for i, n in enumerate(g.nodes) if isinstance(n.op, lirpa.ops.UnaryRelaxed)]
-    assert unary == [4, 5, 7, 9] and lirpa.get_out_degree(g, g.output)[5] == 0
+    assert unary == [4, 5, 7, 9] and 5 not in g.pop_order(g.output)
     for strategy in lirpa.BoundStrategy:
         calls.clear()
         lirpa.compute_bounds(g, specs, strategy)

@@ -25,7 +25,6 @@ from lirpa import (
     Synonym,
     compute_bounds,
     concretize_bounds,
-    get_out_degree,
     run_backward,
     topological_order,
 )
@@ -375,38 +374,28 @@ def test_an_unrelaxed_op_fails_closed_in_every_rule(kind):
 
 
 def _reference_backward_steps(g, o):
-    """Step-by-step replica of the BFS over a ``lines_graph``, built from each op's ``backward`` rule.
+    """Step-by-step replica of a pass over a ``lines_graph``, in its pop order, by each op's ``backward`` rule.
 
     Yields (lower_coeff, upper_coeff, d_lo, d_up) snapshots after each pop so
     the running sandwich can be checked, then the final state.
     """
-    from collections import deque
-
     dim = g.nodes[o].dim
     lower = {o: np.eye(dim)}
     upper = {o: np.eye(dim)}
     d_lo = np.zeros(dim)
     d_up = np.zeros(dim)
-    degree = get_out_degree(g, o)
-    queue = deque([o])
-    while queue:
-        i = queue.popleft()
+    for i in g.pop_order(o):
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
         lams, step_lo, step_up = node.op.backward(lower[i], upper[i], g.nodes[node.inputs[0]].dim)
-        ready = []
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             lower[j] = lower.get(j, 0.0) + lam_lo
             upper[j] = upper.get(j, 0.0) + lam_up
-            degree[j] -= 1
-            if degree[j] == 0 and not isinstance(g.nodes[j].op, Input):
-                ready.append(j)
         d_lo = d_lo + step_lo
         d_up = d_up + step_up
         lower[i] = np.zeros_like(lower[i])
         upper[i] = np.zeros_like(upper[i])
-        queue.extend(sorted(ready))
         yield lower, upper, d_lo, d_up
 
 
@@ -568,6 +557,28 @@ def test_run_backward_hands_out_read_only_weights():
     assert g.nodes[1].op.weight[0, 0] == 1.0
 
 
+def test_a_second_query_on_a_graph_computes_no_pop_order():
+    # each computed pop order is stored in the graph's cache once: a spy on the stores counts the computations
+    g, specs = demo_net()
+    computed = []
+
+    class Spy(dict):
+        def __setitem__(self, o, order):
+            computed.append(o)
+            super().__setitem__(o, order)
+
+    object.__setattr__(g, "_pop_orders", Spy())
+    for _ in range(2):  # the second query reads the first one's orders
+        compute_bounds(g, specs, BoundStrategy.BACKWARD)
+        assert sorted(computed) == [1, 3, 5]  # the output's pass and those of the two ReLUs' operands
+    for strategy in BoundStrategy:
+        for target in range(len(g.nodes)):
+            compute_bounds(g, specs, strategy, target)
+    assert sorted(computed) == list(range(len(g.nodes)))  # a pass from every node, each order computed once
+    state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
+    assert state.pop_order is g.pop_order(g.output) and len(computed) == len(g.nodes)
+
+
 @pytest.mark.parametrize("target", [-1, len(demo_net()[0].nodes), True, 2.0])
 @pytest.mark.parametrize("strategy", list(BoundStrategy))
 def test_an_invalid_target_fails_closed(strategy, target):
@@ -576,9 +587,9 @@ def test_an_invalid_target_fails_closed(strategy, target):
     message = re.escape(f"node id {target!r} is not an integer in [0, {len(g.nodes)})")
     with pytest.raises(GraphError, match=message):
         compute_bounds(g, specs, strategy, target)
-    for walk in (run_backward, get_out_degree):  # the query's own walks check it too
+    for walk in (lambda o: run_backward(g, o), g.pop_order):  # the query's own walks check it too
         with pytest.raises(GraphError, match=message):
-            walk(g, target)
+            walk(target)
     # on a fresh query and on one that has cached node 1, which True would hit
     cached = BoundQuery(g, specs, strategy)
     cached.bound(g.output)

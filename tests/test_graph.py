@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import demo_doc, demo_net, random_graph
+from helpers import demo_doc, demo_net, kahn_pop_order, random_graph
 from lirpa import (
     Add,
     Affine,
@@ -16,7 +16,6 @@ from lirpa import (
     SumReduce,
     Synonym,
     evaluate,
-    get_out_degree,
     parse_problem,
     serialize_problem,
     topological_order,
@@ -350,7 +349,7 @@ def test_evaluate_is_deterministic_and_batched():
         assert a[i][:, 0] == pytest.approx(single[i], abs=1e-12)
 
 
-def test_out_degree_chain():
+def test_pop_order_chain():
     doc = {
         "nodes": [
             {"op": "input", "inputs": [], "dim": 1},
@@ -360,29 +359,29 @@ def test_out_degree_chain():
         "output": 2,
     }
     g = parse_problem(json.dumps(doc))[0]
-    assert get_out_degree(g, 2) == {0: 1, 1: 1, 2: 0}
+    assert g.pop_order(2) == (2, 1) and g.pop_order(0) == (0,)
 
 
-def test_out_degree_diamond():
+def test_pop_order_diamond():
+    # input 0 feeds both branches, and no input but the target is popped
     nodes = (
         Node(0, Input(), (), 2),
         Node(1, ReLU(), (0,), 2),
         Node(2, Affine(np.eye(2), np.zeros(2)), (0,), 2),
         Node(3, Add(), (1, 2), 2),
     )
-    d = get_out_degree(Graph(nodes, 3), 3)
-    assert d[0] == 2 and d[1] == 1 and d[2] == 1 and d[3] == 0
+    assert Graph(nodes, 3).pop_order(3) == (3, 1, 2)
 
 
-def test_out_degree_ignores_dead_branches():
+def test_pop_order_ignores_dead_branches():
     nodes = (
         Node(0, Input(), (), 2),
         Node(1, ReLU(), (0,), 2),   # on the path to the output
         Node(2, ReLU(), (0,), 2),   # dead branch
         Node(3, ReLU(), (2,), 2),   # dead branch
     )
-    d = get_out_degree(Graph(nodes, 1), 1)
-    assert d == {0: 1, 1: 0, 2: 0, 3: 0}
+    g = Graph(nodes, 1)
+    assert g.pop_order(1) == (1,) and g.pop_order(3) == (3, 2)
 
 
 def _reachable_to(g, o):
@@ -396,14 +395,31 @@ def _reachable_to(g, o):
     return seen
 
 
-def test_out_degree_matches_path_enumeration():
+def test_pop_order_matches_path_enumeration():
+    # o and the dependent nodes on its paths, each once and after all of its consumers there
     rng = np.random.default_rng(11)
     for _ in range(30):
         g, _ = random_graph(rng, max_nodes=8)
         o = int(rng.integers(0, len(g.nodes)))
         on_path = _reachable_to(g, o)
-        expected = {i: 0 for i in range(len(g.nodes))}
-        for j in on_path:
-            for i in g.nodes[j].inputs:
-                expected[i] += 1
-        assert get_out_degree(g, o) == expected
+        order = g.pop_order(o)
+        assert sorted(order) == sorted(i for i in on_path if i == o or not isinstance(g.nodes[i].op, Input))
+        position = {i: k for k, i in enumerate(order)}
+        for k in on_path - {o}:
+            for j in g.nodes[k].inputs:
+                assert j not in position or position[j] > position[k]
+
+
+def _corpus_and_demo():
+    rng = np.random.default_rng(2024)
+    return [random_graph(rng, max_nodes=12, max_dim=5)[0] for _ in range(50)] + [demo_net()[0]]
+
+
+def test_pop_order_equals_the_kahn_walk_on_every_target():
+    # the acceptance corpus and the demo net, and a doubled edge: add(x, x) reads x twice
+    doubled = (Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2), Node(2, Add(), (1, 1), 2), Node(3, Add(), (2, 1), 2))
+    for g in _corpus_and_demo() + [Graph(doubled, 3)]:
+        for o in range(len(g.nodes)):
+            assert g.pop_order(o) == kahn_pop_order(g, o)
+    assert Graph(doubled, 3).pop_order(3) == (3, 2, 1)
+

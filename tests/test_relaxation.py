@@ -1,10 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
-from helpers import select_mul_relaxation, stacked_corners, where_relu_relaxation
+from helpers import assert_sound, select_mul_relaxation, stacked_corners, where_relu_relaxation
 from lirpa import (
+    Add,
+    BoundStrategy,
+    Constant,
     DomainError,
+    Exp,
+    Graph,
+    Input,
+    Log,
+    LpBall,
+    Node,
+    ReLU,
     ReluLowerMode,
+    compute_bounds,
     exp_relaxation,
     log_relaxation,
     mul_relaxation,
@@ -192,6 +205,22 @@ def test_log_sampling_soundness():
         _check_unary_sandwich(rel, np.log, l, u, samples=200)
 
 
+def test_log_chord_whose_width_over_l_overflows_stays_finite_and_sound():
+    # (u - l) / l is past the float range here: log1p of it gave the chord an infinite slope
+    l, u = np.exp([-690.0, -3.0]), np.exp([690.0, 3.0])
+    ((ls, us),), lc, uc = log_relaxation(l, u)
+    assert np.all(np.isfinite([ls, us, lc, uc]))
+    xs = np.exp(np.linspace(np.log(l), np.log(u), 2001))  # log-spaced across both intervals
+    slack = 1e-12 * np.abs(np.log(xs)).max()
+    assert np.all(ls * xs + lc <= np.log(xs) + slack) and np.all(np.log(xs) <= us * xs + uc + slack)
+    # log(exp(x)) on [-690, 690]: the hybrid query bounds it instead of failing closed
+    nodes = (Node(0, Input(), (), 1), Node(1, Exp(), (0,), 1), Node(2, Log(), (1,), 1))
+    g, specs = Graph(nodes, 2), {0: LpBall([0.0], 690.0, math.inf)}
+    box = compute_bounds(g, specs, BoundStrategy.IBP_BACKWARD)[1]
+    assert box.lower[0] <= -690.0 and 690.0 <= box.upper[0] < np.inf
+    assert_sound(g, specs, {2: box}, np.random.default_rng(5))
+
+
 def test_mul_constant_x_operand_is_exact():
     rel = mul_relaxation(
         np.array([3.0]), np.array([3.0]), np.array([-1.0]), np.array([2.0])
@@ -318,3 +347,22 @@ def test_relu_chord_of_finite_ends_wider_than_the_float_range(mode):
     fx, slack = np.maximum(xs, 0.0), 1e-12 * np.maximum(u, -l)
     assert np.all(ls * xs + lc <= fx + slack)
     assert np.all(fx <= us * xs + uc + slack)
+
+
+@pytest.mark.parametrize("mode", list(ReluLowerMode))
+def test_relu_chord_that_underflows_keeps_the_flat_line_at_u(mode):
+    # u / (u - l) underflows to 0 on finite ends, where an all-zero upper line would read the neuron as dead,
+    # or to a subnormal, whose few bits put the chord 1.2% below u at u for l = -1e23
+    l = np.array([-1e30, -1.7e308, -1e23, -np.inf, -1.0])
+    u = np.array([1e-300, 1e-300, 1e-300, 1e-300, 1.0])
+    with np.errstate(invalid="ignore"):  # -0 * -inf: an infinite end still fails closed
+        ((ls, us),), lc, uc = relu_relaxation(l, u, mode)
+    assert np.array_equal(us[:3], [0.0] * 3) and np.array_equal(uc[:3], u[:3])
+    assert np.isnan(uc[3]) and us[4] == 0.5 and uc[4] == 0.5
+    # relu(x + 1e-300) on x in [-big, 0] reaches 1e-300 at x = 0
+    nodes = (Node(0, Input(), (), 1), Node(1, Input(), (), 1), Node(2, Add(), (0, 1), 1), Node(3, ReLU(), (2,), 1))
+    for big in (1e30, 1e23):
+        g, specs = Graph(nodes, 3), {0: LpBall([-0.5 * big], 0.5 * big, math.inf), 1: Constant([1e-300])}
+        for strategy in BoundStrategy:
+            box = compute_bounds(g, specs, strategy, relu_mode=mode)[1]
+            assert box.lower[0] == 0.0 and box.upper[0] == 1e-300, (big, strategy)

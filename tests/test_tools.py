@@ -47,5 +47,6 @@ def test_the_digest_prints_its_count_and_one_line_per_function():
     counts = {line.split()[1]: int(line.split()[0]) for line in rest}
     assert counts["compute_bounds_margin"] == 100  # 10 classifiers, 5 strategies, 2 ReLU modes
     assert counts["relax"] == 31  # ReLU in 2 modes x 4 grids, Exp 4, Log 3, Mul 4 grids x 4 pinnings
+    assert counts["pop_order"] == 3790  # the backward passes of the calls above, one pop order each
     left_out = counts["bound_loss_unfused"] + counts["compute_bounds_margin"] + counts["relax"]
     assert re.fullmatch(rf"  {4800 + left_out} folded sha256 [0-9a-f]{{64}}", folded)

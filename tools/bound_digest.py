@@ -22,11 +22,14 @@ Two checkouts that print the same line give bit-identical bounds on:
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
 call that raises is hashed as its exception's type name. The first line
 covers every call but those of ``bound_loss_unfused``,
-``compute_bounds_margin`` and ``relax``, so it compares with checkouts that
-did not record those. One indented line follows per
-function and one per field of ``fused_loss_report``'s result, each over
-that function's calls alone. The last line, ``folded``, covers every
-call with each float's sign of zero folded (``x + 0.0``), so a change that
+``compute_bounds_margin`` and ``relax``, so it compares with checkouts
+that did not record those. One indented line follows per function and one
+per field of ``fused_loss_report``'s result, each over that function's
+calls alone, and one, ``pop_order``, over the pop order of every backward
+pass those calls run (each ``run_backward`` result's ``pop_order`` as
+int64 bytes, read through ``lirpa.backward``'s own binding, so either
+checkout's walk is compared). The last line, ``folded``, covers every call
+with each float's sign of zero folded (``x + 0.0``), so a change that
 flips only the signs of zeros can show it gives the same values. ``--src``
 imports lirpa from another checkout's ``src`` directory (default: this
 one's); the graphs always come from this checkout's ``tests/helpers.py``.
@@ -86,6 +89,16 @@ def main() -> None:
             for key in (*keys, *extra):
                 digests.setdefault(key, hashlib.sha256()).update(data)
             digests.setdefault("folded", hashlib.sha256()).update(folded)
+
+    backward_pass = lirpa.backward.run_backward
+
+    def run_backward(*call_args):
+        state = backward_pass(*call_args)
+        counts["pop_order"] += 1
+        digests.setdefault("pop_order", hashlib.sha256()).update(np.asarray(state.pop_order, dtype=np.int64).tobytes())
+        return state
+
+    lirpa.backward.run_backward = run_backward
 
     def relax(op, intervals, mode):
         lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
