@@ -33,7 +33,6 @@ from .graph import (
     evaluate,
     parse_problem,
     serialize_problem,
-    topological_order,
 )
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import (
@@ -105,7 +104,6 @@ __all__ = [
     "relu_relaxation",
     "run_backward",
     "serialize_problem",
-    "topological_order",
     "unary_relaxation",
     "weight_perturbed_graph",
 ]

@@ -9,21 +9,21 @@ all its targets share; its ``interval(i)`` and ``forward(i)`` are the
 only all-node sweeps. IBP takes an input's box from its spec and any
 other node's from its op's ``interval`` rule; the forward sweep bounds
 each node by two affine functions of the perturbed input coordinates
-through its op's ``forward`` rule, a nonlinear op's once relaxed. Its
-passes leave out dead neurons, whose relaxation lines are all zero: each
-affine step multiplies only its weight's live rows and columns.
+through its op's ``forward`` rule, a nonlinear op's once relaxed. A pass
+steps by the ops the query hands ``run_backward``: each relaxed node's
+lines and each affine weight, on the live neurons alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
 from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
-from .graph import Graph, Node, _node_id, topological_order
+from .graph import Graph, _node_id
 from .linear import InputLayout, IntervalBounds, LinearBounds
 from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
 from .perturb import PerturbationSpec
@@ -66,32 +66,37 @@ class BackwardState:
     pop_order: tuple[int, ...]
 
 
-def _checked_out_coeff(out_coeff: np.ndarray, dim: int) -> np.ndarray:
-    out_coeff = np.asarray(out_coeff, dtype=np.float64)
+def _checked_out_coeff(out_coeff: np.ndarray, g: Graph, o: int) -> np.ndarray:
+    out_coeff, dim = np.asarray(out_coeff, dtype=np.float64), g.nodes[o].dim
     if out_coeff.ndim != 2 or out_coeff.shape[1] != dim:
-        raise GraphError(f"out_coeff must have {dim} columns, got shape {out_coeff.shape}")
+        raise GraphError(f"node {o}: out_coeff must have {dim} columns, got shape {out_coeff.shape}")
+    if not np.isfinite(out_coeff).all():
+        raise GraphError(f"node {o}: out_coeff must be finite")
     return out_coeff
 
 
-def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> BackwardState:
+def run_backward(
+    g: Graph, o: int, out_coeff: np.ndarray | None = None, ops: Mapping[int, OpKind] | None = None
+) -> BackwardState:
     """Run the backward pass from node o and return the final state.
 
-    g needs only ``nodes`` and ``pop_order``, as a ``Graph`` has them: the
-    pass steps through ``g.pop_order(o)``, which lists each dependent node
-    after all of its consumers on paths to o, so every coefficient
-    contribution is merged before its step. It only pushes coefficients:
-    each nonlinear node on a path to o must already hold its relaxation's
-    lines op, as ``BoundQuery``'s passes do, or GraphError is raised.
+    The pass steps through ``g.pop_order(o)``, which lists each dependent
+    node after all of its consumers on paths to o, so every coefficient
+    contribution is merged before its step. Node i steps by ``ops[i]``
+    (default: its graph op). It only pushes coefficients: each nonlinear
+    node on a path to o must step by its relaxation's lines op, as in
+    ``BoundQuery``'s passes, or GraphError is raised.
     ``out_coeff`` (default identity) left-multiplies the output node, so a
     margin or specification matrix can be bounded in one pass. One array
     serves as both sides' coefficients until a relaxation splits them, and
     an identity seed on an affine output starts from its weight and bias.
     """
     pops = g.pop_order(o)
+    ops = {i: g.nodes[i].op for i in pops} if ops is None else ops
     dim = g.nodes[o].dim
     if out_coeff is not None:
-        out_coeff = _checked_out_coeff(out_coeff, dim)
-    elif not isinstance(g.nodes[o].op, Affine):
+        out_coeff = _checked_out_coeff(out_coeff, g, o)
+    elif not isinstance(ops[o], Affine):
         out_coeff = np.eye(dim)
     rows = dim if out_coeff is None else out_coeff.shape[0]
     lower: dict[int, np.ndarray | None] = {o: out_coeff}
@@ -99,20 +104,19 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
     d_lower = np.zeros(rows)
     d_upper = np.zeros(rows)
     for i in pops:
-        node = g.nodes[i]
-        if isinstance(node.op, Input):
+        node, op = g.nodes[i], ops[i]
+        if isinstance(op, Input):
             continue
-        if node.op.relaxed:
-            raise GraphError(f"op {node.op.kind!r} must be relaxed on its input intervals first")
+        if op.relaxed:
+            raise GraphError(f"op {op.kind!r} must be relaxed on its input intervals first")
         if lower[i] is None:
             # an identity seed on an affine output: I @ W is W, entry for entry
-            w, b = node.op.weight, node.op.bias
-            lams, d_lo, d_up = [(w, w)], b, b
+            lams, d_lo, d_up = [(op.weight, op.weight)], op.bias, op.bias
         else:
             # a factored coefficient is expanded where it meets a rule
             in_dim = g.nodes[node.inputs[0]].dim
             lo, up = np.asarray(lower[i]), np.asarray(upper[i])
-            lams, d_lo, d_up = node.op.backward(lo, up, in_dim)
+            lams, d_lo, d_up = op.backward(lo, up, in_dim)
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             # no rule writes to its arguments, so the first contribution is stored as is
             if j in lower:  # a second contribution: add the dense arrays
@@ -126,10 +130,6 @@ def run_backward(g: Graph, o: int, out_coeff: np.ndarray | None = None) -> Backw
         d_upper = d_upper + d_up
         del lower[i], upper[i]
     return BackwardState(lower, upper, d_lower, d_upper, pops)
-
-
-# what a pass reads of a graph: its nodes, those on paths to the target with the query's pass ops, and its pop orders
-_PassGraph = NamedTuple("_PassGraph", [("nodes", list), ("pop_order", Callable[[int], tuple])])
 
 
 @dataclass(eq=False)
@@ -163,20 +163,15 @@ class BoundQuery:
         self.intervals: dict[int, IntervalBounds] = {}
         self._forward: dict[int, LinearBounds] = {}
         self._lines: dict[int, OpKind] = {}
-        self._pass_nodes: dict[tuple[int, bool], Node] = {}
-        self._rank = {i: r for r, i in enumerate(topological_order(self.g))}
+        self._pass_ops: dict[tuple[int, bool], OpKind] = {}
         # _keeps[i]: the relaxed unary node whose live neurons i's coefficient keeps off a pass's target,
         # i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed unary alone
-        users: list[list[Node]] = [[] for _ in self.g.nodes]
-        for node in self.g.nodes:
-            for j in node.inputs:
-                users[j].append(node)
-        self._keeps: dict[int, int] = {}
-        for node, us in zip(self.g.nodes, users):
-            if isinstance(node.op, UnaryRelaxed) and us and all(isinstance(u.op, Affine) for u in us):
+        nodes, self._keeps = self.g.nodes, {}
+        for node, us in zip(nodes, self.g.users):
+            if isinstance(node.op, UnaryRelaxed) and us and all(isinstance(nodes[u].op, Affine) for u in us):
                 self._keeps[node.id] = node.id
-            elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(us[0].op, UnaryRelaxed):
-                self._keeps[node.id] = us[0].id
+            elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(nodes[us[0]].op, UnaryRelaxed):
+                self._keeps[node.id] = us[0]
 
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
@@ -187,12 +182,13 @@ class BoundQuery:
                 if k not in cache and k not in missing:
                     missing.add(k)
                     stack.append(k)
-        return sorted(missing, key=self._rank.get)
+        return [i for i in self.g.order if i in missing]
 
     def _operands(self, o: int) -> list[int]:
         """The intervals a pass from o reads: relaxed nodes' operands on paths to o, in topological order."""
-        nodes, scope = self.g.nodes, self.g.pop_order(o)
-        return sorted({j for i in scope if nodes[i].op.relaxed for j in nodes[i].inputs}, key=self._rank.get)
+        nodes = self.g.nodes
+        operands = {j for i in self.g.pop_order(o) if nodes[i].op.relaxed for j in nodes[i].inputs}
+        return [i for i in self.g.order if i in operands]
 
     def _fill(self, nodes: list[int]) -> None:
         """Supply the uncached intervals of ``nodes``, in topological order; IBP fills their ancestors first."""
@@ -241,18 +237,18 @@ class BoundQuery:
             self._lines[r] = node.op.relax([self.interval(k) for k in node.inputs], self.relu_mode)
         return self._lines[r]
 
-    def _pass_node(self, i: int, target: bool) -> Node:
-        """Node i as a pass reads it: an affine op on its live rows and columns, a relaxed op's lines.
+    def _pass_op(self, i: int, target: bool) -> OpKind:
+        """The op a pass steps node i by: an affine op on its live rows and columns, a relaxed op's lines.
 
         A target keeps all its rows, so it shares its op with the non-target passes that prune none.
         """
         node, keeps = self.g.nodes[i], self._keeps
         if not (node.op.relaxed or isinstance(node.op, Affine)):
-            return node
+            return node.op
         # the live rows of i's coefficient and columns of its input's, identity lines first (None: all)
         rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
         key = (i, rows is None)
-        if key not in self._pass_nodes:
+        if key not in self._pass_ops:
             j, op = node.inputs[0], node.op
             cols = self._relaxed(keeps[j]).live if j in keeps else None
             if isinstance(op, Affine) and (rows is not None or cols is not None):
@@ -265,15 +261,12 @@ class BoundQuery:
                     (live, n), ((lo, up),) = live, op.slopes
                     take, put = (live if rows is None else None), (live if cols is None else None)
                     op = _Lines(((lo[live], up[live]),), op.lower_const[live], op.upper_const[live], take, put, n)
-            self._pass_nodes[key] = node if op is node.op else Node(i, op, node.inputs, node.dim)
-        return self._pass_nodes[key]
+            self._pass_ops[key] = op
+        return self._pass_ops[key]
 
     def _pass(self, o: int, out_coeff):
         """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""
-        nodes = list(self.g.nodes)
-        for i in self.g.pop_order(o):
-            nodes[i] = self._pass_node(i, i == o)
-        state = run_backward(_PassGraph(nodes, self.g.pop_order), o, out_coeff)
+        state = run_backward(self.g, o, out_coeff, {i: self._pass_op(i, i == o) for i in self.g.pop_order(o)})
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order
@@ -304,11 +297,12 @@ class BoundQuery:
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
         """``compute_bounds``' native bound and interval of ``target``; GraphError unless it is a node id."""
         ibp, target = self.strategy is BoundStrategy.IBP, _node_id(self.g, target)
+        if out_coeff is not None:  # before any interval is filled
+            out_coeff = _checked_out_coeff(out_coeff, self.g, target)
         if ibp or self.strategy is BoundStrategy.FORWARD:
             native = self.interval(target) if ibp else self.forward(target)
             if out_coeff is not None:
-                coeff = _checked_out_coeff(out_coeff, self.g.nodes[target].dim)
-                op = Affine(coeff, np.zeros(len(coeff)))
+                op = Affine(out_coeff, np.zeros(len(out_coeff)))
                 native = op.interval([native]) if ibp else op.forward([native])
             box = native if ibp else concretize_bounds(native, self.layout, self.specs)
         else:  # concretized from the pass's blocks, as ``box`` does

@@ -17,7 +17,7 @@ import numpy as np
 from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
 from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transform
-from .graph import Graph, _load_json, evaluate, parse_problem, topological_order
+from .graph import Graph, _load_json, evaluate, parse_problem
 from .linear import InputLayout, IntervalBounds
 from .perturb import Constant, LpBall, PerturbationSpec, _is_int
 from .relaxation import ReluLowerMode
@@ -89,7 +89,7 @@ def cmd_bounds(args) -> int:
     report = {"method": args.method, "lower": lower, "upper": upper}
     if args.all_nodes:
         report["nodes"] = {}
-        for i in topological_order(g):
+        for i in g.order:
             lo, hi = _interval_report(box if i == g.output else query.node_box(i))
             report["nodes"][str(i)] = {"lower": lo, "upper": hi}
     if args.samples:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
-from .graph import Graph, Node, evaluate, topological_order
+from .graph import Graph, Node, evaluate
 from .linear import IntervalBounds
 from .ops import Affine, Exp, Input, MatVec, SumReduce
 from .perturb import Constant, LpBall, PerturbationSpec
@@ -219,7 +219,7 @@ def weight_perturbed_graph(
         return len(nodes) - 1
 
     # walk in topological order: document ids may contain forward references
-    for i in topological_order(g):
+    for i in g.order:
         node = g.nodes[i]
         inputs = tuple(mapping[j] for j in node.inputs)
         if isinstance(node.op, Affine):

@@ -4,7 +4,8 @@ A graph is an immutable DAG of typed nodes over flat float64 vectors.
 Independent nodes (in-degree 0) are the only carriers of perturbation;
 dependent nodes compute a vector from their predecessors, by the rules of
 their op class (see ``ops``). The document format is JSON; parsing
-validates structure, dimensions and acyclicity.
+validates structure, dimensions and acyclicity. A graph keeps its
+topological order and each node's users, computed once as it is built.
 """
 from __future__ import annotations
 
@@ -26,7 +27,6 @@ __all__ = [
     "Graph",
     "parse_problem",
     "serialize_problem",
-    "topological_order",
     "evaluate",
 ]
 
@@ -72,6 +72,11 @@ def _check_node(node: Node, nodes: tuple[Node, ...]) -> None:
 class Graph:
     """Immutable DAG with a single designated output node.
 
+    ``order`` lists the node ids with each after its inputs: independent
+    nodes in id order, then always the smallest ready id. ``users[j]`` lists
+    j's readers in id order, once per edge. Both are computed as the graph
+    is built, which raises GraphError on a cycle.
+
     Safe to share across concurrent queries; all analyses treat it as
     read-only and build fresh result maps. The one cache it keeps, its pop
     orders, holds pure functions of the graph, so concurrent queries can
@@ -90,7 +95,24 @@ class Graph:
         if not (_is_int(self.output) and 0 <= self.output < len(self.nodes)):
             raise GraphError(f"output id {self.output!r} is not an integer in [0, {len(self.nodes)})")
         object.__setattr__(self, "output", int(self.output))
-        topological_order(self)  # raises on cycles
+        users: list[list[int]] = [[] for _ in self.nodes]
+        for node in self.nodes:
+            for j in node.inputs:
+                users[j].append(node.id)
+        # Kahn's walk: once the order's last node is stepped, the smallest ready id joins it
+        indeg, heap = [len(node.inputs) for node in self.nodes], []
+        order = [node.id for node in self.nodes if isinstance(node.op, Input)]
+        for i in order:  # order grows as it is walked
+            for j in users[i]:
+                indeg[j] -= 1
+                if not indeg[j]:
+                    heapq.heappush(heap, j)
+            if i == order[-1] and heap:
+                order.append(heapq.heappop(heap))
+        if len(order) != len(self.nodes):
+            raise GraphError("cycle detected in graph")
+        object.__setattr__(self, "order", tuple(order))
+        object.__setattr__(self, "users", tuple(map(tuple, users)))
         object.__setattr__(self, "_pop_orders", {})
 
     @property
@@ -121,38 +143,6 @@ class Graph:
         return self._pop_orders[o]
 
 
-def topological_order(g: Graph) -> list[int]:
-    """Node ids with every node after all of its inputs.
-
-    Independent nodes come first (in id order); among dependent nodes that
-    become ready together, smaller ids lead. Deterministic for fixed input.
-    """
-    n = len(g.nodes)
-    indeg = [0] * n
-    succ: list[list[int]] = [[] for _ in range(n)]
-    for node in g.nodes:
-        for j in node.inputs:
-            indeg[node.id] += 1
-            succ[j].append(node.id)
-    order = [i for i in range(n) if isinstance(g.nodes[i].op, Input)]
-    heap: list[int] = []
-    for i in order:
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    while heap:
-        i = heapq.heappop(heap)
-        order.append(i)
-        for j in succ[i]:
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, j)
-    if len(order) != n:
-        raise GraphError("cycle detected in graph")
-    return order
-
-
 def evaluate(g: Graph, values: Mapping[int, np.ndarray]) -> dict[int, np.ndarray]:
     """Concretely evaluate every node given values for all input nodes.
 
@@ -161,7 +151,7 @@ def evaluate(g: Graph, values: Mapping[int, np.ndarray]) -> dict[int, np.ndarray
     oracle for the soundness tests.
     """
     out: dict[int, np.ndarray] = {}
-    for i in topological_order(g):
+    for i in g.order:
         node = g.nodes[i]
         if isinstance(node.op, Input):
             if i not in values:

@@ -1,10 +1,10 @@
 """Shared fixtures: the worked demo net, random graph generators, sampling, oracles, reference kernels."""
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from collections import deque
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -32,7 +32,6 @@ from lirpa import (
     Synonym,
     evaluate,
     margin_transform,
-    topological_order,
 )
 from lirpa.backward import BoundQuery
 from lirpa.relaxation import _check_interval
@@ -76,21 +75,48 @@ def demo_net(eps: float = 2.0):
     return g, specs
 
 
+def kahn_topological_order(g) -> list[int]:
+    """Reference ``Graph.order``: Kahn's walk with input nodes first in id order, then the
+    smallest ready id; GraphError on a cycle."""
+    n = len(g.nodes)
+    indeg = [0] * n
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for node in g.nodes:
+        for j in node.inputs:
+            indeg[node.id] += 1
+            succ[j].append(node.id)
+    order = [i for i in range(n) if isinstance(g.nodes[i].op, Input)]
+    heap: list[int] = []
+    for i in order:
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    while heap:
+        i = heapq.heappop(heap)
+        order.append(i)
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, j)
+    if len(order) != n:
+        raise GraphError("cycle detected in graph")
+    return order
+
+
 def node_intervals(g, specs, strategy=BoundStrategy.IBP, relu_mode=ReluLowerMode.ADAPTIVE):
     """Every node's supplier interval, read in topological order from one query."""
     query = BoundQuery(g, specs, strategy, relu_mode)
-    return {i: query.interval(i) for i in topological_order(g)}
+    return {i: query.interval(i) for i in kahn_topological_order(g)}
 
 
-def lines_graph(g, o, intervals, relu_mode=ReluLowerMode.ADAPTIVE):
-    """What ``run_backward`` walks from o: g's nodes, each relaxed one on a path to o relaxed on ``intervals``.
+def lines_ops(g, o, intervals, relu_mode=ReluLowerMode.ADAPTIVE):
+    """The ops a pass from o steps by, for ``run_backward``'s ``ops``: each relaxed node's relaxed on ``intervals``.
 
-    The ops keep every neuron, so a pass over it is the dense, unpruned pass.
+    The ops keep every neuron, so a pass by them is the dense, unpruned pass.
     """
-    on_path = set(g.pop_order(o))
     relaxed = lambda n: n.op.relax([intervals[j] for j in n.inputs], relu_mode)
-    nodes = [Node(n.id, relaxed(n), n.inputs, n.dim) if n.op.relaxed and n.id in on_path else n for n in g.nodes]
-    return SimpleNamespace(nodes=nodes, pop_order=g.pop_order)
+    return {i: relaxed(g.nodes[i]) if g.nodes[i].op.relaxed else g.nodes[i].op for i in g.pop_order(o)}
 
 
 def counted_out_degree(g, o) -> dict[int, int]:
@@ -131,7 +157,7 @@ def kahn_pop_order(g, o) -> tuple[int, ...]:
 def node_forward(g, specs, relu_mode=ReluLowerMode.ADAPTIVE):
     """Every node's forward linear bounds, read in topological order from one query."""
     query = BoundQuery(g, specs, BoundStrategy.FORWARD, relu_mode)
-    return {i: query.forward(i) for i in topological_order(g)}
+    return {i: query.forward(i) for i in kahn_topological_order(g)}
 
 
 def sample_points(g, specs, rng, n) -> dict[int, np.ndarray]:
@@ -382,7 +408,7 @@ def dense_weight_perturbed_graph(g, eps_bar):
         nodes.append(Node(len(nodes), op, inputs, dim))
         return len(nodes) - 1
 
-    for i in topological_order(g):
+    for i in kahn_topological_order(g):
         node = g.nodes[i]
         if isinstance(node.op, Affine):
             s, t = node.op.weight.shape

@@ -15,7 +15,7 @@ from helpers import (
     ce_loss,
     demo_net,
     extremes_box,
-    lines_graph,
+    lines_ops,
     node_intervals,
     random_classifier,
     random_graph,
@@ -99,7 +99,7 @@ def test_criterion_2_worked_example_intermediates():
 
 def test_criterion_3_backward_coefficients_vanish(fuzz_graphs):
     for g, specs in fuzz_graphs:
-        state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
+        state = run_backward(g, g.output, None, lines_ops(g, g.output, node_intervals(g, specs)))
         reachable = {g.output}
         stack = [g.output]
         while stack:

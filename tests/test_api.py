@@ -26,7 +26,7 @@ PUBLIC = {
     "bound_loss_fused", "bound_loss_unfused", "build_fused_loss_graph", "compute_bounds",
     "concretize_bounds", "evaluate", "exp_relaxation", "flatness_score", "fused_loss_report",
     "log_relaxation", "margin_transform", "mul_relaxation", "parse_problem",
-    "relu_relaxation", "run_backward", "serialize_problem", "topological_order", "unary_relaxation",
+    "relu_relaxation", "run_backward", "serialize_problem", "unary_relaxation",
     "weight_perturbed_graph",
 }
 
@@ -74,10 +74,10 @@ def test_bound_query_has_one_mode():
     assert not hasattr(BoundQuery, "linear")
 
 
-def test_run_backward_takes_the_graph_the_target_and_out_coeff():
-    # perfbench/tracing.py's _rows hook binds these names to count backward.rows,
+def test_run_backward_takes_the_graph_the_target_out_coeff_and_ops():
+    # perfbench/tracing.py's _rows hook binds the first three names to count backward.rows,
     # which perfbench's test_backward_pass_counts_per_query reads: renaming one breaks the benchmark
-    assert list(inspect.signature(lirpa.run_backward).parameters) == ["g", "o", "out_coeff"]
+    assert list(inspect.signature(lirpa.run_backward).parameters) == ["g", "o", "out_coeff", "ops"]
 
 
 def test_each_relaxed_unary_node_goes_through_unary_relaxation_once(monkeypatch):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import demo_net, lines_graph, node_forward, node_intervals, random_graph, assert_sound
+from helpers import demo_net, lines_ops, node_forward, node_intervals, random_graph, assert_sound
 from lirpa import (
     Affine,
     BoundStrategy,
@@ -26,7 +26,6 @@ from lirpa import (
     compute_bounds,
     concretize_bounds,
     run_backward,
-    topological_order,
 )
 from lirpa.backward import BoundQuery
 from lirpa.ops import MatVec
@@ -129,7 +128,7 @@ def test_backward_coefficients_vanish_on_dependents():
     rng = np.random.default_rng(2024)
     for _ in range(50):
         g, specs = random_graph(rng)
-        state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
+        state = run_backward(g, g.output, None, lines_ops(g, g.output, node_intervals(g, specs)))
         reachable = _reachable_to(g, g.output)
         for i in _dependent_ids(g):
             coeff = state.lower_coeff.get(i)
@@ -280,8 +279,22 @@ def test_out_coeff_nonnegative_rows_at_least_as_tight_as_composition():
 def test_malformed_out_coeff_raises_graph_error(strategy):
     # the demo net's output has one column; every strategy checks the shape up front
     g, specs = demo_net()
-    with pytest.raises(GraphError, match=r"out_coeff must have 1 columns, got shape \(2, 3\)"):
+    with pytest.raises(GraphError, match=r"node 5: out_coeff must have 1 columns, got shape \(2, 3\)"):
         compute_bounds(g, specs, strategy, out_coeff=np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_a_non_finite_out_coeff_raises_graph_error(strategy, value):
+    # NaN used to surface as "bounds are NaN or inverted", and inf as [-inf, inf] under ibp
+    g, specs = demo_net()
+    for target in (g.output, 3):
+        coeff = np.ones((2, g.nodes[target].dim))
+        coeff[1, 0] = value
+        with pytest.raises(GraphError, match=f"node {target}: out_coeff must be finite"):
+            compute_bounds(g, specs, strategy, target, coeff)
+    with pytest.raises(GraphError, match="node 5: out_coeff must be finite"):
+        run_backward(g, g.output, np.array([[value]]))
 
 
 def test_all_strategies_sound_randomized():
@@ -373,8 +386,8 @@ def test_an_unrelaxed_op_fails_closed_in_every_rule(kind):
     assert not hasattr(op, "forward") and not hasattr(op, "backward")
 
 
-def _reference_backward_steps(g, o):
-    """Step-by-step replica of a pass over a ``lines_graph``, in its pop order, by each op's ``backward`` rule.
+def _reference_backward_steps(g, o, ops):
+    """Step-by-step replica of a pass from o by ``lines_ops``, in its pop order, by each op's ``backward`` rule.
 
     Yields (lower_coeff, upper_coeff, d_lo, d_up) snapshots after each pop so
     the running sandwich can be checked, then the final state.
@@ -388,7 +401,7 @@ def _reference_backward_steps(g, o):
         node = g.nodes[i]
         if isinstance(node.op, Input):
             continue
-        lams, step_lo, step_up = node.op.backward(lower[i], upper[i], g.nodes[node.inputs[0]].dim)
+        lams, step_lo, step_up = ops[i].backward(lower[i], upper[i], g.nodes[node.inputs[0]].dim)
         for j, (lam_lo, lam_up) in zip(node.inputs, lams):
             lower[j] = lower.get(j, 0.0) + lam_lo
             upper[j] = upper.get(j, 0.0) + lam_up
@@ -414,7 +427,7 @@ def test_backward_sandwich_holds_at_every_step():
         node_values = evaluate(g, values)
         target = node_values[g.output]
         for lower, upper, d_lo, d_up in _reference_backward_steps(
-            lines_graph(g, g.output, intermediate), g.output
+            g, g.output, lines_ops(g, g.output, intermediate)
         ):
             lhs = d_lo[:, None] + sum(
                 a @ node_values[i] for i, a in lower.items() if np.any(a)
@@ -432,11 +445,11 @@ def test_run_backward_matches_stepwise_reference():
         g, specs = random_graph(rng, max_nodes=10, max_dim=3)
         intermediate = node_intervals(g, specs)
         final = None
-        lines = lines_graph(g, g.output, intermediate)
-        for final in _reference_backward_steps(lines, g.output):
+        ops = lines_ops(g, g.output, intermediate)
+        for final in _reference_backward_steps(g, g.output, ops):
             pass
         lower, upper, d_lo, d_up = final
-        state = run_backward(lines, g.output)
+        state = run_backward(g, g.output, None, ops)
         assert np.array_equal(state.lower_bias, d_lo)
         assert np.array_equal(state.upper_bias, d_up)
         for i in g.input_ids:
@@ -557,6 +570,24 @@ def test_run_backward_hands_out_read_only_weights():
     assert g.nodes[1].op.weight[0, 0] == 1.0
 
 
+def test_a_second_query_on_a_graph_builds_no_node_and_computes_no_order(monkeypatch):
+    # the graph keeps its order, users and pop orders, and a pass steps by ops, not by rebuilt nodes
+    g, specs = demo_net()
+    built, node_init, graph_init = [], Node.__post_init__, Graph.__post_init__
+    for strategy in BoundStrategy:
+        compute_bounds(g, specs, strategy)
+    cached = dict(g._pop_orders)
+    monkeypatch.setattr(Node, "__post_init__", lambda node: built.append(node) or node_init(node))
+    monkeypatch.setattr(Graph, "__post_init__", lambda graph: built.append(graph) or graph_init(graph))
+    for strategy in BoundStrategy:
+        for mode in ReluLowerMode:
+            query = BoundQuery(g, specs, strategy, mode)
+            query.bound(g.output)
+            query.bound(g.output, np.ones((2, 1)))
+            assert query._pass_ops or strategy in (BoundStrategy.IBP, BoundStrategy.FORWARD)
+    assert built == [] and g._pop_orders == cached
+
+
 def test_a_second_query_on_a_graph_computes_no_pop_order():
     # each computed pop order is stored in the graph's cache once: a spy on the stores counts the computations
     g, specs = demo_net()
@@ -575,7 +606,7 @@ def test_a_second_query_on_a_graph_computes_no_pop_order():
         for target in range(len(g.nodes)):
             compute_bounds(g, specs, strategy, target)
     assert sorted(computed) == list(range(len(g.nodes)))  # a pass from every node, each order computed once
-    state = run_backward(lines_graph(g, g.output, node_intervals(g, specs)), g.output)
+    state = run_backward(g, g.output, None, lines_ops(g, g.output, node_intervals(g, specs)))
     assert state.pop_order is g.pop_order(g.output) and len(computed) == len(g.nodes)
 
 
@@ -641,7 +672,7 @@ def test_node_boxes_of_one_query_equal_per_node_compute_bounds(strategy):
     for g, specs in problems:
         query = BoundQuery(g, specs, strategy, ReluLowerMode.ZERO)
         _, out_box = query.bound(g.output)
-        for i in [g.output] + topological_order(g):
+        for i in [g.output, *g.order]:
             box = out_box if i == g.output else query.node_box(i)
             alone = compute_bounds(g, specs, strategy, i, None, ReluLowerMode.ZERO)[1]
             assert _same_bits(box, alone), (strategy, i)

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import demo_doc, demo_net, kahn_pop_order, random_graph
+from helpers import demo_doc, demo_net, kahn_pop_order, kahn_topological_order, random_graph
 from lirpa import (
     Add,
     Affine,
@@ -18,7 +18,6 @@ from lirpa import (
     evaluate,
     parse_problem,
     serialize_problem,
-    topological_order,
 )
 
 
@@ -272,7 +271,7 @@ def test_a_document_position_key_is_decimal_digits(key):
     assert dict(parse_problem(json.dumps(doc))[1][0].substitutions) == {10: ("s",)}
 
 
-def test_topological_order_chain():
+def test_graph_order_chain():
     doc = {
         "nodes": [
             {"op": "input", "inputs": [], "dim": 2},
@@ -281,35 +280,66 @@ def test_topological_order_chain():
         ],
         "output": 2,
     }
-    assert topological_order(parse_problem(json.dumps(doc))[0]) == [0, 1, 2]
+    assert parse_problem(json.dumps(doc))[0].order == (0, 1, 2)
 
 
-def test_topological_order_diamond():
+def test_graph_order_diamond():
     nodes = (
         Node(0, Input(), (), 2),
         Node(1, ReLU(), (0,), 2),
         Node(2, Affine(np.eye(2), np.zeros(2)), (0,), 2),
         Node(3, Add(), (1, 2), 2),
     )
-    order = topological_order(Graph(nodes, 3))
+    order = Graph(nodes, 3).order
     assert order[0] == 0 and order[-1] == 3
 
 
-def test_topological_order_demo_net():
+def test_graph_order_demo_net():
     g = parse_problem(demo_doc())[0]
-    assert topological_order(g) == [0, 1, 2, 3, 4, 5]
+    assert g.order == (0, 1, 2, 3, 4, 5)
 
 
-def test_topological_order_respects_edges_randomized():
+def test_graph_order_respects_edges_randomized():
     rng = np.random.default_rng(7)
     for _ in range(25):
         g, _ = random_graph(rng)
-        order = topological_order(g)
+        order = g.order
         assert sorted(order) == list(range(len(g.nodes)))
         rank = {i: r for r, i in enumerate(order)}
         for node in g.nodes:
             for j in node.inputs:
                 assert rank[j] < rank[node.id]
+
+
+def _structure_graphs():
+    """The 50-graph corpus, the demo net (built and parsed), a doubled add(x, x) edge and an input after its reader."""
+    rng = np.random.default_rng(2024)
+    graphs = [random_graph(rng, max_nodes=12, max_dim=5)[0] for _ in range(50)]
+    graphs += [demo_net()[0], parse_problem(demo_doc())[0]]
+    doubled = (Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2), Node(2, Add(), (1, 1), 2), Node(3, Add(), (2, 0), 2))
+    late = (Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2), Node(2, Add(), (1, 3), 2), Node(3, Input(), (), 2))
+    return graphs + [Graph(doubled, 3), Graph(late, 2)]
+
+
+def test_a_graph_keeps_its_order_and_users():
+    for g in _structure_graphs():
+        assert g.order == tuple(kahn_topological_order(g))
+        recount = [[] for _ in g.nodes]
+        for node in g.nodes:
+            for j in node.inputs:
+                recount[j].append(node.id)
+        assert g.users == tuple(map(tuple, recount))
+    doubled, late = _structure_graphs()[-2:]
+    assert doubled.users == ((1, 3), (2, 2), (3,), ())  # add(x, x) reads node 1 twice
+    assert late.order == (0, 3, 1, 2)  # every input first, then the smallest ready id
+
+
+def test_the_kept_structure_is_not_part_of_a_graphs_value():
+    # order and users are derived, not fields: equality and the document form ignore them
+    g, specs = demo_net()
+    parsed = parse_problem(serialize_problem(g, specs))[0]
+    assert parsed == g and parsed.order == g.order and parsed.users == g.users
+    assert "order" not in json.loads(serialize_problem(g)) and "users" not in json.loads(serialize_problem(g))
 
 
 def test_evaluate_demo_net():

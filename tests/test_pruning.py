@@ -3,7 +3,7 @@
 A dead neuron's relaxation lines are all zero, so a query's passes drop its
 column from the coefficients and each affine step multiplies only its
 weight's live rows and columns. The dense reference below is
-``run_backward`` over ``helpers.lines_graph``: the original affine ops and
+``run_backward`` by ``helpers.lines_ops``: the original affine ops and
 every relaxed node's full lines, relaxed on the query's own cached
 intervals, concretized block by block.
 """
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import assert_sound, four_product_lines_backward, lines_graph, random_classifier, random_graph
+from helpers import assert_sound, four_product_lines_backward, lines_ops, random_classifier, random_graph
 from lirpa import (
     Add,
     Affine,
@@ -45,7 +45,7 @@ MODES = list(ReluLowerMode)
 
 def _dense_box(query, o, out_coeff=None):
     """The interval of the dense pass from o over the query's cached intervals."""
-    state = run_backward(lines_graph(query.g, o, query.intervals, query.relu_mode), o, out_coeff)
+    state = run_backward(query.g, o, out_coeff, lines_ops(query.g, o, query.intervals, query.relu_mode))
     lb, ub, blocks = state.lower_bias, state.upper_bias, []
     for i in sorted(state.lower_coeff):
         spec = query.specs[i]
@@ -134,7 +134,7 @@ def test_a_pruned_lines_op_passes_its_leading_identity_columns_through():
     query.bound(g.output)
     rng = np.random.default_rng(71)
     for r in (2, 4, 6):
-        full, op = query._relaxed(r), query._pass_node(r, False).op
+        full, op = query._relaxed(r), query._pass_op(r, False)
         live, n = full.live
         # the same live neurons as the dense lines show, identity lines first
         assert set(live.tolist()) == set(np.logical_or.reduce([*full.slopes[0], full.lower_const, full.upper_const]).nonzero()[0])
@@ -196,7 +196,7 @@ def test_zero_mode_relu_lines_steps_equal_the_four_product_step():
     for box in (mixed, bending, some_dead):
         full, dim = ReLU().relax([box], ReluLowerMode.ZERO), len(box.lower)
         ops_.append((full, dim))
-        if full.live is not None:  # as ``BoundQuery._pass_node`` prunes one: no side, then each side alone
+        if full.live is not None:  # as ``BoundQuery._pass_op`` prunes one: no side, then each side alone
             (live, n), ((lo, up),) = full.live, full.slopes
             for take, put in ((None, None), (live, None), (None, live)):
                 pruned = _Lines(((lo[live], up[live]),), full.lower_const[live], full.upper_const[live], take, put, n)
@@ -290,7 +290,7 @@ def test_a_dead_affine_that_also_feeds_an_add_keeps_its_rows():
         query = BoundQuery(g, specs, strategy)
         box = query.box(4, None, "output")
         assert set(query._relaxed(2).live[0].tolist()) == {2}
-        assert query._pass_node(1, False).op.weight.shape == (3, 2)
+        assert query._pass_op(1, False).weight.shape == (3, 2)
         _assert_close(box, _dense_box(query, 4), strategy)
         assert_sound(g, specs, {4: box}, np.random.default_rng(64), n=500)
 
@@ -314,7 +314,7 @@ def test_a_pruned_affine_pass_op_holds_frozen_slices_of_the_graph_weight():
     query = BoundQuery(g, specs, BoundStrategy.IBP_BACKWARD)
     query.bound(g.output)
     live = [1, 3, 5]
-    graph_op, pass_op = g.nodes[3].op, query._pass_node(3, False).op
+    graph_op, pass_op = g.nodes[3].op, query._pass_op(3, False)
     assert np.array_equal(pass_op.weight, graph_op.weight[np.ix_(live, live)])
     assert np.array_equal(pass_op.bias, graph_op.bias[live])
     for got, source in ((pass_op.weight, graph_op.weight), (pass_op.bias, graph_op.bias)):
@@ -332,9 +332,9 @@ def test_a_target_shares_its_pass_op_with_an_unpruned_non_target():
         query.intervals[neg] = query.box(neg, None, "margin")
         query.box(fused.output, None, "fused loss")
         assert query._relaxed(neg + 1).live is None
-        assert [key for key in query._pass_nodes if key[0] == neg] == [(neg, True)]
-        assert query._pass_node(neg, False) is query._pass_node(neg, True)
-        assert query._pass_node(neg, False).op.weight.shape == (4, 3)
+        assert [key for key in query._pass_ops if key[0] == neg] == [(neg, True)]
+        assert query._pass_op(neg, False) is query._pass_op(neg, True)
+        assert query._pass_op(neg, False).weight.shape == (4, 3)
 
 
 def test_affine_steps_receive_only_the_live_columns(monkeypatch):

@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+from mlp import relu_mlp
 
 
 def main() -> None:
@@ -48,13 +49,7 @@ def main() -> None:
         depth, width = map(int, net.split("x"))
         rng = np.random.default_rng(0)
         dims = [64] + [width] * depth + [10]
-        nodes = [lirpa.Node(0, lirpa.Input(), (), dims[0])]
-        for layer, (t, s) in enumerate(zip(dims, dims[1:])):
-            w = rng.normal(0.0, 1.0 / np.sqrt(t), (s, t))
-            nodes.append(lirpa.Node(len(nodes), lirpa.Affine(w, rng.normal(0.0, 0.1, s)), (len(nodes) - 1,), s))
-            if layer < len(dims) - 2:
-                nodes.append(lirpa.Node(len(nodes), lirpa.ReLU(), (len(nodes) - 1,), s))
-        g = lirpa.Graph(tuple(nodes), len(nodes) - 1)
+        g = relu_mlp(lirpa, rng, dims)
         specs = {0: lirpa.LpBall(rng.uniform(-1.0, 1.0, dims[0]), 0.01, math.inf)}
 
         def query():

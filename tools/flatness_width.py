@@ -28,6 +28,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+from mlp import relu_mlp
 
 
 def main() -> None:
@@ -41,13 +42,7 @@ def main() -> None:
     for width in args.widths:
         rng = np.random.default_rng(0)
         dims = [32, width, width, 10]
-        nodes = [lirpa.Node(0, lirpa.Input(), (), dims[0])]
-        for k, (t, s) in enumerate(zip(dims, dims[1:])):
-            w = rng.normal(0.0, 1.0 / np.sqrt(t), (s, t))
-            nodes.append(lirpa.Node(len(nodes), lirpa.Affine(w, rng.normal(0.0, 0.1, s)), (len(nodes) - 1,), s))
-            if k < len(dims) - 2:
-                nodes.append(lirpa.Node(len(nodes), lirpa.ReLU(), (len(nodes) - 1,), s))
-        g = lirpa.Graph(tuple(nodes), len(nodes) - 1)
+        g = relu_mlp(lirpa, rng, dims)
         x = rng.uniform(-1.0, 1.0, dims[0])
         label = int(np.argmax(lirpa.evaluate(g, {0: x})[g.output]))
 
