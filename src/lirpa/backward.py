@@ -2,7 +2,7 @@
 
 A walk from the output node pushes coefficient matrices through each
 op's ``backward`` rule until only independent nodes carry coefficients.
-The graph's ``pop_order``, computed once per target, steps each
+The graph's ``pop_order``, its topological order reversed, steps each
 dependent node through once, with its full accumulated coefficient.
 Every entry point runs one ``BoundQuery``, whose lazily filled caches
 all its targets share; its ``interval(i)`` and ``forward(i)`` are the
@@ -11,7 +11,8 @@ other node's from its op's ``interval`` rule; the forward sweep bounds
 each node by two affine functions of the perturbed input coordinates
 through its op's ``forward`` rule, a nonlinear op's once relaxed. A pass
 steps by the ops the query hands ``run_backward``: each relaxed node's
-lines and each affine weight, on the live neurons alone.
+lines and each affine weight, on a closed affine -> relaxed unary ->
+affine chain on the live neurons alone.
 """
 from __future__ import annotations
 
@@ -164,14 +165,13 @@ class BoundQuery:
         self._forward: dict[int, LinearBounds] = {}
         self._lines: dict[int, OpKind] = {}
         self._pass_ops: dict[tuple[int, bool], OpKind] = {}
-        # _keeps[i]: the relaxed unary node whose live neurons i's coefficient keeps off a pass's target,
-        # i itself if affine nodes alone read it, the one reader of an affine i read by a relaxed unary alone
-        nodes, self._keeps = self.g.nodes, {}
-        for node, us in zip(nodes, self.g.users):
-            if isinstance(node.op, UnaryRelaxed) and us and all(isinstance(nodes[u].op, Affine) for u in us):
-                self._keeps[node.id] = node.id
-            elif isinstance(node.op, Affine) and len(us) == 1 and isinstance(nodes[us[0]].op, UnaryRelaxed):
-                self._keeps[node.id] = us[0]
+        # _keeps[r] = _keeps[a] = r on a closed chain a -> r -> affine readers: a relaxed unary r that
+        # affine nodes alone read, and its affine input a that r alone reads, keep r's live neurons
+        nodes, users, self._keeps = self.g.nodes, self.g.users, {}
+        affine = lambda i: isinstance(nodes[i].op, Affine)
+        for r, a in ((node.id, node.inputs[0]) for node in nodes if isinstance(node.op, UnaryRelaxed)):
+            if affine(a) and users[a] == (r,) and all(map(affine, users[r])):
+                self._keeps[r] = self._keeps[a] = r
 
     def _missing(self, nodes: list[int], cache: Mapping) -> list[int]:
         """``nodes`` and their uncached ancestors, in topological order; the walk stops at cached nodes."""
@@ -237,36 +237,36 @@ class BoundQuery:
             self._lines[r] = node.op.relax([self.interval(k) for k in node.inputs], self.relu_mode)
         return self._lines[r]
 
-    def _pass_op(self, i: int, target: bool) -> OpKind:
-        """The op a pass steps node i by: an affine op on its live rows and columns, a relaxed op's lines.
+    def _pass_op(self, i: int, o: int) -> OpKind:
+        """The op a pass from o steps node i by: an affine op on its live rows and columns, a relaxed op's lines.
 
-        A target keeps all its rows, so it shares its op with the non-target passes that prune none.
+        Node i keeps all its rows where it is o or o is its chain's relaxed node, as does every node off
+        a closed chain (``_keeps``); one unpruned op serves all such passes.
         """
         node, keeps = self.g.nodes[i], self._keeps
         if not (node.op.relaxed or isinstance(node.op, Affine)):
             return node.op
-        # the live rows of i's coefficient and columns of its input's, identity lines first (None: all)
-        rows = self._relaxed(keeps[i]).live if i in keeps and not target else None
+        # the live rows of i's coefficient, identity lines first (None: all)
+        rows = self._relaxed(keeps[i]).live if i in keeps and o not in (i, keeps[i]) else None
         key = (i, rows is None)
         if key not in self._pass_ops:
             j, op = node.inputs[0], node.op
-            cols = self._relaxed(keeps[j]).live if j in keeps else None
-            if isinstance(op, Affine) and (rows is not None or cols is not None):
-                w, b = (op.weight, op.bias) if rows is None else (op.weight[rows[0]], op.bias[rows[0]])
-                op = Affine(w if cols is None else w.take(cols[0], axis=1), b)
-            elif op.relaxed:
+            if op.relaxed:
                 op = self._relaxed(i)
-                live = op.live if rows is not None or cols is not None else None
-                if live is not None:  # a side pruned: only a unary node has one
-                    (live, n), ((lo, up),) = live, op.slopes
-                    take, put = (live if rows is None else None), (live if cols is None else None)
-                    op = _Lines(((lo[live], up[live]),), op.lower_const[live], op.upper_const[live], take, put, n)
+                if rows is not None:
+                    (live, n), ((lo, up),) = rows, op.slopes
+                    op = _Lines(((lo[live], up[live]),), op.lower_const[live], op.upper_const[live], n)
+            else:  # an affine op's columns are its input's live neurons when that input is kept
+                cols = self._relaxed(j).live if j in keeps else None
+                if rows is not None or cols is not None:
+                    w, b = (op.weight, op.bias) if rows is None else (op.weight[rows[0]], op.bias[rows[0]])
+                    op = Affine(w if cols is None else w.take(cols[0], axis=1), b)
             self._pass_ops[key] = op
         return self._pass_ops[key]
 
     def _pass(self, o: int, out_coeff):
         """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""
-        state = run_backward(self.g, o, out_coeff, {i: self._pass_op(i, i == o) for i in self.g.pop_order(o)})
+        state = run_backward(self.g, o, out_coeff, {i: self._pass_op(i, o) for i in self.g.pop_order(o)})
         lb, ub = state.lower_bias, state.upper_bias
         blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order

@@ -130,7 +130,7 @@ def cmd_compare(args) -> int:
     g, specs = _load(args)
     relu_mode = ReluLowerMode(args.relu)
     rows = []
-    for method in ("ibp", "forward", "backward", "ibp+backward"):
+    for method in _METHODS:  # every BoundStrategy
         box, elapsed, _ = _run_method(g, specs, method, relu_mode)
         lower, upper = _interval_report(box)
         rows.append(

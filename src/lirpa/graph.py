@@ -122,23 +122,17 @@ class Graph:
     def pop_order(self, o: int) -> tuple[int, ...]:
         """The order a backward pass from o steps through the nodes, computed once per target.
 
-        A BFS from o queues a dependent node once every consumer on its paths
-        to o (each edge counted per occurrence) has been popped, so it is
-        stepped through once, with its full coefficient. Each batch of nodes
-        made ready by one pop is queued in id order. No input but o is in it.
+        ``order`` reversed, kept to o and the dependent nodes o reads: each
+        comes after all of its consumers on paths to o, so it is stepped
+        through once, with its full coefficient. No input but o is in it.
         """
         o = int(_node_id(self, o))
         if o not in self._pop_orders:
-            nodes, degree, stack, pops = self.nodes, [0] * len(self.nodes), [o], [o]
-            while stack:  # degree[j]: the edges out of j on paths to o; a DAG never reaches o again
-                for j in nodes[stack.pop()].inputs:
-                    degree[j] += 1
-                    if degree[j] == 1:
-                        stack.append(j)
-            for i in pops:  # pops grows as it is walked: the BFS queue
-                for j in nodes[i].inputs:
-                    degree[j] -= 1
-                pops.extend(sorted({j for j in nodes[i].inputs if nodes[j].op.arity and not degree[j]}))
+            reached, pops = {o}, []
+            for i in reversed(self.order):
+                if i in reached and (i == o or self.nodes[i].op.arity):
+                    pops.append(i)
+                    reached.update(self.nodes[i].inputs)
             self._pop_orders[o] = tuple(pops)
         return self._pop_orders[o]
 

@@ -204,7 +204,13 @@ class Affine(_Linear):
         return self.w_pos @ getattr(inputs[0], end) + self.w_neg @ getattr(inputs[0], other)
 
     def _picked(self, inputs, end, other):
-        return self._rows(inputs, end, other) + self.bias
+        ends = [getattr(inputs[0], end), getattr(inputs[0], other)]
+        if np.isfinite(ends).all():
+            return self._rows(inputs, end, other) + self.bias
+        terms = np.zeros(self.weight.shape)  # an infinite end: no zero weight reads it, as 0 * inf is NaN
+        for w, x in zip((self.w_pos, self.w_neg), ends):
+            np.multiply(w, x, out=terms, where=w != 0.0)
+        return terms.sum(axis=1) + self.bias
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
         lam, d = lower_coeff @ self.weight, lower_coeff @ self.bias
@@ -228,9 +234,7 @@ class UnaryRelaxed(Elementwise):
 class _Lines(OpKind):
     """Fixed relaxation lines: lower <= sum_k slope_k * x_k + const <= upper, elementwise.
 
-    ``slopes`` holds one (lower, upper) slope pair per input. In a backward
-    pass on live neurons, ``take`` slices a full-width coefficient to those
-    columns and ``put`` scatters the outgoing one back. There the first ``n``
+    ``slopes`` holds one (lower, upper) slope pair per input. The first ``n``
     neurons have identity lines (slopes 1, constants 0): ``backward`` copies
     their columns of the coefficient and computes only the bending ones.
     Each step computes only the products its lines need: where every bending
@@ -242,8 +246,6 @@ class _Lines(OpKind):
     slopes: tuple[tuple[np.ndarray, np.ndarray], ...]
     lower_const: np.ndarray
     upper_const: np.ndarray
-    take: np.ndarray | None = None
-    put: np.ndarray | None = None
     n: int = 0
 
     kind = "lines"
@@ -274,9 +276,6 @@ class _Lines(OpKind):
     def backward(self, lower_coeff, upper_coeff, in_dim):
         shared, n, slopes, lc, uc = upper_coeff is lower_coeff, self.n, self.slopes, self.lower_const, self.upper_const
         (zero_const, zero_lower), out = self.zero_lower, (None, None)
-        if self.take is not None:  # take, not [:, cols], which returns a column-major array
-            lower_coeff = lower_coeff.take(self.take, axis=1)
-            upper_coeff = lower_coeff if shared else upper_coeff.take(self.take, axis=1)
         if n:  # the leading identity lines pass their columns through: copy them, compute only the rest
             block = np.array([lower_coeff, upper_coeff])  # one new block; its bending columns are overwritten
             out, slopes = (block[0, :, n:], block[1, :, n:]), [(sl[n:], su[n:]) for sl, su in slopes]
@@ -294,10 +293,6 @@ class _Lines(OpKind):
         d_up = up_pos @ uc if zero_const else up_pos @ uc + up_neg @ lc
         if n:
             lams = [tuple(block)]
-        if self.put is not None:
-            full = np.zeros((2, len(d_lo), in_dim))
-            full[:, :, self.put] = lams[0]
-            lams = [tuple(full)]
         return lams, d_lo, d_up
 
 

@@ -470,8 +470,6 @@ def where_relu_relaxation(l, u, mode=ReluLowerMode.ADAPTIVE) -> tuple:
 def four_product_lines_backward(op, lower_coeff, upper_coeff, in_dim):
     """Reference ``_Lines.backward``: the leading ``op.n`` identity columns copied, every other column's
     coefficients split into signed parts, each part times its slope, and both constants' products taken."""
-    if op.take is not None:
-        lower_coeff, upper_coeff = lower_coeff.take(op.take, axis=1), upper_coeff.take(op.take, axis=1)
     n, lc, uc = op.n, op.lower_const[op.n:], op.upper_const[op.n:]
     lo_pos, lo_neg = np.maximum(lower_coeff[:, n:], 0.0), np.minimum(lower_coeff[:, n:], 0.0)
     up_pos, up_neg = np.maximum(upper_coeff[:, n:], 0.0), np.minimum(upper_coeff[:, n:], 0.0)
@@ -483,10 +481,6 @@ def four_product_lines_backward(op, lower_coeff, upper_coeff, in_dim):
         for sl, su in op.slopes
     ]
     d_lo, d_up = lo_pos @ lc + lo_neg @ uc, up_pos @ uc + up_neg @ lc
-    if op.put is not None:
-        full = np.zeros((2, len(d_lo), in_dim))
-        full[:, :, op.put] = lams[0]
-        lams = [tuple(full)]
     return lams, d_lo, d_up
 
 
@@ -510,9 +504,13 @@ def signed_lines_forward(op, b: LinearBounds) -> LinearBounds:
 def explicit_interval(op, inputs) -> IntervalBounds:
     """Reference ``interval`` of the linear and monotone ops, each written out by hand."""
     x = inputs[0]
-    if isinstance(op, Affine):
+    if isinstance(op, Affine) and np.isfinite(x.lower).all() and np.isfinite(x.upper).all():
         lo = op.w_pos @ x.lower + op.w_neg @ x.upper + op.bias
         return IntervalBounds(lo, op.w_pos @ x.upper + op.w_neg @ x.lower + op.bias)
+    if isinstance(op, Affine):  # an infinite end: each row sums its nonzero weights' products alone
+        w = op.weight
+        picked = lambda end, other: np.where(w != 0.0, w * np.where(w > 0.0, end, other), 0.0).sum(axis=1) + op.bias
+        return IntervalBounds(picked(x.lower, x.upper), picked(x.upper, x.lower))
     if isinstance(op, ReLU):
         return IntervalBounds(np.maximum(x.lower, 0.0), np.maximum(x.upper, 0.0))
     if isinstance(op, Exp):
@@ -534,12 +532,13 @@ def explicit_interval(op, inputs) -> IntervalBounds:
 def explicit_forward(op, bounds) -> LinearBounds:
     """Reference ``forward`` of the linear ops, each written out by hand."""
     x = bounds[0]
-    if isinstance(op, Affine):
+    if isinstance(op, Affine):  # the offsets by the interval rule, which reads no infinite end by a zero weight
+        b = explicit_interval(op, [IntervalBounds(x.lower_b, x.upper_b)])
         return LinearBounds(
             op.w_pos @ x.lower_w + op.w_neg @ x.upper_w,
-            op.w_pos @ x.lower_b + op.w_neg @ x.upper_b + op.bias,
+            b.lower,
             op.w_pos @ x.upper_w + op.w_neg @ x.lower_w,
-            op.w_pos @ x.upper_b + op.w_neg @ x.lower_b + op.bias,
+            b.upper,
         )
     if isinstance(op, Neg):
         return LinearBounds(-x.upper_w, -x.upper_b, -x.lower_w, -x.lower_b)

@@ -506,9 +506,10 @@ def test_forward_supplier_reuses_forward_pass_intervals():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("strategy", list(BoundStrategy))
+@pytest.mark.parametrize("strategy", [s for s in BoundStrategy if s is not BoundStrategy.IBP])
 def test_nan_bounds_raise_domain_error(strategy):
-    # exp overflows to inf and a zero weight turns it into 0 * inf = NaN
+    # exp overflows to inf and a linear strategy's products turn a zero weight into 0 * inf = NaN
+    # (IBP's affine rule reads no end by a zero weight: test_interval.py)
     nodes = (
         Node(0, Input(), (), 1),
         Node(1, Affine([[1000.0]], [0.0]), (0,), 1),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import demo_doc
+from lirpa import BoundStrategy
 from lirpa.cli import main
 
 
@@ -225,7 +226,8 @@ def test_compare_demo_net_goldens(capsys, demo_graph):
     assert by_method["ibp"]["width"] == pytest.approx(88.0, abs=0.0)
     assert by_method["forward"]["width"] == pytest.approx(80.29, abs=0.02)
     assert by_method["backward"]["width"] == pytest.approx(66.28, abs=0.02)
-    assert set(methods) == {"ibp", "forward", "backward", "ibp+backward"}
+    assert by_method["forward+backward"]["width"] == pytest.approx(66.2857143, abs=1e-7)
+    assert methods[:2] == ["ibp", "forward"] and set(methods) == {s.value for s in BoundStrategy}
 
 
 def test_compare_affine_chain_equal_widths(capsys, tmp_path):

@@ -393,14 +393,14 @@ def test_pop_order_chain():
 
 
 def test_pop_order_diamond():
-    # input 0 feeds both branches, and no input but the target is popped
+    # input 0 feeds both branches, and no input but the target is popped; the branches go in reverse order
     nodes = (
         Node(0, Input(), (), 2),
         Node(1, ReLU(), (0,), 2),
         Node(2, Affine(np.eye(2), np.zeros(2)), (0,), 2),
         Node(3, Add(), (1, 2), 2),
     )
-    assert Graph(nodes, 3).pop_order(3) == (3, 1, 2)
+    assert Graph(nodes, 3).pop_order(3) == (3, 2, 1)
 
 
 def test_pop_order_ignores_dead_branches():
@@ -445,11 +445,15 @@ def _corpus_and_demo():
     return [random_graph(rng, max_nodes=12, max_dim=5)[0] for _ in range(50)] + [demo_net()[0]]
 
 
-def test_pop_order_equals_the_kahn_walk_on_every_target():
+def test_pop_order_is_the_order_reversed_on_every_target():
     # the acceptance corpus and the demo net, and a doubled edge: add(x, x) reads x twice
     doubled = (Node(0, Input(), (), 2), Node(1, ReLU(), (0,), 2), Node(2, Add(), (1, 1), 2), Node(3, Add(), (2, 1), 2))
     for g in _corpus_and_demo() + [Graph(doubled, 3)]:
         for o in range(len(g.nodes)):
-            assert g.pop_order(o) == kahn_pop_order(g, o)
+            pops = g.pop_order(o)
+            # the nodes the BFS walk steps through, each after all of its consumers on paths to o
+            assert len(set(pops)) == len(pops) and set(pops) == set(kahn_pop_order(g, o))
+            position = {i: k for k, i in enumerate(pops)}
+            assert all(position[j] > position[i] for i in pops for j in g.nodes[i].inputs if j in position)
+            assert pops == tuple(i for i in reversed(g.order) if i in position)
     assert Graph(doubled, 3).pop_order(3) == (3, 2, 1)
-

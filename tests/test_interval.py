@@ -5,11 +5,14 @@ import pytest
 
 from helpers import demo_net, node_intervals, random_graph, assert_sound
 from lirpa import (
+    Affine,
     BoundStrategy,
     Constant,
     DomainError,
+    Exp,
     Graph,
     Input,
+    IntervalBounds,
     Log,
     LpBall,
     Node,
@@ -120,3 +123,40 @@ def test_ibp_exact_on_monotone_chain_with_point_input():
     for i in range(len(g.nodes)):
         assert bounds[i].lower == pytest.approx(values[i], abs=0.0)
         assert bounds[i].upper == pytest.approx(values[i], abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # exp(1000) overflows
+def test_a_zero_weight_ignores_an_infinite_end():
+    # exp's interval reaches inf; row 0 reads it by a zero weight only, so it is exactly 0
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Affine([[1000.0]], [0.0]), (0,), 1),
+        Node(2, Exp(), (1,), 1),
+        Node(3, Affine([[0.0], [1.0]], [0.0, 0.0]), (2,), 2),
+    )
+    g, specs = Graph(nodes, 3), {0: LpBall([0.0], 1.0, math.inf)}
+    box = compute_bounds(g, specs, BoundStrategy.IBP)[1]
+    assert box.lower.tobytes() == np.zeros(2).tobytes() and box.upper.tolist() == [0.0, math.inf]
+    for strategy in BoundStrategy:  # the linear strategies' products still meet 0 * inf
+        if strategy is not BoundStrategy.IBP:
+            with pytest.raises(DomainError, match="NaN or inverted"):
+                compute_bounds(g, specs, strategy)
+
+
+def test_affine_interval_with_infinite_ends_sums_the_nonzero_weights_alone():
+    rng = np.random.default_rng(5)
+    w = rng.uniform(-1, 1, (6, 5)) * (rng.uniform(size=(6, 5)) < 0.6)
+    op = Affine(w, rng.uniform(-1, 1, 6))
+    lower, upper = rng.uniform(-2, -1, 5), rng.uniform(1, 2, 5)
+    lower[1], upper[3] = -math.inf, math.inf
+    box = op.interval([IntervalBounds(lower, upper)])
+    for i, row in enumerate(w):
+        nz = row != 0.0
+        lo = np.where(row > 0, lower, upper)[nz] @ row[nz]
+        up = np.where(row > 0, upper, lower)[nz] @ row[nz]
+        assert box.lower[i] == pytest.approx(lo + op.bias[i], rel=1e-15)
+        assert box.upper[i] == pytest.approx(up + op.bias[i], rel=1e-15)
+    # finite ends keep the matrix products bit for bit
+    finite = IntervalBounds(np.nan_to_num(lower, neginf=-3.0), np.nan_to_num(upper, posinf=3.0))
+    want = op.w_pos @ finite.lower + op.w_neg @ finite.upper + op.bias
+    assert op.interval([finite]).lower.tobytes() == want.tobytes()

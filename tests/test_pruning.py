@@ -25,6 +25,7 @@ from lirpa import (
     LpBall,
     MarginSpec,
     MulElementwise,
+    Neg,
     Node,
     ReLU,
     ReluLowerMode,
@@ -134,7 +135,7 @@ def test_a_pruned_lines_op_passes_its_leading_identity_columns_through():
     query.bound(g.output)
     rng = np.random.default_rng(71)
     for r in (2, 4, 6):
-        full, op = query._relaxed(r), query._pass_op(r, False)
+        full, op = query._relaxed(r), query._pass_op(r, g.output)
         live, n = full.live
         # the same live neurons as the dense lines show, identity lines first
         assert set(live.tolist()) == set(np.logical_or.reduce([*full.slopes[0], full.lower_const, full.upper_const]).nonzero()[0])
@@ -196,16 +197,14 @@ def test_zero_mode_relu_lines_steps_equal_the_four_product_step():
     for box in (mixed, bending, some_dead):
         full, dim = ReLU().relax([box], ReluLowerMode.ZERO), len(box.lower)
         ops_.append((full, dim))
-        if full.live is not None:  # as ``BoundQuery._pass_op`` prunes one: no side, then each side alone
+        if full.live is not None:  # as ``BoundQuery._pass_op`` prunes one
             (live, n), ((lo, up),) = full.live, full.slopes
-            for take, put in ((None, None), (live, None), (None, live)):
-                pruned = _Lines(((lo[live], up[live]),), full.lower_const[live], full.upper_const[live], take, put, n)
-                ops_.append((pruned, dim))
+            ops_.append((_Lines(((lo[live], up[live]),), full.lower_const[live], full.upper_const[live], n), len(live)))
     # the unpruned ops with dead or active neurons keep the signed split (a dead neuron's upper slope is 0)
-    assert [op.zero_lower[1] for op, _ in ops_] == [False] + [True] * 3 + [True] + [False] + [True] * 3
-    assert [op.n for op, _ in ops_] == [0] + [4] * 3 + [0] * 5
+    assert [op.zero_lower[1] for op, _ in ops_] == [False, True, True, False, True]
+    assert [op.n for op, _ in ops_] == [0, 4, 0, 0, 0]
     for op, dim in ops_:
-        lower = _signed_zeros(rng, (6, dim if op.take is not None else len(op.lower_const)))
+        lower = _signed_zeros(rng, (6, dim))
         for upper in (lower, _signed_zeros(rng, lower.shape)):
             (lams,), d_lo, d_up = op.backward(lower, upper, dim)
             (ref,), ref_d_lo, ref_d_up = four_product_lines_backward(op, lower, upper, dim)
@@ -290,9 +289,45 @@ def test_a_dead_affine_that_also_feeds_an_add_keeps_its_rows():
         query = BoundQuery(g, specs, strategy)
         box = query.box(4, None, "output")
         assert set(query._relaxed(2).live[0].tolist()) == {2}
-        assert query._pass_op(1, False).weight.shape == (3, 2)
+        assert query._pass_op(1, 4).weight.shape == (3, 2)
         _assert_close(box, _dense_box(query, 4), strategy)
         assert_sound(g, specs, {4: box}, np.random.default_rng(64), n=500)
+
+
+def test_only_closed_affine_relu_affine_chains_are_pruned():
+    # four relus, each with a dead neuron: 2 on a closed chain, 4 read by a neg, 7 fed by an add,
+    # and 9 a target whose affine input 8 keeps all its rows
+    step = Affine(np.eye(3), [-10.0, 0.0, 10.0])
+    nodes = (
+        Node(0, Input(), (), 3),
+        Node(1, step, (0,), 3),
+        Node(2, ReLU(), (1,), 3),
+        Node(3, step, (2,), 3),
+        Node(4, ReLU(), (3,), 3),
+        Node(5, Neg(), (4,), 3),
+        Node(6, Add(), (5, 0), 3),
+        Node(7, ReLU(), (6,), 3),
+        Node(8, step, (7,), 3),
+        Node(9, ReLU(), (8,), 3),
+        Node(10, Affine([[1.0, -2.0, 0.5], [0.3, 0.2, -1.0]], [0.0, 1.0]), (9,), 2),
+    )
+    g, specs = Graph(nodes, 10), {0: LpBall(np.zeros(3), 0.3, math.inf)}
+    for strategy in (BoundStrategy.BACKWARD, BoundStrategy.IBP_BACKWARD):
+        query = BoundQuery(g, specs, strategy)
+        boxes = {o: query.box(o, None, "node") for o in (10, 9)}
+        assert query._keeps == {1: 2, 2: 2, 8: 9, 9: 9}
+        assert all(len(query._relaxed(r).live[0]) == 2 for r in (2, 9))
+        op = query._pass_op
+        # the pass from 10 prunes the two chains' rows, and the columns of the affine nodes that read them
+        assert len(op(2, 10).lower_const) == 2 and op(1, 10).weight.shape == (2, 3)
+        assert len(op(9, 10).lower_const) == 2 and op(8, 10).weight.shape == (2, 3)
+        assert op(10, 10).weight.shape == (2, 2) and op(3, 10).weight.shape == (3, 2)
+        assert op(4, 10) is query._relaxed(4) and op(7, 10) is query._relaxed(7)
+        # the pass from the relu target 9 keeps its lines and its affine input's rows
+        assert op(9, 9) is query._relaxed(9) and op(8, 9) is nodes[8].op
+        for o, box in boxes.items():
+            _assert_close(box, _dense_box(query, o), (strategy, o))
+            assert_sound(g, specs, {o: box}, np.random.default_rng(64), n=500)
 
 
 def test_a_cached_affine_target_keeps_all_its_rows():
@@ -314,7 +349,7 @@ def test_a_pruned_affine_pass_op_holds_frozen_slices_of_the_graph_weight():
     query = BoundQuery(g, specs, BoundStrategy.IBP_BACKWARD)
     query.bound(g.output)
     live = [1, 3, 5]
-    graph_op, pass_op = g.nodes[3].op, query._pass_op(3, False)
+    graph_op, pass_op = g.nodes[3].op, query._pass_op(3, g.output)
     assert np.array_equal(pass_op.weight, graph_op.weight[np.ix_(live, live)])
     assert np.array_equal(pass_op.bias, graph_op.bias[live])
     for got, source in ((pass_op.weight, graph_op.weight), (pass_op.bias, graph_op.bias)):
@@ -323,7 +358,8 @@ def test_a_pruned_affine_pass_op_holds_frozen_slices_of_the_graph_weight():
 
 def test_a_target_shares_its_pass_op_with_an_unpruned_non_target():
     # the fused graph's negated-margin node is the margin pass's target, then the fused pass reads it
-    # through exp, whose lines are all live: one op on the live columns serves both passes
+    # through exp, which a sum reads: on no closed chain, it keeps its rows, and one op on the live
+    # columns of the relu it reads serves both passes
     g, specs = _mlp(np.random.default_rng(69), [3, 6, 6, 4], half_dead=True)
     fused = build_fused_loss_graph(g, MarginSpec(1, 4))
     neg = fused.output - 2
@@ -331,10 +367,10 @@ def test_a_target_shares_its_pass_op_with_an_unpruned_non_target():
         query = BoundQuery(fused, specs, strategy)
         query.intervals[neg] = query.box(neg, None, "margin")
         query.box(fused.output, None, "fused loss")
-        assert query._relaxed(neg + 1).live is None
+        assert neg not in query._keeps and fused.nodes[neg].inputs[0] in query._keeps
         assert [key for key in query._pass_ops if key[0] == neg] == [(neg, True)]
-        assert query._pass_op(neg, False) is query._pass_op(neg, True)
-        assert query._pass_op(neg, False).weight.shape == (4, 3)
+        assert query._pass_op(neg, fused.output) is query._pass_op(neg, neg)
+        assert query._pass_op(neg, fused.output).weight.shape == (4, 3)
 
 
 def test_affine_steps_receive_only_the_live_columns(monkeypatch):

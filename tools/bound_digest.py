@@ -33,6 +33,7 @@ with each float's sign of zero folded (``x + 0.0``), so a change that
 flips only the signs of zeros can show it gives the same values. ``--src``
 imports lirpa from another checkout's ``src`` directory (default: this
 one's); the graphs always come from this checkout's ``tests/helpers.py``.
+``corpus`` lists the calls, which ``tools/bound_diff.py`` compares too.
 """
 from __future__ import annotations
 
@@ -52,19 +53,70 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def corpus(lirpa):
+    """The digest's calls, in order, as (function, args); a call's family is its function's name.
+
+    Call it with this checkout's ``tests`` directory on ``sys.path``: the graphs come from its ``helpers``.
+    """
+    from helpers import demo_net, random_classifier, random_graph
+
+    def compute_bounds_margin(g, specs, strategy, mode):
+        margins = lirpa.margin_transform(0, g.nodes[g.output].dim)
+        return lirpa.compute_bounds(g, specs, strategy, None, margins, mode)
+
+    def relax(op, intervals, mode):
+        lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
+        return np.asarray(lines.slopes), lines.lower_const, lines.upper_const
+
+    def grids(points, wide):
+        """Intervals by family: signed-zero ends, one ulp and 1e-12 wide at ``points``, and ``wide``."""
+        zero = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -1.0, -1.0], [-0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]])
+        points = np.array(points)
+        thin = [np.array([points, np.nextafter(points, np.inf)]), np.array([points, points + 1e-12])]
+        return ([zero] if points.min() < 0.0 else []) + thin + [np.array(wide).T]
+
+    real = grids([-3.0, -1.0, -1e-3, -1e-300, 1e-300, 1e-3, 0.5, 2.0], [(-1e300, 1e300), (-1e300, 1.0), (-1.0, 1e300)])
+    exp = grids([-800.0, -3.0, -1e-3, 1e-3, 2.0, 700.0], [(-700.0, 696.0), (-800.0, -700.0), (-1e3, 700.0)])
+    log = grids([1e-300, 1e-3, 0.5, 2.0, 1e300], [(1e-300, 1.0), (1e-3, 1e300)])
+    products = grids([-3.0, -1e-3, 1e-3, 0.5, 2.0], [(-1e150, 1e150), (-1e150, 1.0), (-1.0, 1e150)])
+    for mode in lirpa.ReluLowerMode:
+        for box in real:
+            yield relax, (lirpa.ReLU(), [box], mode)
+    for op, family in ((lirpa.Exp(), exp), (lirpa.Log(), log)):
+        for box in family:
+            yield relax, (op, [box], lirpa.ReluLowerMode.ZERO)
+    for box in products:
+        x, y = np.repeat(box, box.shape[1], axis=1), np.tile(box, box.shape[1])  # every pair of the family's intervals
+        for pair in ((x, y), (x[[0, 0]], y), (x, y[[0, 0]]), (x[[0, 0]], y[[0, 0]])):  # [[0, 0]]: pinned at l
+            yield relax, (lirpa.MulElementwise(), pair, lirpa.ReluLowerMode.ZERO)
+
+    rng = np.random.default_rng(2024)
+    graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
+    rng = np.random.default_rng(7)
+    classifiers = [random_classifier(rng, 3 + k % 3) for k in range(10)]
+    for strategy in lirpa.BoundStrategy:
+        for mode in lirpa.ReluLowerMode:
+            for g, specs in graphs + classifiers:
+                for target in range(len(g.nodes)):
+                    yield lirpa.compute_bounds, (g, specs, strategy, target, None, mode)
+            for g, specs in classifiers:
+                margin = lirpa.MarginSpec(0, g.nodes[g.output].dim)
+                yield lirpa.fused_loss_report, (g, specs, margin, strategy, mode)
+                yield lirpa.bound_loss_fused, (g, specs, margin, strategy, mode)
+                yield lirpa.bound_loss_unfused, (g, specs, margin, strategy, mode)
+                batch = [({0: specs[0].center}, 0)]
+                yield lirpa.flatness_score, (g, 0.01, batch, strategy, mode)
+                yield compute_bounds_margin, (g, specs, strategy, mode)
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--src", type=Path, default=ROOT / "src")
     args = p.parse_args()
     sys.path[:0] = [str(args.src), str(ROOT / "tests")]
     import lirpa
-    from helpers import demo_net, random_classifier, random_graph
 
     digests, counts = {}, Counter()
-
-    def compute_bounds_margin(g, specs, strategy, mode):
-        margins = lirpa.margin_transform(0, g.nodes[g.output].dim)
-        return lirpa.compute_bounds(g, specs, strategy, None, margins, mode)
 
     def record(call, *call_args):
         # the first line keeps to the calls it has always covered
@@ -99,50 +151,8 @@ def main() -> None:
         return state
 
     lirpa.backward.run_backward = run_backward
-
-    def relax(op, intervals, mode):
-        lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
-        return np.asarray(lines.slopes), lines.lower_const, lines.upper_const
-
-    def grids(points, wide):
-        """Intervals by family: signed-zero ends, one ulp and 1e-12 wide at ``points``, and ``wide``."""
-        zero = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0, 0.0, -1.0, -1.0], [-0.0, 0.0, -0.0, 0.0, 1.0, 1.0, -0.0, 0.0]])
-        points = np.array(points)
-        thin = [np.array([points, np.nextafter(points, np.inf)]), np.array([points, points + 1e-12])]
-        return ([zero] if points.min() < 0.0 else []) + thin + [np.array(wide).T]
-
-    real = grids([-3.0, -1.0, -1e-3, -1e-300, 1e-300, 1e-3, 0.5, 2.0], [(-1e300, 1e300), (-1e300, 1.0), (-1.0, 1e300)])
-    exp = grids([-800.0, -3.0, -1e-3, 1e-3, 2.0, 700.0], [(-700.0, 696.0), (-800.0, -700.0), (-1e3, 700.0)])
-    log = grids([1e-300, 1e-3, 0.5, 2.0, 1e300], [(1e-300, 1.0), (1e-3, 1e300)])
-    products = grids([-3.0, -1e-3, 1e-3, 0.5, 2.0], [(-1e150, 1e150), (-1e150, 1.0), (-1.0, 1e150)])
-    for mode in lirpa.ReluLowerMode:
-        for box in real:
-            record(relax, lirpa.ReLU(), [box], mode)
-    for op, family in ((lirpa.Exp(), exp), (lirpa.Log(), log)):
-        for box in family:
-            record(relax, op, [box], lirpa.ReluLowerMode.ZERO)
-    for box in products:
-        x, y = np.repeat(box, box.shape[1], axis=1), np.tile(box, box.shape[1])  # every pair of the family's intervals
-        for pair in ((x, y), (x[[0, 0]], y), (x, y[[0, 0]]), (x[[0, 0]], y[[0, 0]])):  # [[0, 0]]: pinned at l
-            record(relax, lirpa.MulElementwise(), pair, lirpa.ReluLowerMode.ZERO)
-
-    rng = np.random.default_rng(2024)
-    graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
-    rng = np.random.default_rng(7)
-    classifiers = [random_classifier(rng, 3 + k % 3) for k in range(10)]
-    for strategy in lirpa.BoundStrategy:
-        for mode in lirpa.ReluLowerMode:
-            for g, specs in graphs + classifiers:
-                for target in range(len(g.nodes)):
-                    record(lirpa.compute_bounds, g, specs, strategy, target, None, mode)
-            for g, specs in classifiers:
-                margin = lirpa.MarginSpec(0, g.nodes[g.output].dim)
-                record(lirpa.fused_loss_report, g, specs, margin, strategy, mode)
-                record(lirpa.bound_loss_fused, g, specs, margin, strategy, mode)
-                record(lirpa.bound_loss_unfused, g, specs, margin, strategy, mode)
-                batch = [({0: specs[0].center}, 0)]
-                record(lirpa.flatness_score, g, 0.01, batch, strategy, mode)
-                record(compute_bounds_margin, g, specs, strategy, mode)
+    for call, call_args in corpus(lirpa):
+        record(call, *call_args)
     print(f"{counts['results']} results sha256 {digests['results'].hexdigest()}")
     for key in sorted(digests.keys() - {"results", "folded"}) + ["folded"]:
         print(f"  {counts[key.split('.')[0]]} {key} sha256 {digests[key].hexdigest()}")
