@@ -56,8 +56,8 @@ class BackwardState:
     termination only independent nodes keep entries; ``pop_order`` is the
     graph's pop order from the target, the sequence the pass stepped
     through. An input's coefficient may be a factored array (a ``MatVec``
-    weight's) with ``shape``, ``@ vector`` and ``row_norms(q)``, which
-    ``np.asarray`` expands.
+    weight's, on (t,) slopes) with ``shape``, ``@ vector`` and
+    ``row_norms(q)``, which ``np.asarray`` expands.
     """
 
     lower_coeff: dict[int, np.ndarray]

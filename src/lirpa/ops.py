@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import DomainError, GraphError
 from .linear import IntervalBounds, LinearBounds
-from .relaxation import mul_relaxation, unary_relaxation
+from .relaxation import _check_interval, mul_relaxation, unary_relaxation
 
 __all__ = [
     "OpKind", "Elementwise", "UnaryRelaxed", "Input", "Affine", "ReLU", "Exp", "Log",
@@ -117,11 +117,13 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy]."""
-    a, b, c, d = lx * ly, lx * uy, ux * ly, ux * uy
+    """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy], folded into three arrays."""
+    corner, hi = lx * ly, lx * uy
     # in this order: on a tie np.minimum and np.maximum return their second argument, so it picks a zero's sign
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    for corner in (c, d):
+    lo = np.minimum(corner, hi)
+    np.maximum(corner, hi, out=hi)
+    for x, y in ((ux, ly), (ux, uy)):
+        np.multiply(x, y, out=corner)
         np.minimum(lo, corner, out=lo)
         np.maximum(hi, corner, out=hi)
     return lo, hi
@@ -309,7 +311,8 @@ class Exp(UnaryRelaxed):
     kind = "exp"
 
     def eval(self, xs):
-        return np.exp(xs[0])
+        with np.errstate(over="ignore"):  # past about 709 the sound upper end is +inf
+            return np.exp(xs[0])
 
 
 @dataclass(frozen=True)
@@ -375,16 +378,17 @@ class MulElementwise(Elementwise):
 
 class _WeightCoeff:
     """A ``MatVec`` weight coefficient, factored: row r's block i, on W_i1..W_it, is
-    ``pos[r, i] * slope_pos[i] + neg[r, i] * slope_neg[i]``.
+    ``pos[r, i] * slope_pos + neg[r, i] * slope_neg``, with (t,) slopes.
 
-    ``pos`` >= 0 and ``neg`` <= 0 never overlap, so ``@ v`` and ``row_norms(q)``
-    reduce on the (rows, s) and (s, t) factors; ``np.asarray`` expands it to
-    the dense (rows, s * t) array.
+    ``pos`` >= 0 and ``neg`` <= 0 never overlap, so ``@ v`` is two gemvs on
+    v's (s, t) view and ``row_norms(q)`` reduces the (rows, s) factors and
+    the slopes apart; ``np.asarray`` expands it to the dense (rows, s * t)
+    array.
     """
 
     def __init__(self, pos, neg, slope_pos, slope_neg):
         self.pos, self.neg, self.slope_pos, self.slope_neg = pos, neg, slope_pos, slope_neg
-        self.shape = (pos.shape[0], slope_pos.size)
+        self.shape = (pos.shape[0], pos.shape[1] * slope_pos.size)
 
     def __array__(self, dtype=None, copy=None):
         # a coefficient on h_i is one on each of its t terms W_ij x_j
@@ -392,16 +396,16 @@ class _WeightCoeff:
         return dense.reshape(self.shape).astype(dtype or np.float64, copy=False)
 
     def __matmul__(self, v):
-        c = np.reshape(v, self.slope_pos.shape)
-        return self.pos @ (self.slope_pos * c).sum(axis=1) + self.neg @ (self.slope_neg * c).sum(axis=1)
+        c = np.reshape(v, (self.pos.shape[1], self.slope_pos.size))
+        return self.pos @ (c @ self.slope_pos) + self.neg @ (c @ self.slope_neg)
 
     def row_norms(self, q: float) -> np.ndarray:
         """The q-norm of each row, q in [1, inf]; a block's is |pos| or |neg| times its slope's."""
         pos, neg, slope_pos, slope_neg = (np.abs(a) for a in (self.pos, self.neg, self.slope_pos, self.slope_neg))
         if np.isinf(q):
-            per_block = pos * slope_pos.max(axis=1, initial=0.0) + neg * slope_neg.max(axis=1, initial=0.0)
-            return per_block.max(axis=1, initial=0.0)
-        total = pos**q @ (slope_pos**q).sum(axis=1) + neg**q @ (slope_neg**q).sum(axis=1)
+            on_pos = pos.max(axis=1, initial=0.0) * slope_pos.max(initial=0.0)
+            return np.maximum(on_pos, neg.max(axis=1, initial=0.0) * slope_neg.max(initial=0.0))
+        total = (pos**q).sum(axis=1) * (slope_pos**q).sum() + (neg**q).sum(axis=1) * (slope_neg**q).sum()
         return total ** (1.0 / q)
 
 
@@ -454,10 +458,14 @@ class MatVec(OpKind):
 class _Planes(OpKind):
     """A ``MatVec``'s fixed planes over its weight and input intervals ``w`` and ``x``.
 
-    Each term W_ij x_j is relaxed with the ``mul_relaxation`` planes on
-    (dim, t) views and the terms are summed per row, so no (dim * t)-row
-    relaxation matrix is built; ``backward`` keeps W's coefficient factored
-    (``_WeightCoeff``), so no (rows, dim * t) one is either.
+    Each term W_ij x_j has the ``mul_relaxation`` planes over [lw, uw] x [lx, ux]:
+    lx_j W_ij + lw_ij x_j - lw_ij lx_j below, ux_j W_ij + lw_ij x_j - lw_ij ux_j
+    above. They factor, so no rule builds a (dim, t) plane: the slopes on W
+    are (t,) rows, the slope on x is a view of lw, and each row's constants
+    are (dim,) products. A pinned x_j keeps its exact line x_j W_ij; on a
+    pinned W_ij the planes are exact up to rounding. ``backward`` keeps W's
+    coefficient factored (``_WeightCoeff``), so no (rows, dim * t) one is
+    built either.
     """
 
     w: IntervalBounds
@@ -466,52 +474,45 @@ class _Planes(OpKind):
 
     kind = "planes"
 
-    @property
+    @cached_property
     def rel(self):
-        # computed for each rule that reads them, not kept: about twenty elementwise passes over (dim, t),
-        # a fifth of a flatness query's time, whose single ibp+backward pass reads each MatVec once;
-        # keeping a query's planes made that query ~8% slower
-        shape = (self.w.lower.shape[0] // self.x.lower.shape[0], self.x.lower.shape[0])
-        return mul_relaxation(
-            self.w.lower.reshape(shape),
-            self.w.upper.reshape(shape),
-            np.broadcast_to(self.x.lower, shape),
-            np.broadcast_to(self.x.upper, shape),
-        )
+        """The lower and upper slopes on W, the slope on x, the pinned x columns and the two constants."""
+        lx, ux = _check_interval(self.x.lower, self.x.upper)
+        pinned = lx == ux
+        on_x = self.w.lower.reshape(-1, len(lx))  # both planes'
+        # a pinned x_j: the exact line through its lower end (the two ends differ in the sign of a zero)
+        free_lx, free_ux = np.where(pinned, 0.0, lx), np.where(pinned, 0.0, ux)
+        return (lx, np.where(pinned, lx, ux)), on_x, pinned, -(on_x @ free_lx), -(on_x @ free_ux)
 
     def forward(self, bounds):
         w, x = bounds
-        ((lx, ux), (ly, uy)), lc, uc = self.rel
-        s, t = lx.shape
+        (lx, ux), on_x, pinned, lc, uc = self.rel
+        s, t = on_x.shape
         # one row per term W_ij x_j from W's bounds, then x's part of each row's sum
-        terms = _unary_mix(lx.ravel(), 0.0, ux.ravel(), 0.0, w)
+        terms = _unary_mix(np.tile(lx, s), 0.0, np.tile(ux, s), 0.0, w)
+        pos, neg = _posneg(np.where(pinned, 0.0, on_x))
 
-        def row_sum(on_w, slope, on_pos, on_neg, const):
-            pos, neg = _posneg(slope)
+        def row_sum(on_w, on_pos, on_neg, const):
             return on_w.reshape(s, t, *on_w.shape[1:]).sum(axis=1) + pos @ on_pos + neg @ on_neg + const
 
-        lower_const = lc.sum(axis=1) + self.bias
-        upper_const = uc.sum(axis=1) + self.bias
         return LinearBounds(
-            row_sum(terms[0], ly, x.lower_w, x.upper_w, 0.0),
-            row_sum(terms[1], ly, x.lower_b, x.upper_b, lower_const),
-            row_sum(terms[2], uy, x.upper_w, x.lower_w, 0.0),
-            row_sum(terms[3], uy, x.upper_b, x.lower_b, upper_const),
+            row_sum(terms[0], x.lower_w, x.upper_w, 0.0),
+            row_sum(terms[1], x.lower_b, x.upper_b, lc + self.bias),
+            row_sum(terms[2], x.upper_w, x.lower_w, 0.0),
+            row_sum(terms[3], x.upper_b, x.lower_b, uc + self.bias),
         )
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
-        ((lx, ux), (ly, uy)), lc, uc = self.rel
+        (lx, ux), on_x, pinned, lc, uc = self.rel
         lo_pos, lo_neg = _posneg(lower_coeff)
         up_pos, up_neg = _posneg(upper_coeff)
-
-        lams = [
-            (_WeightCoeff(lo_pos, lo_neg, lx, ux), _WeightCoeff(up_pos, up_neg, ux, lx)),
-            (lo_pos @ ly + lo_neg @ uy, up_pos @ uy + up_neg @ ly),
-        ]
-        lower_const = lc.sum(axis=1)
-        upper_const = uc.sum(axis=1)
-        d_lo = lo_pos @ lower_const + lo_neg @ upper_const + lower_coeff @ self.bias
-        d_up = up_pos @ upper_const + up_neg @ lower_const + upper_coeff @ self.bias
+        # both planes' slope on x is W's lower end: one product per side, zero on the pinned columns
+        lam_lo, lam_up = lower_coeff @ on_x, upper_coeff @ on_x
+        for lam in (lam_lo, lam_up):
+            np.copyto(lam, 0.0, where=pinned)
+        lams = [(_WeightCoeff(lo_pos, lo_neg, lx, ux), _WeightCoeff(up_pos, up_neg, ux, lx)), (lam_lo, lam_up)]
+        d_lo = lo_pos @ lc + lo_neg @ uc + lower_coeff @ self.bias
+        d_up = up_pos @ uc + up_neg @ lc + upper_coeff @ self.bias
         return lams, d_lo, d_up
 
 

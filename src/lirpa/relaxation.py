@@ -42,9 +42,8 @@ def _inverted(l: np.ndarray, u: np.ndarray) -> bool:
 
 
 def _check_interval(l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # C order: a broadcast view (a MatVec's input row) is read once here, not by every pass below
-    l = np.asarray(l, dtype=np.float64, order="C")
-    u = np.asarray(u, dtype=np.float64, order="C")
+    l = np.asarray(l, dtype=np.float64)
+    u = np.asarray(u, dtype=np.float64)
     if l.shape != u.shape:
         raise ValueError(f"interval endpoint shapes differ: {l.shape} vs {u.shape}")
     if (l > u).any():
@@ -155,7 +154,6 @@ def mul_relaxation(lx, ux, ly, uy) -> tuple:
         # -lx * y, zero for one pinned operand, the product lx * ly for both
         np.copyto(const, 0.0, where=either)
         np.multiply(lx, ly, out=const, where=both)
-    del ly, uy  # C-order copies of a MatVec's broadcast input row: freed before the last two planes
     y_slope = np.where(y_const, 0.0, lx)  # both planes'
     return ((lower_x, upper_x), (y_slope, y_slope)), lower_const, upper_const
 

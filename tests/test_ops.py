@@ -12,6 +12,7 @@ from helpers import (
     explicit_forward,
     explicit_interval,
     sample_points,
+    select_mul_relaxation,
     signed_lines_forward,
     signed_mix,
 )
@@ -364,7 +365,7 @@ def _weight_coeffs(rng, rows=5, s=3, t=4, pin=False):
     lower[1] = upper[3] = 0.0
     planes = MatVec(rng.uniform(-1, 1, s)).relax(intervals, ReluLowerMode.ZERO)
     lams = planes.backward(lower, upper, s * t)[0]
-    ((lower_x, upper_x), _), _, _ = planes.rel
+    (lower_x, upper_x), *_ = planes.rel
 
     def on_w(coeff, slope_pos, slope_neg):
         pos, neg = np.maximum(coeff, 0.0), np.minimum(coeff, 0.0)
@@ -398,6 +399,74 @@ def test_lp_ball_concretizes_a_factored_coefficient_as_its_expansion():
         got, want = ball.extremes(lo, zero, up, zero), ball.extremes(dense_lo, zero, dense_up, zero)
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
+
+
+def _pinned_planes(rng, s=4, t=5):
+    """A MatVec's planes over weight and x intervals with every third weight and x column 1 pinned."""
+    w_box = np.sort(rng.uniform(-1, 1, (2, s * t)), axis=0)
+    x_box = np.sort(rng.uniform(-1, 1, (2, t)), axis=0)
+    w_box[1, ::3] = w_box[0, ::3]
+    x_box[1, 1] = x_box[0, 1]
+    return MatVec(rng.uniform(-1, 1, s)).relax([IntervalBounds(*w_box), IntervalBounds(*x_box)], ReluLowerMode.ZERO)
+
+
+def test_matvec_planes_are_vectors_and_a_view_of_the_weights_lower_end():
+    planes, s, t = _pinned_planes(np.random.default_rng(44)), 4, 5
+    (lower_w, upper_w), on_x, pinned, lower_const, upper_const = rel = planes.rel
+    assert planes.rel is rel  # computed once per relaxed node, so once per query
+    assert on_x.shape == (s, t) and np.shares_memory(on_x, planes.w.lower) and not on_x.flags.owndata
+    vectors = [lower_w, upper_w, pinned, lower_const, upper_const]
+    assert [a.shape for a in vectors] == [(t,)] * 3 + [(s,)] * 2
+    assert not any(np.shares_memory(a, planes.w.lower) for a in vectors)
+    assert pinned.tolist() == [False, True, False, False, False]
+
+
+def test_matvec_planes_bound_every_product_and_expand_to_the_mul_planes():
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        planes, s, t = _pinned_planes(rng), 4, 5
+        (lower_w, upper_w), on_x, pinned, lower_const, upper_const = planes.rel
+        lw, uw, lx, ux = planes.w.lower.reshape(s, t), planes.w.upper.reshape(s, t), planes.x.lower, planes.x.upper
+        on_x = np.where(pinned, 0.0, on_x)
+        # sampled weights and inputs, the box's corners among them, pinned entries at their point
+        ws = lw[..., None] + (uw - lw)[..., None] * rng.uniform(0, 1, (s, t, 200))
+        xs = lx[:, None] + (ux - lx)[:, None] * rng.uniform(0, 1, (t, 200))
+        ws[..., :2], xs[:, :2] = np.stack([lw, uw], axis=-1), np.stack([lx, ux], axis=-1)
+        product = np.einsum("ijk,jk->ik", ws, xs)
+        below = np.einsum("j,ijk->ik", lower_w, ws) + on_x @ xs + lower_const[:, None]
+        above = np.einsum("j,ijk->ik", upper_w, ws) + on_x @ xs + upper_const[:, None]
+        assert np.all(below <= product + 1e-13) and np.all(product <= above + 1e-13)
+        # off the pinned weights, each term's planes are mul_relaxation's: the reference's, term by term
+        ((ref_lw, ref_uw), (ref_lx, ref_ux)), ref_lc, ref_uc = select_mul_relaxation(
+            lw, uw, np.broadcast_to(lx, (s, t)), np.broadcast_to(ux, (s, t))
+        )
+        free = lw != uw
+        for got, want in [(lower_w, ref_lw), (upper_w, ref_uw), (on_x, ref_lx), (on_x, ref_ux)]:
+            assert np.allclose(np.broadcast_to(got, (s, t))[free], want[free], rtol=0.0, atol=1e-13)
+        # a pinned weight keeps the general planes, whose constants reach the row sums
+        for got, want, end in [(lower_const, ref_lc, lx), (upper_const, ref_uc, ux)]:
+            general = np.where(pinned, 0.0, -lw * end)
+            assert np.allclose(got, np.where(free, want, general).sum(axis=1), rtol=0.0, atol=1e-13)
+
+
+def test_matvec_backward_and_its_concretization_build_no_weight_sized_array():
+    import tracemalloc
+
+    rng, s, t, rows = np.random.default_rng(46), 256, 256, 3
+    w = rng.uniform(-1, 1, s * t)
+    box = [IntervalBounds(w - 0.1, w + 0.1), IntervalBounds(*np.sort(rng.uniform(-1, 1, (2, t)), axis=0))]
+    planes, coeff, zero = MatVec(np.zeros(s)).relax(box, ReluLowerMode.ZERO), rng.uniform(-1, 1, (rows, s)), np.zeros(rows)
+    balls = [LpBall(w, 0.1, p) for p in (1.0, 2.0, math.inf)]  # dual norms inf, 2 and 1
+    tracemalloc.start()
+    try:  # the relaxation, one backward step and the concretization of its weight coefficients
+        (on_w, _), _, _ = planes.backward(coeff, coeff, s * t)
+        for ball in balls:
+            ball.extremes(on_w[0], zero, on_w[1], zero)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < s * t * 8 / 8  # an (s, t) float array is 8 times this
+    assert np.asarray(on_w[0]).shape == (rows, s * t)
 
 
 def _ops_with_intervals(rng, d=4):

@@ -8,6 +8,7 @@ every relaxed node's full lines, relaxed on the query's own cached
 intervals, concretized block by block.
 """
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -413,7 +414,7 @@ def test_relaxed_unary_lines_are_computed_once_per_query(monkeypatch):
     from lirpa import ops
 
     calls = []
-    unary, mul, matvec = ops.unary_relaxation, ops.mul_relaxation, ops.MatVec.relax
+    unary, mul, matvec, planes = ops.unary_relaxation, ops.mul_relaxation, ops.MatVec.relax, ops._Planes.rel.func
 
     def counting_unary(op, l, u, relu_mode=ReluLowerMode.ADAPTIVE):
         calls.append(op.kind)
@@ -427,9 +428,16 @@ def test_relaxed_unary_lines_are_computed_once_per_query(monkeypatch):
         calls.append("matvec")
         return matvec(op, intervals, relu_mode)
 
+    def counting_planes(op):
+        calls.append("planes")
+        return planes(op)
+
+    counting_rel = cached_property(counting_planes)
+    counting_rel.__set_name__(ops._Planes, "rel")
     monkeypatch.setattr(ops, "unary_relaxation", counting_unary)
     monkeypatch.setattr(ops, "mul_relaxation", counting_mul)
     monkeypatch.setattr(ops.MatVec, "relax", counting_matvec)
+    monkeypatch.setattr(ops._Planes, "rel", counting_rel)
     rng = np.random.default_rng(67)
     mlp = _mlp(rng, [4, 8, 8, 8, 8, 3])
     weights, weight_specs, _ = weight_perturbed_graph(mlp[0], 0.01)
@@ -437,17 +445,14 @@ def test_relaxed_unary_lines_are_computed_once_per_query(monkeypatch):
     problems = [
         (mlp, margin_transform(0, 3), {"relu": 4}),
         (_mul_dag(rng), None, {"relu": 1, "exp": 1, "mul": 2}),
-        ((weights, weight_specs), margin_transform(0, 3), {"relu": 4, "matvec": 5}),
+        # a matvec's planes are computed once per query, however many sweeps and passes read them
+        ((weights, weight_specs), margin_transform(0, 3), {"relu": 4, "matvec": 5, "planes": 5}),
     ]
     for (g, specs), out_coeff, relaxed in problems:
         for strategy in BoundStrategy:
             calls.clear()
             compute_bounds(g, specs, strategy, out_coeff=out_coeff)
             counts = {kind: calls.count(kind) for kind in set(calls)}
-            if "matvec" in relaxed:
-                # a matvec computes its planes for each rule that reads them: once where one sweep or pass does
-                planes = counts.pop("mul", 0)
-                assert planes == 5 or strategy not in (BoundStrategy.FORWARD, BoundStrategy.IBP_BACKWARD)
             assert counts == ({} if strategy is BoundStrategy.IBP else relaxed), strategy
 
 

@@ -28,20 +28,24 @@ def _run(script: str, *args: str) -> list[str]:
 
 
 @pytest.mark.parametrize(
-    "script, args, setting",
+    "script, args, setting, fields",
     [
-        ("backward_depth.py", ["--nets", "2x8", "--runs", "1"], {"net": "2x8"}),
-        ("loss_fusion_k.py", ["--classes", "10"], {"classes": 10}),
-        ("flatness_width.py", ["--widths", "8"], {"width": 8}),
+        ("backward_depth.py", ["--nets", "2x8", "--runs", "1"], {"net": "2x8"}, set()),
+        ("loss_fusion_k.py", ["--classes", "10"], {"classes": 10}, {"peak_mb"}),
+        ("flatness_width.py", ["--widths", "8"], {"width": 8}, {"peak_mb", "minor_faults_per_query"}),
     ],
 )
-def test_a_sweep_prints_one_json_row_per_setting(script, args, setting):
+def test_a_sweep_prints_one_json_row_per_setting(script, args, setting, fields):
     (line,) = _run(script, *args)
     row = json.loads(line)
-    assert row.items() >= setting.items()
+    assert row.items() >= setting.items() and row.keys() >= fields
     numbers = [v for k, v in row.items() if k not in setting]
     assert numbers and all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)
     assert row["time_ms"] > 0.0
+    if "peak_mb" in row:  # rounded, so rows compare across checkouts
+        assert row["peak_mb"] == round(row["peak_mb"], 3)
+    if "minor_faults_per_query" in row:
+        assert row["minor_faults_per_query"] >= 0.0
 
 
 def test_the_digest_prints_its_count_and_one_line_per_function():

@@ -7,10 +7,12 @@ The net is a 32-w-w-10 ReLU MLP whose weights are normal with std
 ``default_rng(0)``; the one example is x ~ U(-1, 1)^32 from the same
 generator, labelled with its predicted class. The query is
 ``flatness_score(g, 1e-3, [example], IBP_BACKWARD, ZERO)`` on one BLAS
-thread. Per width: the median wall time of 5 runs after one warm-up run,
-then the ``tracemalloc`` peak of one more run. ``--src`` imports lirpa from
-another checkout's ``src`` directory (default: this one's). Prints one JSON
-line per width.
+thread. Per width: the median wall time of 5 runs after one warm-up run
+and the minor page faults per run over those 5 (``getrusage`` of this
+process), then the ``tracemalloc`` peak of one more run, in MB rounded to 3
+decimals (the peak moves by about 100 bytes between runs of the same code).
+``--src`` imports lirpa from another checkout's ``src`` directory (default:
+this one's). Prints one JSON line per width.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse
 import json
+import resource
 import statistics
 import sys
 import time
@@ -52,17 +55,18 @@ def main() -> None:
             )
 
         score = query()
-        times = []
+        times, faults = [], resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         for _ in range(5):
             start = time.perf_counter()
             query()
             times.append((time.perf_counter() - start) * 1000.0)
+        faults = (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults) / len(times)
         tracemalloc.start()
         query()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(json.dumps({"width": width, "time_ms": statistics.median(times),
-                          "peak_mb": peak / 2**20, "score": score}), flush=True)
+        print(json.dumps({"width": width, "time_ms": statistics.median(times), "minor_faults_per_query": faults,
+                          "peak_mb": round(peak / 2**20, 3), "score": score}), flush=True)
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ The net is a 32-128-128-128-K ReLU MLP whose weights are normal with std
 x ~ U(-1, 1)^32 from the same generator, labelled with its predicted class.
 The query is ``fused_loss_report(g, specs, margin, IBP_BACKWARD, ZERO)`` on
 one BLAS thread. Per K: the median wall time of 5 runs after one warm-up
-run, then the ``tracemalloc`` peak of one more run. ``--src`` imports lirpa
-from another checkout's ``src`` directory (default: this one's). Prints one
-JSON line per K, with both loss bounds.
+run, then the ``tracemalloc`` peak of one more run, in MB rounded to 3
+decimals (the peak moves by about 100 bytes between runs of the same code).
+``--src`` imports lirpa from another checkout's ``src`` directory (default:
+this one's). Prints one JSON line per K, with both loss bounds.
 """
 from __future__ import annotations
 
@@ -63,7 +64,7 @@ def main() -> None:
         query()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        print(json.dumps({"classes": k, "time_ms": statistics.median(times), "peak_mb": peak / 2**20,
+        print(json.dumps({"classes": k, "time_ms": statistics.median(times), "peak_mb": round(peak / 2**20, 3),
                           "fused_upper": report.fused_upper, "unfused_upper": report.unfused_upper}), flush=True)
 
 
