@@ -211,7 +211,7 @@ class BoundQuery:
         if isinstance(node.op, Input):
             return self.specs[i].box()
         if self.strategy is BoundStrategy.BACKWARD:
-            return self._concretize(*self._pass(i, None))
+            return self._concretize(self._pass(i, None))
         return node.op.interval([self.intervals[k] for k in node.inputs])
 
     def forward(self, j: int) -> LinearBounds:
@@ -223,7 +223,7 @@ class BoundQuery:
                     spec, w = self.specs[i], np.zeros((node.dim, self.layout.dim))
                     b = np.zeros(node.dim) if spec.perturbed else spec.center
                     if spec.perturbed:
-                        w[:, self.layout.block(i)] = np.eye(node.dim)
+                        w[:, self.layout.slices[i]] = np.eye(node.dim)
                     self._forward[i] = LinearBounds(w, b, w.copy(), b.copy())
                 else:
                     op = self._relaxed(i) if node.op.relaxed else node.op
@@ -264,35 +264,32 @@ class BoundQuery:
             self._pass_ops[key] = op
         return self._pass_ops[key]
 
-    def _pass(self, o: int, out_coeff):
-        """One backward pass from o over its pass ops: its biases and each reached perturbed input's coefficients."""
-        state = run_backward(self.g, o, out_coeff, {i: self._pass_op(i, o) for i in self.g.pop_order(o)})
-        lb, ub = state.lower_bias, state.upper_bias
-        blocks: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    def _pass(self, o: int, out_coeff) -> BackwardState:
+        """One backward pass from o over its pass ops."""
+        return run_backward(self.g, o, out_coeff, {i: self._pass_op(i, o) for i in self.g.pop_order(o)})
+
+    def _concretize(self, state: BackwardState) -> IntervalBounds:
+        """A pass's interval: each reached input, pinned or perturbed, concretized by its own spec, in input order."""
+        blocks = [(self.specs[i], state.lower_coeff[i], state.upper_coeff[i]) for i in sorted(state.lower_coeff)]
+        return concretize_blocks(state.lower_bias, state.upper_bias, blocks)
+
+    def _linear(self, state: BackwardState) -> LinearBounds:
+        """A pass as dense linear bounds over the layout's columns; a pinned input's extremes join the biases."""
+        lb, ub, slices = state.lower_bias, state.upper_bias, self.layout.slices
+        lw, uw = np.zeros((2, lb.shape[0], self.layout.dim))
         for i in sorted(state.lower_coeff):  # the reached inputs, in input order
             a_lo, a_up = state.lower_coeff[i], state.upper_coeff[i]
-            if self.specs[i].perturbed:
-                blocks[i] = (a_lo, a_up)
-            else:  # pinned inputs contribute exactly; fold into the bias
-                lb = lb + a_lo @ self.specs[i].center
-                ub = ub + a_up @ self.specs[i].center
-        return lb, ub, blocks
-
-    def _concretize(self, lb, ub, blocks) -> IntervalBounds:
-        return concretize_blocks(lb, ub, [(self.specs[i], a_lo, a_up) for i, (a_lo, a_up) in blocks.items()])
-
-    def _linear(self, lb, ub, blocks) -> LinearBounds:
-        """A pass's blocks as dense linear bounds over the layout's columns."""
-        lw, uw = np.zeros((2, lb.shape[0], self.layout.dim))
-        for i, (a_lo, a_up) in blocks.items():  # a factored block expands on assignment
-            lw[:, self.layout.block(i)] = a_lo
-            uw[:, self.layout.block(i)] = a_up
+            if i in slices:  # a factored block expands on assignment
+                lw[:, slices[i]], uw[:, slices[i]] = a_lo, a_up
+            else:
+                lo, hi = self.specs[i].extremes(a_lo, a_up)
+                lb, ub = lb + lo, ub + hi
         return LinearBounds(lw, lb, uw, ub)
 
     def box(self, target: int, out_coeff: np.ndarray | None, what: str) -> IntervalBounds:
         """The final pass's interval, concretized block by block; ``what`` names it if it fails closed."""
         self._fill(self._operands(_node_id(self.g, target)))
-        return _fail_closed(self._concretize(*self._pass(target, out_coeff)), what)
+        return _fail_closed(self._concretize(self._pass(target, out_coeff)), what)
 
     def bound(self, target: int, out_coeff: np.ndarray | None = None) -> tuple:
         """``compute_bounds``' native bound and interval of ``target``; GraphError unless it is a node id."""
@@ -305,10 +302,10 @@ class BoundQuery:
                 op = Affine(out_coeff, np.zeros(len(out_coeff)))
                 native = op.interval([native]) if ibp else op.forward([native])
             box = native if ibp else concretize_bounds(native, self.layout, self.specs)
-        else:  # concretized from the pass's blocks, as ``box`` does
+        else:  # concretized from the pass's coefficients, as ``box`` does
             self._fill(self._operands(target))
-            result = self._pass(target, out_coeff)
-            native, box = self._linear(*result), self._concretize(*result)
+            state = self._pass(target, out_coeff)
+            native, box = self._linear(state), self._concretize(state)
         return native, _fail_closed(box, f"node {target}: {self.strategy.value}")
 
     def node_box(self, target: int) -> IntervalBounds:

@@ -64,15 +64,13 @@ class LinearBounds:
 
 @dataclass(frozen=True)
 class InputLayout:
-    """Column blocks of the perturbed independent nodes inside X."""
+    """Column blocks of the perturbed independent nodes inside X, in input order."""
 
-    ids: tuple[int, ...]
     slices: dict[int, slice]
     dim: int
 
     @classmethod
     def from_specs(cls, g: Graph, specs: Mapping[int, PerturbationSpec]) -> "InputLayout":
-        ids = []
         slices = {}
         offset = 0
         for i in g.input_ids:
@@ -84,10 +82,6 @@ class InputLayout:
                     f"spec dim {d} does not match input node {i} dim {g.nodes[i].dim}"
                 )
             if specs[i].perturbed:
-                ids.append(i)
                 slices[i] = slice(offset, offset + d)
                 offset += d
-        return cls(tuple(ids), slices, offset)
-
-    def block(self, node_id: int) -> slice:
-        return self.slices[node_id]
+        return cls(slices, offset)

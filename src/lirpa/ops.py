@@ -530,8 +530,6 @@ class SumReduce(_Linear):
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
         # the expansion width is not visible in the coefficients
-        if in_dim is None:
-            raise GraphError("sum_reduce backward rule needs the input dimension")
         ones = np.ones((1, in_dim))
         lam = lower_coeff @ ones
         return [(lam, lam if upper_coeff is lower_coeff else upper_coeff @ ones)], *_zero_bias(lower_coeff)

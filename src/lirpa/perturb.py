@@ -2,11 +2,12 @@
 
 The kinds are a constant value, an lp ball and bounded synonym substitution.
 Each carries its document ``kind``, a ``perturbed`` flag (a perturbed input
-owns a column block of X; an unperturbed one folds into the bias), its
-``center`` and ``dim``, and the rules ``box()`` (an enclosing interval),
-``extremes(wl, bl, wu, bu)`` (min of wl @ x + bl and max of wu @ x + bu over
-the region, perturbed kinds only), ``sample(rng, n)`` (in-region (dim, n)
-columns, boundary points included) and ``to_json``/``from_json``.
+owns a column block of X; a constant one owns none), its ``center`` and
+``dim``, and the rules ``box()`` (an enclosing interval), ``extremes(w_lo,
+w_up)`` (min of w_lo @ x and max of w_up @ x over the region, the constant
+kind's included), ``sample(rng, n)`` (in-region (dim, n) columns, boundary
+points included) and ``to_json``/``from_json``. Two specs are equal when
+their documents are.
 """
 from __future__ import annotations
 
@@ -68,6 +69,9 @@ class PerturbationSpec:
     kind: ClassVar[str]
     perturbed: ClassVar[bool] = True
 
+    def __eq__(self, other):
+        return isinstance(other, PerturbationSpec) and self.to_json() == other.to_json()
+
     @property
     def dim(self) -> int:
         return self.center.shape[0]
@@ -85,15 +89,16 @@ class Constant(PerturbationSpec):
     def __post_init__(self):
         object.__setattr__(self, "value", _vector(self.value, "constant value"))
 
-    def __eq__(self, other):
-        return isinstance(other, Constant) and np.array_equal(self.value, other.value)
-
     @property
     def center(self) -> np.ndarray:
         return self.value
 
     def box(self) -> IntervalBounds:
         return IntervalBounds(self.value, self.value)
+
+    def extremes(self, w_lo, w_up):
+        """Exact at the one point: w_lo @ value and w_up @ value."""
+        return w_lo @ self.value, w_up @ self.value
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.tile(self.value[:, None], (1, n))
@@ -134,23 +139,15 @@ class LpBall(PerturbationSpec):
             return 1.0
         return self.p / (self.p - 1.0)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LpBall)
-            and np.array_equal(self.center, other.center)
-            and self.eps == other.eps
-            and self.p == other.p
-        )
-
     def box(self) -> IntervalBounds:
         # for p < inf this is the box relaxation of the ball
         return IntervalBounds(self.center - self.eps, self.center + self.eps)
 
-    def extremes(self, wl, bl, wu, bu):
-        """Dual-norm closed form: w @ center + b -/+ eps * ||w_row||_q."""
+    def extremes(self, w_lo, w_up):
+        """Dual-norm closed form: w @ center -/+ eps * ||w_row||_q."""
         return (
-            wl @ self.center + bl - self.eps * _row_norms(wl, self.dual_q),
-            wu @ self.center + bu + self.eps * _row_norms(wu, self.dual_q),
+            w_lo @ self.center - self.eps * _row_norms(w_lo, self.dual_q),
+            w_up @ self.center + self.eps * _row_norms(w_up, self.dual_q),
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
@@ -254,16 +251,6 @@ class Synonym(PerturbationSpec):
         """Replacement candidates at position t, excluding the clean word."""
         return self.substitutions.get(t, ())
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Synonym)
-            and self.words == other.words
-            and self.substitutions == other.substitutions
-            and self.budget == other.budget
-            and self.embeddings.keys() == other.embeddings.keys()
-            and all(np.array_equal(self.embeddings[w], other.embeddings[w]) for w in self.embeddings)
-        )
-
     @property
     def center(self) -> np.ndarray:
         """The clean sentence's embeddings, concatenated."""
@@ -278,17 +265,17 @@ class Synonym(PerturbationSpec):
             self.option_table.min(axis=1).reshape(-1), self.option_table.max(axis=1).reshape(-1)
         )
 
-    def extremes(self, wl, bl, wu, bu):
-        """Min of wl @ x + bl and max of wu @ x + bu over the sentences allowed.
+    def extremes(self, w_lo, w_up):
+        """Min of w_lo @ x and max of w_up @ x over the sentences allowed.
 
         w @ x is a sum of per-position terms, so its minimum is the clean value
         plus the ``budget`` most negative gains, a gain being a position's best
-        option term minus its clean term. The max of wu @ x is minus the min of
-        -wu @ x, exactly in floats, so both sides share one product.
+        option term minus its clean term. The max of w_up @ x is minus the min of
+        -w_up @ x, exactly in floats, so both sides share one product.
         """
         n, _, d = self.option_table.shape
-        wl, wu = np.asarray(wl), np.asarray(wu)  # expands a factored coefficient
-        w = np.concatenate([wl, -wu])
+        w_lo, w_up = np.asarray(w_lo), np.asarray(w_up)  # expands a factored coefficient
+        w = np.concatenate([w_lo, -w_up])
         # terms[t, k, r] = w[r, block t] @ (option k at position t)
         terms = np.matmul(self.option_table, w.reshape(-1, n, d).transpose(1, 2, 0))
         clean = terms[:, 0]
@@ -296,7 +283,7 @@ class Synonym(PerturbationSpec):
         if self.budget < n:
             gains = np.partition(gains, self.budget, axis=0)[:self.budget]
         best = clean.sum(axis=0) + gains.sum(axis=0)
-        return bl + best[:len(wl)], bu - best[len(wl):]
+        return best[:len(w_lo)], -best[len(w_lo):]
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         cols = np.empty((self.dim, n))

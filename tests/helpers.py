@@ -179,8 +179,8 @@ def assert_sound(g, specs, bounds_by_node, rng, n=1000, slack=1e-7):
 def stack_perturbed(layout, values, n) -> np.ndarray:
     """Concatenate sampled input columns into full X vectors (layout order)."""
     x = np.zeros((layout.dim, n))
-    for i in layout.ids:
-        x[layout.block(i)] = values[i]
+    for i, cols in layout.slices.items():
+        x[cols] = values[i]
     return x
 
 
@@ -327,8 +327,9 @@ def random_synonym_instance(rng, max_words=6, max_subs=3, max_budget=3, max_emb=
 
 
 def extremes_box(lb: LinearBounds, spec) -> IntervalBounds:
-    """The spec's own ``extremes`` of ``lb`` over its region, as an interval."""
-    return IntervalBounds(*spec.extremes(lb.lower_w, lb.lower_b, lb.upper_w, lb.upper_b))
+    """The spec's own ``extremes`` of ``lb`` over its region plus its biases, as an interval."""
+    lo, hi = spec.extremes(lb.lower_w, lb.upper_w)
+    return IntervalBounds(lb.lower_b + lo, lb.upper_b + hi)
 
 
 _BRUTE_FORCE_LIMIT = 10**6

@@ -461,3 +461,22 @@ def test_bounds_rejects_malformed_document(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}"), captured.err
     assert captured.out == ""
+
+
+def test_flatness_without_a_label_or_a_data_file_exits_1(capsys, tmp_path):
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(_classifier_doc(1.0, 0.0)))
+    assert main(["flatness", str(path), "--eps-bar", "0.01"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: flatness needs --label when no --data file is given")
+    assert captured.out == ""
+
+
+def test_reports_print_infinite_and_nan_floats_as_strings():
+    from lirpa.cli import _fmt
+
+    assert _fmt(float("inf")) == "inf" and _fmt(float("-inf")) == "-inf" and _fmt(float("nan")) == "nan"
+    assert _fmt({"upper": [1.0, float("inf")], "lower": (0.1234567891234, float("nan"))}) == {
+        "upper": [1.0, "inf"],
+        "lower": [0.123456789, "nan"],
+    }

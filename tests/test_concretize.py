@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -375,3 +376,21 @@ def test_lp_and_constant_arrays_are_read_only():
         LpBall([0.0], 1.0, 2.0).center[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         Constant([0.0]).value[0] = 1.0
+
+
+def test_a_two_dimensional_center_fails_closed():
+    from lirpa import Constant, parse_problem
+
+    with pytest.raises(GraphError, match=r"ball center must be a flat vector, got shape \(2, 1\)"):
+        LpBall([[0.0], [1.0]], 0.1, 2.0)
+    with pytest.raises(GraphError, match=r"constant value must be a flat vector, got shape \(1, 2\)"):
+        Constant([[0.0, 1.0]])
+    with pytest.raises(GraphError, match="embedding of 'a' must be a flat vector"):
+        Synonym(("a",), {}, {"a": np.zeros((1, 2))}, 0)
+    doc = {
+        "nodes": [{"op": "input", "inputs": [], "dim": 2}],
+        "output": 0,
+        "perturbations": [{"node": 0, "type": "lp", "center": [[0.0, 1.0]], "eps": 0.1, "p": 2}],
+    }
+    with pytest.raises(GraphError, match="node 0: malformed perturbation: ball center must be a flat vector"):
+        parse_problem(json.dumps(doc))

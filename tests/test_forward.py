@@ -196,3 +196,10 @@ def test_linear_bounds_convert_only_what_is_not_a_float64_array():
         LinearBounds(w, b, np.eye(3), b)
     with pytest.raises(ValueError, match="bias length"):
         LinearBounds(w, np.zeros(3), w, np.zeros(3))
+
+
+def test_interval_bounds_with_mismatched_shapes_fail_closed():
+    with pytest.raises(ValueError, match=r"bound shapes differ: \(2,\) vs \(3,\)"):
+        IntervalBounds(np.zeros(2), np.zeros(3))
+    with pytest.raises(ValueError, match=r"bound shapes differ: \(2,\) vs \(2, 1\)"):
+        IntervalBounds(np.zeros(2), np.zeros((2, 1)))

@@ -504,3 +504,17 @@ def test_fusion_imports_no_private_name():
     names = [a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for a in node.names]
     assert "BoundQuery" in names
     assert [n for n in names if n.startswith("_")] == []
+
+
+def test_a_fused_loss_graph_with_a_class_count_mismatch_fails_closed():
+    g, _ = random_classifier(np.random.default_rng(91), 3)
+    with pytest.raises(GraphError, match="output dim 3 does not match margin spec with 4 classes"):
+        build_fused_loss_graph(g, MarginSpec(0, 4))
+
+
+def test_flatness_fails_closed_on_an_empty_batch_or_a_missing_input_value():
+    g, specs = random_classifier(np.random.default_rng(92), 3)
+    with pytest.raises(GraphError, match="flatness score requires a nonempty batch"):
+        flatness_score(g, 0.01, [])
+    with pytest.raises(GraphError, match="batch entry missing value for input node 0"):
+        flatness_score(g, 0.01, [({0: specs[0].center}, 0), ({}, 1)])

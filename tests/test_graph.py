@@ -457,3 +457,13 @@ def test_pop_order_is_the_order_reversed_on_every_target():
             assert all(position[j] > position[i] for i in pops for j in g.nodes[i].inputs if j in position)
             assert pops == tuple(i for i in reversed(g.order) if i in position)
     assert Graph(doubled, 3).pop_order(3) == (3, 2, 1)
+
+
+def test_evaluate_fails_closed_on_a_missing_or_misshapen_input_value():
+    g = Graph((Node(0, Input(), (), 2), Node(1, Input(), (), 2), Node(2, Add(), (0, 1), 2)), 2)
+    with pytest.raises(GraphError, match="no value assigned to input node 1"):
+        evaluate(g, {0: np.zeros(2)})
+    with pytest.raises(GraphError, match=r"input node 1 expects dim 2, got shape \(3,\)"):
+        evaluate(g, {0: np.zeros(2), 1: np.zeros(3)})
+    with pytest.raises(GraphError, match=r"input node 0 expects dim 2, got shape \(3, 4\)"):
+        evaluate(g, {0: np.zeros((3, 4)), 1: np.zeros(2)})

@@ -1,4 +1,5 @@
 """A new op is a single class: its own rules are all the engines need."""
+import json
 import math
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from lirpa import (
     Add,
     Affine,
     BoundStrategy,
+    Constant,
     DomainError,
     Exp,
     Graph,
@@ -40,6 +42,7 @@ from lirpa import (
     compute_bounds,
     concretize_bounds,
     evaluate,
+    parse_problem,
 )
 from lirpa.backward import BoundQuery
 from lirpa.ops import Elementwise, MatVec, OpKind, _Linear
@@ -395,10 +398,21 @@ def test_lp_ball_concretizes_a_factored_coefficient_as_its_expansion():
     for p in (1.0, 2.0, 3.0, math.inf):
         (lo, up), (dense_lo, dense_up) = _weight_coeffs(rng, pin=True)
         ball = LpBall(rng.uniform(-1, 1, 12), 0.3, p)
-        zero = np.zeros(5)
-        got, want = ball.extremes(lo, zero, up, zero), ball.extremes(dense_lo, zero, dense_up, zero)
+        got, want = ball.extremes(lo, up), ball.extremes(dense_lo, dense_up)
         for a, b in zip(got, want):
             assert a == pytest.approx(b, rel=1e-13, abs=1e-15)
+
+
+def test_a_constant_concretizes_a_coefficient_as_its_product_with_the_value():
+    rng = np.random.default_rng(47)
+    for _ in range(5):
+        factored, dense = _weight_coeffs(rng, pin=True)
+        spec = Constant(rng.uniform(-1, 1, 12))
+        assert not isinstance(factored[0], np.ndarray)
+        for w_lo, w_up in (factored, dense):
+            lo, hi = spec.extremes(w_lo, w_up)
+            assert lo.tobytes() == (w_lo @ spec.value).tobytes()
+            assert hi.tobytes() == (w_up @ spec.value).tobytes()
 
 
 def _pinned_planes(rng, s=4, t=5):
@@ -455,13 +469,13 @@ def test_matvec_backward_and_its_concretization_build_no_weight_sized_array():
     rng, s, t, rows = np.random.default_rng(46), 256, 256, 3
     w = rng.uniform(-1, 1, s * t)
     box = [IntervalBounds(w - 0.1, w + 0.1), IntervalBounds(*np.sort(rng.uniform(-1, 1, (2, t)), axis=0))]
-    planes, coeff, zero = MatVec(np.zeros(s)).relax(box, ReluLowerMode.ZERO), rng.uniform(-1, 1, (rows, s)), np.zeros(rows)
+    planes, coeff = MatVec(np.zeros(s)).relax(box, ReluLowerMode.ZERO), rng.uniform(-1, 1, (rows, s))
     balls = [LpBall(w, 0.1, p) for p in (1.0, 2.0, math.inf)]  # dual norms inf, 2 and 1
     tracemalloc.start()
     try:  # the relaxation, one backward step and the concretization of its weight coefficients
         (on_w, _), _, _ = planes.backward(coeff, coeff, s * t)
         for ball in balls:
-            ball.extremes(on_w[0], zero, on_w[1], zero)
+            ball.extremes(on_w[0], on_w[1])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -563,3 +577,41 @@ def test_op_arrays_are_read_only():
     g = Graph((Node(0, Input(), (), 2), Node(1, affine, (0,), 2)), 1)
     with pytest.raises(ValueError):
         g.nodes[1].op.weight[0, 0] = 5.0
+
+
+def test_an_add_over_unequal_dims_fails_closed_with_its_node_id():
+    with pytest.raises(GraphError, match=r"node 2: add requires equal dims, got \[2, 3\] -> 2"):
+        Graph((Node(0, Input(), (), 2), Node(1, Input(), (), 3), Node(2, Add(), (0, 1), 2)), 2)
+
+
+@pytest.mark.parametrize(
+    "weight, bias, message",
+    [
+        ([1.0, 2.0], [0.0], r"node 1: affine weight must be a matrix, got shape \(2,\)"),
+        ([[1.0], [2.0]], [0.0], r"node 1: affine bias length \(1,\) does not match weight rows 2"),
+        ([[1.0], [2.0], [3.0]], [0.0, 0.0, 0.0], "node 1: affine weight has 3 rows but node dim is 2"),
+    ],
+)
+def test_a_malformed_affine_node_fails_closed_with_its_node_id(weight, bias, message):
+    doc = {
+        "nodes": [
+            {"op": "input", "inputs": [], "dim": 1},
+            {"op": "affine", "inputs": [0], "dim": 2, "weight": weight, "bias": bias},
+        ],
+        "output": 1,
+    }
+    with pytest.raises(GraphError, match=message):
+        parse_problem(json.dumps(doc))
+    with pytest.raises(GraphError, match=message.split(": ", 1)[1]):
+        Graph((Node(0, Input(), (), 1), Node(1, Affine(weight, bias), (0,), 2)), 1)
+
+
+@pytest.mark.parametrize("op", [Add(), Sub(), MulElementwise()])
+def test_a_vector_meeting_a_batch_evaluates_as_the_tiled_batch(op):
+    rng = np.random.default_rng(48)
+    g = Graph((Node(0, Input(), (), 3), Node(1, Input(), (), 3), Node(2, op, (0, 1), 3)), 2)
+    vector, batch = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, (3, 4))
+    tiled = np.tile(vector[:, None], (1, 4))
+    for values, want in [({0: vector, 1: batch}, {0: tiled, 1: batch}), ({0: batch, 1: vector}, {0: batch, 1: tiled})]:
+        got = evaluate(g, values)[2]
+        assert got.shape == (3, 4) and np.array_equal(got, evaluate(g, want)[2])

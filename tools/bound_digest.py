@@ -14,6 +14,11 @@ Two checkouts that print the same line give bit-identical bounds on:
   ``margin_transform`` as ``out_coeff``, the only call whose native ``ibp``
   and ``forward`` bounds pass through ``Affine.interval`` and
   ``Affine.forward`` after the query) under every strategy and ReLU mode;
+- ``compute_bounds_pinned_last``: each graph above with two inputs (29 of
+  them), with an ``LpBall(center, 0.3, 2.0)`` on the first input and a
+  ``Constant(center)`` on the second, so that a pinned input comes after a
+  perturbed one: ``compute_bounds`` for every node as target, under every
+  strategy and ReLU mode;
 - ``relax``: the lines (``slopes``, ``lower_const``, ``upper_const``) of
   ``op.relax`` for ReLU in both modes, Exp, Log and Mul, on intervals with
   signed-zero ends, one ulp or 1e-12 wide, and wide but of finite width,
@@ -22,13 +27,13 @@ Two checkouts that print the same line give bit-identical bounds on:
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
 call that raises is hashed as its exception's type name. The first line
 covers every call but those of ``bound_loss_unfused``,
-``compute_bounds_margin`` and ``relax``, so it compares with checkouts
-that did not record those. One indented line follows per function and one
-per field of ``fused_loss_report``'s result, each over that function's
-calls alone, and one, ``pop_order``, over the pop order of every backward
-pass those calls run (each ``run_backward`` result's ``pop_order`` as
-int64 bytes, read through ``lirpa.backward``'s own binding, so either
-checkout's walk is compared). The last line, ``folded``, covers every call
+``compute_bounds_margin``, ``compute_bounds_pinned_last`` and ``relax``,
+so it compares with checkouts that did not record those. One indented
+line follows per function and one per field of ``fused_loss_report``'s
+result, each over that function's calls alone, and one, ``pop_order``,
+over the pop order of every backward pass those calls run (each
+``run_backward`` result's ``pop_order`` as int64 bytes, read through
+``lirpa.backward``'s own binding, so either checkout's walk is compared). The last line, ``folded``, covers every call
 with each float's sign of zero folded (``x + 0.0``), so a change that
 flips only the signs of zeros can show it gives the same values. ``--src``
 imports lirpa from another checkout's ``src`` directory (default: this
@@ -64,6 +69,9 @@ def corpus(lirpa):
         margins = lirpa.margin_transform(0, g.nodes[g.output].dim)
         return lirpa.compute_bounds(g, specs, strategy, None, margins, mode)
 
+    def compute_bounds_pinned_last(g, specs, strategy, target, mode):
+        return lirpa.compute_bounds(g, specs, strategy, target, None, mode)
+
     def relax(op, intervals, mode):
         lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
         return np.asarray(lines.slopes), lines.lower_const, lines.upper_const
@@ -94,11 +102,20 @@ def corpus(lirpa):
     graphs = [random_graph(rng, max_nodes=12, max_dim=5) for _ in range(50)] + [demo_net()]
     rng = np.random.default_rng(7)
     classifiers = [random_classifier(rng, 3 + k % 3) for k in range(10)]
+    pinned_last = [
+        (g, {first: lirpa.LpBall(specs[first].center, 0.3, 2.0), second: lirpa.Constant(specs[second].center)})
+        for g, specs in graphs + classifiers
+        if len(g.input_ids) == 2
+        for first, second in [g.input_ids]
+    ]
     for strategy in lirpa.BoundStrategy:
         for mode in lirpa.ReluLowerMode:
             for g, specs in graphs + classifiers:
                 for target in range(len(g.nodes)):
                     yield lirpa.compute_bounds, (g, specs, strategy, target, None, mode)
+            for g, specs in pinned_last:
+                for target in range(len(g.nodes)):
+                    yield compute_bounds_pinned_last, (g, specs, strategy, target, mode)
             for g, specs in classifiers:
                 margin = lirpa.MarginSpec(0, g.nodes[g.output].dim)
                 yield lirpa.fused_loss_report, (g, specs, margin, strategy, mode)
@@ -121,7 +138,8 @@ def main() -> None:
     def record(call, *call_args):
         # the first line keeps to the calls it has always covered
         family = call.__name__
-        keys = [family] if family in ("bound_loss_unfused", "compute_bounds_margin", "relax") else ["results", family]
+        left_out = ("bound_loss_unfused", "compute_bounds_margin", "compute_bounds_pinned_last", "relax")
+        keys = [family] if family in left_out else ["results", family]
         counts.update(keys + ["folded"])
         try:
             result = call(*call_args)
