@@ -78,9 +78,10 @@ class Graph:
     is built, which raises GraphError on a cycle.
 
     Safe to share across concurrent queries; all analyses treat it as
-    read-only and build fresh result maps. The one cache it keeps, its pop
-    orders, holds pure functions of the graph, so concurrent queries can
-    only write equal values to it.
+    read-only and build fresh result maps. Its pop orders are pure, so
+    concurrent queries write only equal values; ``flatness_score`` reads its
+    one weight-graph slot once and replaces it whole, so a caller at another
+    ``eps_bar`` can only miss, never read another's weight graph.
     """
 
     nodes: tuple[Node, ...]
@@ -114,6 +115,7 @@ class Graph:
         object.__setattr__(self, "order", tuple(order))
         object.__setattr__(self, "users", tuple(map(tuple, users)))
         object.__setattr__(self, "_pop_orders", {})
+        object.__setattr__(self, "_weight_graph", (None, None))  # (key, weight graph) of the last eps_bar
 
     @property
     def input_ids(self) -> tuple[int, ...]:

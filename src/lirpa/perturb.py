@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import ClassVar, Mapping
 
@@ -140,8 +141,14 @@ class LpBall(PerturbationSpec):
         return self.p / (self.p - 1.0)
 
     def box(self) -> IntervalBounds:
-        # for p < inf this is the box relaxation of the ball
-        return IntervalBounds(self.center - self.eps, self.center + self.eps)
+        return self._box
+
+    @cached_property
+    def _box(self) -> IntervalBounds:
+        # for p < inf the box relaxation of the ball; read-only, as every query shares it
+        lower, upper = self.center - self.eps, self.center + self.eps
+        lower.flags.writeable = upper.flags.writeable = False
+        return IntervalBounds(lower, upper)
 
     def extremes(self, w_lo, w_up):
         """Dual-norm closed form: w @ center -/+ eps * ||w_row||_q."""

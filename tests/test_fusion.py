@@ -389,9 +389,16 @@ def _mlp(rng, dims):
 
 def test_flatness_matches_the_dense_tiled_reference(monkeypatch):
     # the dense tile/Kronecker graph relaxes the same products; only the
-    # summation order differs
+    # summation order differs. Each side scores its own copy of the net, so
+    # neither reads the weight graph the other side's call kept.
     rng = np.random.default_rng(14)
     nets = [_tiny_net(rng) for _ in range(2)] + [_mlp(rng, [3, 4, 3, 2]) for _ in range(3)]
+    dense_builds = []
+
+    def dense_builder(g, eps_bar):
+        dense_builds.append(eps_bar)
+        return dense_weight_perturbed_graph(g, eps_bar)
+
     for g in nets:
         dim = g.nodes[0].dim
         batch = [({0: rng.uniform(-1, 1, dim)}, y) for y in (0, 1)]
@@ -399,10 +406,93 @@ def test_flatness_matches_the_dense_tiled_reference(monkeypatch):
             for strategy in BoundStrategy:
                 for relu_mode in ReluLowerMode:
                     monkeypatch.setattr(fusion, "weight_perturbed_graph", weight_perturbed_graph)
-                    score = flatness_score(g, eps_bar, batch, strategy, relu_mode)
-                    monkeypatch.setattr(fusion, "weight_perturbed_graph", dense_weight_perturbed_graph)
-                    dense = flatness_score(g, eps_bar, batch, strategy, relu_mode)
+                    score = flatness_score(Graph(g.nodes, g.output), eps_bar, batch, strategy, relu_mode)
+                    monkeypatch.setattr(fusion, "weight_perturbed_graph", dense_builder)
+                    builds = len(dense_builds)
+                    dense = flatness_score(Graph(g.nodes, g.output), eps_bar, batch, strategy, relu_mode)
+                    assert len(dense_builds) == builds + 1
                     assert score == pytest.approx(dense, rel=1e-12, abs=0.0)
+
+
+def _score_bytes(score):
+    return np.float64(score).tobytes()
+
+
+@pytest.mark.parametrize("relu_mode", list(ReluLowerMode))
+@pytest.mark.parametrize("strategy", list(BoundStrategy))
+def test_a_warm_flatness_score_equals_the_cold_one_bit_for_bit(strategy, relu_mode):
+    rng = np.random.default_rng(16)
+    g = _mlp(rng, [3, 5, 4, 3])
+    batch = [({0: rng.uniform(-1, 1, 3)}, y) for y in (0, 2)]
+
+    def score(graph):
+        return _score_bytes(flatness_score(graph, 0.02, batch, strategy, relu_mode))
+
+    cold = score(g)  # fills g's slot
+    assert score(g) == score(g) == cold == score(Graph(g.nodes, g.output))
+
+
+def test_alternating_eps_bar_on_one_graph_reads_as_a_fresh_graph():
+    rng = np.random.default_rng(17)
+    g = _mlp(rng, [3, 5, 4, 3])
+    w = g.nodes[1].op.weight.copy()
+    w[0, 0], w[1, 1] = -0.0, 0.0  # box ends whose signs a radius of -0.0 or 0.0 flips
+    g = Graph((g.nodes[0], Node(1, Affine(w, g.nodes[1].op.bias), (0,), 5), *g.nodes[2:]), g.output)
+    batch = [({0: rng.uniform(-1, 1, 3)}, 1)]
+    for strategy in BoundStrategy:
+        # 0.5 and float32(0.5) are equal keys by value, yet give other radii
+        for eps_bar in (0.01, 0.05, 0.01, 0.0, -0.0, 0.0, 0.5, np.float32(0.5), 0.5):
+            fresh = flatness_score(Graph(g.nodes, g.output), eps_bar, batch, strategy)
+            assert _score_bytes(flatness_score(g, eps_bar, batch, strategy)) == _score_bytes(fresh)
+            radius = next(iter(g._weight_graph[1][1].values())).eps
+            assert math.copysign(1.0, radius) == math.copysign(1.0, eps_bar)
+
+
+def test_flatness_builds_one_weight_graph_per_net_and_eps_bar(monkeypatch):
+    rng = np.random.default_rng(18)
+    g = _mlp(rng, [3, 5, 4, 3])
+    batch = [({0: rng.uniform(-1, 1, 3)}, 0)]
+    cold = flatness_score(Graph(g.nodes, g.output), 0.02, batch)
+    builds = []
+
+    def spy(graph, eps_bar):
+        builds.append(eps_bar)
+        return weight_perturbed_graph(graph, eps_bar)
+
+    monkeypatch.setattr(fusion, "weight_perturbed_graph", spy)
+    assert [flatness_score(g, 0.02, batch) for _ in range(5)] == [cold] * 5
+    assert builds == [0.02]
+    # the public builder stays uncached: what it returns is the caller's to change
+    _, weight_specs, mapping = fusion.weight_perturbed_graph(g, 0.02)
+    for i, spec in weight_specs.items():
+        weight_specs[i] = LpBall(spec.center, 10 * spec.eps, 2.0)
+    mapping.clear()
+    assert flatness_score(g, 0.02, batch) == cold
+    assert builds == [0.02, 0.02]
+
+
+def test_concurrent_callers_at_two_eps_bar_read_their_own_weight_graph():
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng = np.random.default_rng(20)
+    g = _mlp(rng, [3, 5, 4, 3])
+    batch = [({0: rng.uniform(-1, 1, 3)}, 1)]
+    fresh = {e: flatness_score(Graph(g.nodes, g.output), e, batch) for e in (0.01, 0.05)}
+    with ThreadPoolExecutor(2) as pool:
+        scores = list(pool.map(lambda e: (e, flatness_score(g, e, batch)), [0.01, 0.05] * 20))
+    assert all(score == fresh[e] for e, score in scores)
+
+
+@pytest.mark.parametrize("eps_bar", [True, False, np.bool_(True), "0.1", None, 1j, [0.1], math.nan, -0.5, math.inf])
+def test_flatness_fails_closed_on_a_scale_that_is_no_finite_nonnegative_number(eps_bar):
+    g = _mlp(np.random.default_rng(19), [3, 4, 2])
+    batch = [({0: np.zeros(3)}, 0)]
+    message = f"weight perturbation scale must be finite and nonnegative, got {re.escape(repr(eps_bar))}"
+    with pytest.raises(GraphError, match=message):
+        flatness_score(g, eps_bar, batch)
+    with pytest.raises(GraphError, match=message):
+        weight_perturbed_graph(g, eps_bar)
+    assert g._weight_graph == (None, None)
 
 
 def _margins(g, specs, margin, strategy, relu_mode):

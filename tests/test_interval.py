@@ -28,6 +28,20 @@ def test_input_interval_linf_ball():
     assert box.upper == pytest.approx([2.0, 3.0])
 
 
+def test_an_lp_ball_box_is_computed_once_and_read_only():
+    center = np.array([0.1, -0.0, 0.0, -3.7, 1e-300])
+    for p in (1.0, 2.0, math.inf):
+        for eps in (0.0, 0.3, 1e-17):
+            spec = LpBall(center, eps, p)
+            box = spec.box()
+            assert spec.box() is box
+            assert not box.lower.flags.writeable and not box.upper.flags.writeable
+            assert box.lower.tobytes() == (center - eps).tobytes()
+            assert box.upper.tobytes() == (center + eps).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                box.lower[0] = 0.0
+
+
 def test_input_interval_constant():
     box = Constant([7.0]).box()
     assert box.lower == pytest.approx([7.0]) and box.upper == pytest.approx([7.0])
