@@ -12,6 +12,7 @@ whose weights are re-expressed as perturbed inputs.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -198,10 +199,12 @@ def fused_loss_report(
     return FusedLossReport(_fused_pass(query), _loss_upper(neg.upper), 0.0 - neg.upper)
 
 
-def _check_scale(eps_bar) -> None:
-    # a bool or a string is no scale, and NaN fails both comparisons
-    if isinstance(eps_bar, bool) or not isinstance(eps_bar, numbers.Real) or not 0 <= eps_bar < np.inf:
-        raise GraphError(f"weight perturbation scale must be finite and nonnegative, got {eps_bar!r}")
+def _check_scale(eps_bar) -> float:
+    # one Python float: a bool or a string is no scale, NaN fails both tests, and an int past the float range overflows
+    with contextlib.suppress(OverflowError):
+        if isinstance(eps_bar, numbers.Real) and not isinstance(eps_bar, bool) and 0 <= float(eps_bar) < math.inf:
+            return float(eps_bar)
+    raise GraphError(f"weight perturbation scale must be finite and nonnegative, got {eps_bar!r}")
 
 
 def weight_perturbed_graph(
@@ -215,7 +218,7 @@ def weight_perturbed_graph(
     constant. Returns the new graph, the weight-node specs, and the map from
     original node ids to their counterparts.
     """
-    _check_scale(eps_bar)
+    eps_bar = _check_scale(eps_bar)
     nodes: list[Node] = []
     specs: dict[int, PerturbationSpec] = {}
     mapping: dict[int, int] = {}
@@ -240,8 +243,8 @@ def weight_perturbed_graph(
 
 def _weight_graph(g: Graph, eps_bar: float) -> tuple[Graph, dict[int, PerturbationSpec], dict[int, int]]:
     """``weight_perturbed_graph(g, eps_bar)``, kept in g's one slot for the last eps_bar scored."""
-    _check_scale(eps_bar)
-    key = (type(eps_bar), eps_bar, math.copysign(1.0, eps_bar))  # -0.0 or float32(x) gives another radius
+    eps_bar = _check_scale(eps_bar)
+    key = (eps_bar, math.copysign(1.0, eps_bar))  # -0.0 == 0.0 gives another radius
     cached_key, cached = g._weight_graph  # read once and replaced whole: another eps_bar only misses
     if cached_key != key:
         cached = weight_perturbed_graph(g, eps_bar)
@@ -264,9 +267,9 @@ def flatness_score(
     gap, and the gap dominates any sampled weight perturbation's loss
     increase. An example whose certified bound is +inf has an infinite gap;
     a NaN bound raises DomainError. The weight graph, its specs and their
-    boxes depend on g and eps_bar alone: g keeps them for the last eps_bar
-    it was scored at (about three copies of its weights), so each call
-    builds only its examples' queries.
+    boxes (with the sign parts a ``MatVec`` interval reads) depend on g and
+    eps_bar alone: g keeps them for the last eps_bar it was scored at, so
+    each call builds only its examples' queries.
     """
     if not batch:
         raise GraphError("flatness score requires a nonempty batch")

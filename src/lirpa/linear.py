@@ -9,6 +9,7 @@ coordinates to X and where their column blocks sit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -37,6 +38,17 @@ class IntervalBounds:
             raise ValueError(
                 f"bound shapes differ: {self.lower.shape} vs {self.upper.shape}"
             )
+
+    @cached_property
+    def finite(self) -> bool:
+        return bool(np.isfinite(self.lower).all() and np.isfinite(self.upper).all())
+
+    @cached_property
+    def sign_parts(self) -> tuple[np.ndarray, ...]:
+        """max(lower, 0), min(lower, 0), max(upper, 0) and min(upper, 0), read-only: a weight box is shared."""
+        parts = np.array([f(end, 0.0) for end in (self.lower, self.upper) for f in (np.maximum, np.minimum)])
+        parts.flags.writeable = False
+        return tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -117,7 +117,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise min and max of x * y over the box [lx, ux] x [ly, uy], folded into three arrays."""
+    """Elementwise min and max of x * y over [lx, ux] x [ly, uy]: a mul's interval, and a ``MatVec``'s fallback."""
     corner, hi = lx * ly, lx * uy
     # in this order: on a tie np.minimum and np.maximum return their second argument, so it picks a zero's sign
     lo = np.minimum(corner, hi)
@@ -414,7 +414,9 @@ class MatVec(OpKind):
     """h = W x + bias where the weights are an input too.
 
     The first input is W flattened row-major (length dim * t), the second is
-    x (length t). ``relax`` gives the ``_Planes`` of the terms W_ij x_j.
+    x (length t). ``relax`` gives the ``_Planes`` of the terms W_ij x_j. Where
+    x is pinned or nonnegative and no end is infinite, ``interval`` sums the
+    products the ``_corners`` fold picks by gemvs on (dim, t) views.
     Weight-perturbed graphs use it; it has no entry in the parse registry,
     so documents cannot name it.
     """
@@ -446,8 +448,14 @@ class MatVec(OpKind):
 
     def interval(self, inputs):
         w, x = inputs
-        t = x.lower.shape[0]
-        lo, hi = _corners(w.lower.reshape(-1, t), w.upper.reshape(-1, t), x.lower, x.upper)
+        lw, uw, lx, ux = w.lower.reshape(-1, len(x.lower)), w.upper.reshape(-1, len(x.lower)), x.lower, x.upper
+        if w.finite and x.finite and np.array_equal(lx, ux):  # pinned x: W's lower end where x_j > 0
+            pos, neg = _posneg(lx)
+            return IntervalBounds(lw @ pos + uw @ neg + self.bias, uw @ pos + lw @ neg + self.bias)
+        if w.finite and x.finite and (lx >= 0.0).all():  # x >= 0: x's lower end where W_ij > 0
+            lw_pos, lw_neg, uw_pos, uw_neg = (a.reshape(lw.shape) for a in w.sign_parts)
+            return IntervalBounds(lw_pos @ lx + lw_neg @ ux + self.bias, uw_pos @ ux + uw_neg @ lx + self.bias)
+        lo, hi = _corners(lw, uw, lx, ux)
         return IntervalBounds(lo.sum(axis=1) + self.bias, hi.sum(axis=1) + self.bias)
 
     def relax(self, intervals, relu_mode):

@@ -495,6 +495,31 @@ def test_flatness_fails_closed_on_a_scale_that_is_no_finite_nonnegative_number(e
     assert g._weight_graph == (None, None)
 
 
+def test_a_numpy_or_integer_scale_reads_as_its_python_float():
+    g = Graph((Node(0, Input(), (), 2), Node(1, Affine(0.3 * np.eye(2), np.zeros(2)), (0,), 2)), 1)
+    batch = [({0: np.array([0.5, -0.25])}, 0)]
+    radius = lambda eps_bar: next(iter(weight_perturbed_graph(g, eps_bar)[1].values())).eps
+    # float32(0.5) is 0.5 exactly; a float32 product would read 0.2121320366859436
+    assert radius(np.float32(0.5)) == radius(0.5) == 0.21213203435596426
+    assert radius(1) == radius(1.0) and radius(np.int64(2)) == radius(2.0)
+    for eps_bar in (np.float32(0.5), 0.5, 1, 1.0):
+        score = flatness_score(g, eps_bar, batch)
+        assert _score_bytes(score) == _score_bytes(flatness_score(Graph(g.nodes, g.output), float(eps_bar), batch))
+        assert g._weight_graph[0] == (float(eps_bar), 1.0)
+
+
+def test_a_scale_past_the_float_range_fails_closed_naming_it():
+    g = _mlp(np.random.default_rng(21), [2, 2])
+    batch = [({0: np.zeros(2)}, 0)]
+    for eps_bar in (10**400, -(10**400)):
+        message = f"weight perturbation scale must be finite and nonnegative, got {eps_bar}"
+        with pytest.raises(GraphError, match=message):
+            flatness_score(g, eps_bar, batch)
+        with pytest.raises(GraphError, match=message):
+            weight_perturbed_graph(g, eps_bar)
+    assert g._weight_graph == (None, None)
+
+
 def _margins(g, specs, margin, strategy, relu_mode):
     """The margin box of one query on the fused graph, as ``fused_loss_report`` reads it."""
     neg = fusion._negated_margins(BoundQuery(build_fused_loss_graph(g, margin), specs, strategy, relu_mode))

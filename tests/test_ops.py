@@ -16,6 +16,7 @@ from helpers import (
     select_mul_relaxation,
     signed_lines_forward,
     signed_mix,
+    stacked_corners,
 )
 from lirpa import (
     Add,
@@ -42,8 +43,10 @@ from lirpa import (
     compute_bounds,
     concretize_bounds,
     evaluate,
+    flatness_score,
     parse_problem,
 )
+from lirpa import ops
 from lirpa.backward import BoundQuery
 from lirpa.ops import Elementwise, MatVec, OpKind, _Linear
 
@@ -481,6 +484,150 @@ def test_matvec_backward_and_its_concretization_build_no_weight_sized_array():
         tracemalloc.stop()
     assert peak < s * t * 8 / 8  # an (s, t) float array is 8 times this
     assert np.asarray(on_w[0]).shape == (rows, s * t)
+
+
+def _matvec_interval_cases(rng, s=6, t=24):
+    """(W box, x box, whether the gemv rule applies) for ``MatVec.interval``.
+
+    W has pinned entries, entries that straddle 0 and entries with an end at a signed zero. x is pinned
+    with mixed signs and zeros of both signs, nonnegative with ends at 0, crossing 0 in one column, or
+    nonnegative or pinned with an infinite end; last, W has an infinite end under both finite kinds of x.
+    """
+    lw, uw = np.sort(rng.uniform(-1, 1, (2, s * t)), axis=0)
+    lw[::5] = uw[::5]
+    index = np.arange(s * t) % 7
+    lw[(index == 3) & (uw >= 0.0)], uw[(index == 4) & (lw <= 0.0)] = -0.0, 0.0
+    pinned = rng.uniform(-1, 1, t)
+    pinned[::4], pinned[1::8] = 0.0, -0.0
+    pinned_lo, pinned_hi = pinned.copy(), pinned.copy()
+    pinned_lo[2], pinned_hi[2] = -0.0, 0.0  # pinned, though its ends differ in the sign of a zero
+    lx, ux = np.sort(rng.uniform(0, 1, (2, t)), axis=0)
+    lx[::3], lx[1::6], ux[::9] = 0.0, -0.0, 0.0
+    crossing = np.array([lx, ux])
+    crossing[:, 5] = -0.5, 0.5
+    with_inf = lambda box: np.where(np.arange(t) == 3, np.inf, box)
+    w, w_inf = IntervalBounds(lw, uw), IntervalBounds(np.where(np.arange(s * t) == 10, -np.inf, lw), uw)
+    return [
+        (w, IntervalBounds(pinned_lo, pinned_hi), True),
+        (w, IntervalBounds(lx, ux), True),
+        (w, IntervalBounds(*crossing), False),
+        (w, IntervalBounds(lx, with_inf(ux)), False),
+        (w, IntervalBounds(with_inf(pinned), with_inf(pinned)), False),
+        (w_inf, IntervalBounds(pinned_lo, pinned_hi), False),
+        (w_inf, IntervalBounds(lx, ux), False),
+    ]
+
+
+def _picked(w, x) -> tuple[np.ndarray, np.ndarray]:
+    """Each term's min and max product, (s, t), from the stacked reference."""
+    t = len(x.lower)
+    return stacked_corners(w.lower.reshape(-1, t), w.upper.reshape(-1, t), x.lower, x.upper)
+
+
+@pytest.fixture
+def corner_folds(monkeypatch):
+    """The ``_corners`` calls made while a test runs."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return corners(*args)
+
+    corners = ops._corners
+    monkeypatch.setattr(ops, "_corners", spy)
+    return calls
+
+
+def test_matvec_interval_contains_sampled_weights_inputs_and_corners():
+    rng = np.random.default_rng(48)
+    for w, x, _ in _matvec_interval_cases(rng):
+        if not all(np.isfinite(end).all() for end in (w.lower, w.upper, x.lower, x.upper)):
+            continue
+        op, n = MatVec(rng.uniform(-1, 1, 6)), 2000
+        box = op.interval([w, x])
+        uniform = lambda b, k: b.lower[:, None] + (b.upper - b.lower)[:, None] * rng.uniform(0, 1, (len(b.lower), k))
+        vertex = lambda b, k: np.where(rng.integers(0, 2, (len(b.lower), k)) == 1, b.upper[:, None], b.lower[:, None])
+        ws = np.concatenate([uniform(w, n), vertex(w, n)], axis=1)
+        xs = np.concatenate([uniform(x, n), vertex(x, n)], axis=1)
+        values = op.eval([ws, xs])
+        assert np.all(box.lower[:, None] <= values + 1e-12) and np.all(values <= box.upper[:, None] + 1e-12)
+        # each row's ends are its terms' picked corners, summed
+        lo, hi = _picked(w, x)
+        for end, want in ((box.lower, lo), (box.upper, hi)):
+            assert np.allclose(end - op.bias, want.sum(axis=1), rtol=0.0, atol=1e-13)
+
+
+def test_matvec_interval_sums_the_picked_products_by_gemv_where_x_is_pinned_or_nonnegative(corner_folds):
+    rng, u = np.random.default_rng(49), 2.0**-53
+    for w, x, fast in _matvec_interval_cases(rng):
+        if not fast:
+            continue
+        t = len(x.lower)
+        gamma = t * u / (1 - t * u)
+        box = MatVec(np.zeros(6)).interval([w, x])
+        for end, picked in zip((box.lower, box.upper), _picked(w, x)):
+            # the same real sum as the fold's, in another order: within gamma_t of each row's |terms|
+            assert np.all(np.abs(end - picked.sum(axis=1)) <= gamma * np.abs(picked).sum(axis=1))
+    assert corner_folds == []  # no (s, t) corner array
+
+
+def test_matvec_interval_folds_the_corners_exactly_where_x_crosses_0_or_an_end_is_infinite(corner_folds):
+    rng = np.random.default_rng(50)
+    for w, x, fast in _matvec_interval_cases(rng):
+        del corner_folds[:]
+        op = MatVec(rng.uniform(-1, 1, 6))
+        with np.errstate(invalid="ignore"):  # 0 * inf: the fold's NaN where a zero meets an infinite end
+            box, (lo, hi) = op.interval([w, x]), _picked(w, x)
+        assert len(corner_folds) == (0 if fast else 1)
+        if fast:
+            continue
+        assert box.lower.tobytes() == (lo.sum(axis=1) + op.bias).tobytes()
+        assert box.upper.tobytes() == (hi.sum(axis=1) + op.bias).tobytes()
+        if x.finite:  # an infinite weight end in row 0 leaves every other row, and row 0's upper end, bounded
+            assert np.isfinite(box.lower[1:]).all() and np.isfinite(box.upper).all()
+
+
+def test_a_warm_flatness_query_builds_no_weight_sized_array():
+    import tracemalloc
+
+    rng, width = np.random.default_rng(51), 256
+    nodes = [Node(0, Input(), (), width)]
+    for k, s in enumerate([width, width, 10]):  # two width x width layers: one on a pinned x, one on x >= 0
+        w = rng.normal(0.0, 1.0 / math.sqrt(width), (s, width))
+        nodes.append(Node(len(nodes), Affine(w, rng.normal(0.0, 0.1, s)), (len(nodes) - 1,), s))
+        if k < 2:
+            nodes.append(Node(len(nodes), ReLU(), (len(nodes) - 1,), s))
+    g = Graph(tuple(nodes), len(nodes) - 1)
+    batch = [({0: rng.uniform(-1, 1, width)}, 0)]
+    first = flatness_score(g, 1e-3, batch)
+    wg, specs, _ = g._weight_graph[1]
+    matvecs = [node for node in wg.nodes if isinstance(node.op, MatVec)]
+    boxes = [specs[node.inputs[0]].box() for node in matvecs]
+    parts = [box.__dict__.get("sign_parts") for box in boxes]
+    # the sign parts are kept, read-only, for the one box whose x is nonnegative and whose interval is read:
+    # not the first layer's, on a pinned x, nor the output's, which the backward pass bounds
+    assert [p is None for p in parts] == [True, False, True]
+    assert len(parts[1]) == 4 and not any(a.flags.writeable for a in parts[1])
+    tracemalloc.start()
+    try:
+        second = flatness_score(g, 1e-3, batch)
+        query_peak = tracemalloc.get_traced_memory()[1]
+        assert all(box.__dict__.get("sign_parts") is p for box, p in zip(boxes, parts))
+        # the interval rule alone, on the two width x width layers' boxes of a new query
+        query = BoundQuery(wg, {**specs, 0: Constant(batch[0][0][0])}, BoundStrategy.IBP_BACKWARD)
+        ins = [[query.interval(j) for j in node.inputs] for node in matvecs[:2]]
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        for node, intervals in zip(matvecs, ins):
+            node.op.interval(intervals)
+        rule_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert second == first
+    # a (width, width) float array is 8 times this: the rule builds no array of that many bytes, even of bools;
+    # the whole query holds some forty width-long vectors besides, but no weight-sized array
+    assert rule_peak < width * width * 8 / 8
+    assert query_peak < width * width * 8
 
 
 def _ops_with_intervals(rng, d=4):

@@ -57,15 +57,17 @@ def test_the_digest_prints_its_count_and_one_line_per_function():
     assert counts["compute_bounds_margin"] == 100  # 10 classifiers, 5 strategies, 2 ReLU modes
     assert counts["compute_bounds_pinned_last"] == 2260  # 29 two-input graphs, 226 nodes, 5 strategies, 2 modes
     assert counts["relax"] == 31  # ReLU in 2 modes x 4 grids, Exp 4, Log 3, Mul 4 grids x 4 pinnings
-    assert counts["pop_order"] == 5242  # the backward passes of the calls above, one pop order each
-    left_out = sum(counts[f] for f in ("bound_loss_unfused", "compute_bounds_margin", "compute_bounds_pinned_last", "relax"))
+    assert counts["flatness_score_wide"] == 30  # 3 nets, 5 strategies, 2 modes
+    assert counts["pop_order"] == 5350  # the backward passes of the calls above, one pop order each
+    left_out = ["bound_loss_unfused", "compute_bounds_margin", "compute_bounds_pinned_last", "relax"]
+    left_out = sum(counts[f] for f in left_out + ["flatness_score_wide"])
     assert re.fullmatch(rf"  {4800 + left_out} folded sha256 [0-9a-f]{{64}}", folded)
 
 
 def test_the_bound_diff_of_a_checkout_against_itself_moves_nothing():
     lines = _run("bound_diff.py", "--old", str(TOOLS.parent / "src"))
     families = [re.fullmatch(r"(\w+): (\d+) calls, 0 moved, 0 looser", line).group(1, 2) for line in lines]
-    assert dict(families)["compute_bounds"] == "4500" and len(families) == 8
+    assert dict(families)["compute_bounds"] == "4500" and len(families) == 9
 
 
 def _bound_diff():

@@ -4,10 +4,10 @@
 
 Runs every call of ``bound_digest.corpus`` once against each ``src``
 directory (``--new`` defaults to this checkout's), each side in its own
-interpreter; the graphs come from this checkout's ``tests/helpers.py``.
-Prints one line per family (the called function's name): its number of
-calls, how many moved (any result byte differs, or the call raises on one
-side only) and how many are looser. A result is looser when a lower bound
+interpreter; the graphs come from this checkout's ``tests/helpers.py`` and
+``tools/mlp.py``. Prints one line per family (the called function's name):
+its number of calls, how many moved (any result byte differs, or the call
+raises on one side only) and how many are looser. A result is looser when a lower bound
 fell or an upper bound rose by more than 1e-15 of max(1, |l|, |u|), over
 its interval's finite ends on the old side. An interval's ends, ``fused_loss_report``'s
 fields and the loss and flatness values are bounds; other data (a native
@@ -23,6 +23,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -35,7 +36,10 @@ ROOT = Path(__file__).resolve().parent.parent
 SLACK = 1e-15
 
 # what a result's bare values bound, by position; a result object's fields say it by name
-BARE = {"bound_loss_fused": ("upper",), "bound_loss_unfused": ("upper", "lower"), "flatness_score": ("upper",)}
+BARE = {
+    "bound_loss_fused": ("upper",), "bound_loss_unfused": ("upper", "lower"),
+    "flatness_score": ("upper",), "flatness_score_wide": ("upper",),
+}
 FIELDS = dict(lower="lower", margin_lowers="lower", upper="upper", fused_upper="upper", unfused_upper="upper")
 
 
@@ -43,8 +47,8 @@ def groups(family: str, result) -> list[dict[str, np.ndarray]]:
     """A result as groups of float64 arrays keyed ``lower``, ``upper`` or ``data``; an interval is one group."""
     out = []
     for k, value in enumerate(result if isinstance(result, tuple) else (result,)):
-        if hasattr(value, "__dict__"):
-            fields = vars(value)
+        if dataclasses.is_dataclass(value):  # its fields, not what its cached properties keep beside them
+            fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
             if fields.keys() == {"lower", "upper"}:
                 out.append({side: np.asarray(a, dtype=np.float64) for side, a in fields.items()})
             else:

@@ -22,22 +22,29 @@ Two checkouts that print the same line give bit-identical bounds on:
 - ``relax``: the lines (``slopes``, ``lower_const``, ``upper_const``) of
   ``op.relax`` for ReLU in both modes, Exp, Log and Mul, on intervals with
   signed-zero ends, one ulp or 1e-12 wide, and wide but of finite width,
-  each wherever the op is defined, and on pinned Mul operands.
+  each wherever the op is defined, and on pinned Mul operands;
+- ``flatness_score_wide``: ``flatness_score`` (eps_bar 0.01) on 3
+  16-32-32-10 ``relu_mlp``s (``tools/mlp.py``, ``default_rng(29)``), each on
+  a batch of 2 inputs drawn from U(-1, 1)^16 and labelled with their
+  predicted class, under every strategy and ReLU mode: layers wide enough
+  that a change in how a ``MatVec`` sums its terms can show.
 
 Each result is hashed as the raw bytes of its float64 arrays, in order; a
 call that raises is hashed as its exception's type name. The first line
 covers every call but those of ``bound_loss_unfused``,
-``compute_bounds_margin``, ``compute_bounds_pinned_last`` and ``relax``,
-so it compares with checkouts that did not record those. One indented
-line follows per function and one per field of ``fused_loss_report``'s
-result, each over that function's calls alone, and one, ``pop_order``,
-over the pop order of every backward pass those calls run (each
-``run_backward`` result's ``pop_order`` as int64 bytes, read through
-``lirpa.backward``'s own binding, so either checkout's walk is compared). The last line, ``folded``, covers every call
-with each float's sign of zero folded (``x + 0.0``), so a change that
+``compute_bounds_margin``, ``compute_bounds_pinned_last``, ``relax`` and
+``flatness_score_wide``, so it compares with checkouts that did not record
+those. One indented line follows per function and one per field of
+``fused_loss_report``'s result, each over that function's calls alone, and
+one, ``pop_order``, over the pop order of every backward pass those calls
+run (each ``run_backward`` result's ``pop_order`` as int64 bytes, read
+through ``lirpa.backward``'s own binding, so either checkout's walk is
+compared). The last line, ``folded``, covers every call with each float's
+sign of zero folded (``x + 0.0``), so a change that
 flips only the signs of zeros can show it gives the same values. ``--src``
 imports lirpa from another checkout's ``src`` directory (default: this
-one's); the graphs always come from this checkout's ``tests/helpers.py``.
+one's); the graphs always come from this checkout's ``tests/helpers.py`` and
+``tools/mlp.py``.
 ``corpus`` lists the calls, which ``tools/bound_diff.py`` compares too.
 """
 from __future__ import annotations
@@ -48,6 +55,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import dataclasses
 import hashlib
 import sys
 from collections import Counter
@@ -61,9 +69,11 @@ ROOT = Path(__file__).resolve().parent.parent
 def corpus(lirpa):
     """The digest's calls, in order, as (function, args); a call's family is its function's name.
 
-    Call it with this checkout's ``tests`` directory on ``sys.path``: the graphs come from its ``helpers``.
+    Call it with this checkout's ``tests`` and ``tools`` directories on ``sys.path``: the graphs come from their
+    ``helpers`` and ``mlp``.
     """
     from helpers import demo_net, random_classifier, random_graph
+    from mlp import relu_mlp
 
     def compute_bounds_margin(g, specs, strategy, mode):
         margins = lirpa.margin_transform(0, g.nodes[g.output].dim)
@@ -71,6 +81,9 @@ def corpus(lirpa):
 
     def compute_bounds_pinned_last(g, specs, strategy, target, mode):
         return lirpa.compute_bounds(g, specs, strategy, target, None, mode)
+
+    def flatness_score_wide(g, eps_bar, batch, strategy, mode):
+        return lirpa.flatness_score(g, eps_bar, batch, strategy, mode)
 
     def relax(op, intervals, mode):
         lines = op.relax([lirpa.IntervalBounds(*box) for box in intervals], mode)
@@ -124,6 +137,13 @@ def corpus(lirpa):
                 batch = [({0: specs[0].center}, 0)]
                 yield lirpa.flatness_score, (g, 0.01, batch, strategy, mode)
                 yield compute_bounds_margin, (g, specs, strategy, mode)
+    rng = np.random.default_rng(29)
+    wide = [(relu_mlp(lirpa, rng, [16, 32, 32, 10]), rng.uniform(-1.0, 1.0, (2, 16))) for _ in range(3)]
+    for strategy in lirpa.BoundStrategy:
+        for mode in lirpa.ReluLowerMode:
+            for g, xs in wide:
+                batch = [({0: x}, int(np.argmax(lirpa.evaluate(g, {0: x})[g.output]))) for x in xs]
+                yield flatness_score_wide, (g, 0.01, batch, strategy, mode)
 
 
 def main() -> None:
@@ -138,7 +158,9 @@ def main() -> None:
     def record(call, *call_args):
         # the first line keeps to the calls it has always covered
         family = call.__name__
-        left_out = ("bound_loss_unfused", "compute_bounds_margin", "compute_bounds_pinned_last", "relax")
+        left_out = (
+            "bound_loss_unfused", "compute_bounds_margin", "compute_bounds_pinned_last", "relax", "flatness_score_wide"
+        )
         keys = [family] if family in left_out else ["results", family]
         counts.update(keys + ["folded"])
         try:
@@ -149,7 +171,9 @@ def main() -> None:
         else:
             chunks = []
             for value in result if isinstance(result, tuple) else (result,):
-                fields = vars(value).items() if hasattr(value, "__dict__") else [("", value)]
+                fields = [("", value)]
+                if dataclasses.is_dataclass(value):  # its fields, not what its cached properties keep beside them
+                    fields = [(f.name, getattr(value, f.name)) for f in dataclasses.fields(value)]
                 for name, field in fields:
                     # a result object, not a tuple, also feeds one line per field
                     extra = (f"{family}.{name}",) if value is result and name else ()
