@@ -1,8 +1,10 @@
 """Command-line front end.
 
-Subcommands load a graph document, run a bound strategy and emit a JSON
-report on stdout (and optionally to a file). Exit codes: 0 success, 1 for
-parse/usage problems with the inputs, 2 for domain errors during analysis.
+Each subcommand returns a JSON report of its graph document; ``main`` loads
+the document, runs the subcommand and writes the report to ``--output`` (if
+given) and to stdout. Exit codes: 0 success, 1 for usage problems and
+malformed inputs (including a report that cannot be written), 2 for domain
+errors during analysis.
 """
 from __future__ import annotations
 
@@ -18,17 +20,17 @@ from .backward import BoundQuery, BoundStrategy
 from .errors import DomainError, GraphError
 from .fusion import MarginSpec, flatness_score, fused_loss_report, margin_transform
 from .graph import Graph, _load_json, evaluate, parse_problem
-from .linear import InputLayout, IntervalBounds
-from .perturb import Constant, LpBall, PerturbationSpec, _is_int
+from .linear import InputLayout
+from .perturb import Constant, LpBall, _is_int
 from .relaxation import ReluLowerMode
 
 __all__ = ["main", "build_parser"]
 
-_METHODS = {s.value: s for s in BoundStrategy}
-
 
 def _fmt(value):
     """Round floats to 9 significant digits so reports diff byte-for-byte."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
     if isinstance(value, float):
         if math.isinf(value) or math.isnan(value):
             return str(value)
@@ -40,14 +42,6 @@ def _fmt(value):
     return value
 
 
-def _emit(report: dict, output: str | None) -> None:
-    text = json.dumps(_fmt(report), indent=2)
-    print(text)
-    if output:
-        with open(output, "w") as fh:
-            fh.write(text + "\n")
-
-
 def _read(path: str, what: str) -> str:
     try:
         with open(path) as fh:
@@ -56,115 +50,75 @@ def _read(path: str, what: str) -> str:
         raise GraphError(f"cannot read {what}: {exc}") from exc
 
 
-def _load(args) -> tuple[Graph, dict[int, PerturbationSpec]]:
-    """Parse ``args.graph`` and apply the --eps/--p overrides to its lp balls."""
-    g, specs = parse_problem(_read(args.graph, "graph document"))
-    for i, spec in specs.items():
-        if isinstance(spec, LpBall):
-            eps = spec.eps if args.eps is None else args.eps
-            try:
-                specs[i] = LpBall(spec.center, eps, spec.p if args.p is None else args.p)
-            except GraphError as exc:
-                raise GraphError(f"node {i}: {exc}") from exc
-    return g, specs
-
-
-def _interval_report(bounds: IntervalBounds) -> tuple[list, list]:
-    return bounds.lower.tolist(), bounds.upper.tolist()
-
-
-def _run_method(g, specs, method, relu_mode, out_coeff=None):
+def _timed(fn, *args):
+    """``fn(*args)`` and the milliseconds it took."""
     start = time.perf_counter()
-    query = BoundQuery(g, specs, _METHODS[method], relu_mode)
-    box = query.bound(g.output, out_coeff)[1]
-    return box, (time.perf_counter() - start) * 1000.0, query
+    result = fn(*args)
+    return result, (time.perf_counter() - start) * 1000.0
 
 
-def cmd_bounds(args) -> int:
+def _run(args, g, specs, method, out_coeff=None):
+    """The output's box under ``method``, the ms that building and running its query took, and the query."""
+    query, build_ms = _timed(BoundQuery, g, specs, BoundStrategy(method), ReluLowerMode(args.relu))
+    (_, box), bound_ms = _timed(query.bound, g.output, out_coeff)
+    return box, build_ms + bound_ms, query
+
+
+def cmd_bounds(args, g, specs) -> dict:
     if args.samples < 0:
         raise GraphError("--samples must be nonnegative")
-    g, specs = _load(args)
-    box, elapsed, query = _run_method(g, specs, args.method, ReluLowerMode(args.relu))
-    lower, upper = _interval_report(box)
-    report = {"method": args.method, "lower": lower, "upper": upper}
+    box, elapsed, query = _run(args, g, specs, args.method)
+    report = {"method": args.method, "lower": box.lower, "upper": box.upper}
     if args.all_nodes:
-        report["nodes"] = {}
-        for i in g.order:
-            lo, hi = _interval_report(box if i == g.output else query.node_box(i))
-            report["nodes"][str(i)] = {"lower": lo, "upper": hi}
+        boxes = {i: box if i == g.output else query.node_box(i) for i in g.order}
+        report["nodes"] = {str(i): {"lower": b.lower, "upper": b.upper} for i, b in boxes.items()}
     if args.samples:
         rng = np.random.default_rng(args.seed)
-        values = {i: specs[i].sample(rng, args.samples) for i in g.input_ids}
-        sampled = evaluate(g, values)[g.output]
-        report["sampled_min"] = sampled.min(axis=1).tolist()
-        report["sampled_max"] = sampled.max(axis=1).tolist()
+        sampled = evaluate(g, {i: specs[i].sample(rng, args.samples) for i in g.input_ids})[g.output]
+        report["sampled_min"], report["sampled_max"] = sampled.min(axis=1), sampled.max(axis=1)
     report["time_ms"] = elapsed
-    _emit(report, args.output)
-    return 0
+    return report
 
 
-def cmd_verify(args) -> int:
-    g, specs = _load(args)
+def cmd_verify(args, g, specs) -> dict:
     k = g.nodes[g.output].dim
     if k < 2:
         raise GraphError(f"verification needs at least 2 classes, output dim is {k}")
-    margin = MarginSpec(args.label, k)
-    coeff = margin_transform(margin.label, margin.num_classes)
-    box, elapsed, _ = _run_method(g, specs, args.method, ReluLowerMode(args.relu), coeff)
-    others = [i for i in range(k) if i != margin.label]
-    certified = bool(np.all(box.lower[others] > 0.0))
-    lower, upper = _interval_report(box)
-    report = {
+    box, elapsed, _ = _run(args, g, specs, args.method, margin_transform(args.label, k))
+    certified = bool(np.all(np.delete(box.lower, args.label) > 0.0))
+    return {
         "method": args.method,
-        "lower": lower,
-        "upper": upper,
+        "lower": box.lower,
+        "upper": box.upper,
         "verdict": "certified" if certified else "unknown",
-        "margin_lowers": lower,
+        "margin_lowers": box.lower,
         "time_ms": elapsed,
     }
-    _emit(report, args.output)
-    return 0
 
 
-def cmd_compare(args) -> int:
-    g, specs = _load(args)
-    relu_mode = ReluLowerMode(args.relu)
+def cmd_compare(args, g, specs) -> dict:
     rows = []
-    for method in _METHODS:  # every BoundStrategy
-        box, elapsed, _ = _run_method(g, specs, method, relu_mode)
-        lower, upper = _interval_report(box)
+    for method in BoundStrategy:
+        box, elapsed, _ = _run(args, g, specs, method)
+        width = float(np.sum(box.upper - box.lower))
         rows.append(
-            {
-                "method": method,
-                "lower": lower,
-                "upper": upper,
-                "width": float(np.sum(box.upper - box.lower)),
-                "time_ms": elapsed,
-            }
+            {"method": method.value, "lower": box.lower, "upper": box.upper, "width": width, "time_ms": elapsed}
         )
-    rows.sort(key=lambda r: -r["width"])
-    _emit({"methods": rows}, args.output)
-    return 0
+    return {"methods": sorted(rows, key=lambda r: -r["width"])}
 
 
-def cmd_fuse(args) -> int:
-    g, specs = _load(args)
-    k = g.nodes[g.output].dim
-    margin = MarginSpec(args.label, k)
-    start = time.perf_counter()
-    report_obj = fused_loss_report(
-        g, specs, margin, _METHODS[args.method], ReluLowerMode(args.relu)
+def cmd_fuse(args, g, specs) -> dict:
+    margin = MarginSpec(args.label, g.nodes[g.output].dim)
+    report, elapsed = _timed(
+        fused_loss_report, g, specs, margin, BoundStrategy(args.method), ReluLowerMode(args.relu)
     )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    report = {
+    return {
         "method": args.method,
-        "fused_upper": report_obj.fused_upper,
-        "unfused_upper": report_obj.unfused_upper,
-        "margin_lowers": report_obj.margin_lowers.tolist(),
+        "fused_upper": report.fused_upper,
+        "unfused_upper": report.unfused_upper,
+        "margin_lowers": report.margin_lowers,
         "time_ms": elapsed,
     }
-    _emit(report, args.output)
-    return 0
 
 
 def _flatness_entry(g: Graph, entry) -> tuple[dict[int, np.ndarray], int]:
@@ -199,94 +153,88 @@ def _flatness_batch(args, g, specs) -> list[tuple[dict[int, np.ndarray], int]]:
     return [(values, args.label)]
 
 
-def cmd_flatness(args) -> int:
-    g, specs = _load(args)
+def cmd_flatness(args, g, specs) -> dict:
     batch = _flatness_batch(args, g, specs)
-    start = time.perf_counter()
-    score = flatness_score(g, args.eps_bar, batch, _METHODS[args.method], ReluLowerMode(args.relu))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    _emit(
-        {
-            "eps_bar": args.eps_bar,
-            "flatness": score,
-            "batch_size": len(batch),
-            "time_ms": elapsed,
-        },
-        args.output,
+    score, elapsed = _timed(
+        flatness_score, g, args.eps_bar, batch, BoundStrategy(args.method), ReluLowerMode(args.relu)
     )
-    return 0
+    return {"eps_bar": args.eps_bar, "flatness": score, "batch_size": len(batch), "time_ms": elapsed}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _subcommand(subs, name: str, func, help: str, balls: bool = True) -> argparse.ArgumentParser:
+    """A subcommand's parser with the options they all take, and ``--eps``/``--p`` where ``balls``."""
+    sub = subs.add_parser(name, help=help, allow_abbrev=balls)  # no --eps to read as flatness's --eps-bar
     sub.add_argument("graph", help="path to a graph JSON document")
-    sub.add_argument("--method", choices=sorted(_METHODS), default="ibp+backward", help="bound strategy")
-    sub.add_argument("--eps", type=float, default=None, help="override every lp ball radius")
-    sub.add_argument(
-        "--p",
-        type=lambda s: math.inf if s == "inf" else float(s),
-        default=None,
-        help="override every lp ball exponent (1, 2 or inf)",
-    )
-    sub.add_argument(
-        "--relu",
-        choices=["adaptive", "zero"],
-        default="zero",
-        help="lower-line mode for unstable ReLU neurons",
-    )
-    sub.add_argument("--seed", type=int, default=0, help="seed for sampling diagnostics")
+    methods = sorted(s.value for s in BoundStrategy)
+    sub.add_argument("--method", choices=methods, default="ibp+backward", help="bound strategy")
+    if balls:
+        sub.add_argument("--eps", type=float, default=None, help="override every lp ball radius")
+        p = lambda s: math.inf if s == "inf" else float(s)
+        sub.add_argument("--p", type=p, default=None, help="override every lp ball exponent (1, 2 or inf)")
+    relu = ["adaptive", "zero"]
+    sub.add_argument("--relu", choices=relu, default="zero", help="lower-line mode for unstable ReLU neurons")
     sub.add_argument("--output", default=None, help="also write the report to this path")
+    sub.set_defaults(func=func)
+    return sub
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="lirpa",
-        description="Certified bound propagation over computational graphs",
-    )
+    parser = argparse.ArgumentParser(prog="lirpa", description="Certified bound propagation over computational graphs")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_bounds = subs.add_parser("bounds", help="bound the output node")
-    _add_common(p_bounds)
+    p_bounds = _subcommand(subs, "bounds", cmd_bounds, "bound the output node")
     p_bounds.add_argument("--all-nodes", action="store_true", help="include every node's interval")
     p_bounds.add_argument(
         "--samples", type=int, default=0, help="add min/max over sampled points as a sanity check"
     )
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.add_argument("--seed", type=int, default=0, help="seed for --samples")
 
-    p_verify = subs.add_parser("verify", help="certify a label via margin bounds")
-    _add_common(p_verify)
+    p_verify = _subcommand(subs, "verify", cmd_verify, "certify a label via margin bounds")
     p_verify.add_argument("--label", type=int, required=True, help="ground-truth class index")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_compare = subs.add_parser("compare", help="run all strategies and tabulate widths")
-    _add_common(p_compare)
-    p_compare.set_defaults(func=cmd_compare)
+    _subcommand(subs, "compare", cmd_compare, "run all strategies and tabulate widths")
 
-    p_fuse = subs.add_parser("fuse", help="fused vs unfused certified loss bounds")
-    _add_common(p_fuse)
+    p_fuse = _subcommand(subs, "fuse", cmd_fuse, "fused vs unfused certified loss bounds")
     p_fuse.add_argument("--label", type=int, required=True, help="ground-truth class index")
-    p_fuse.set_defaults(func=cmd_fuse)
 
-    p_flat = subs.add_parser("flatness", help="certified loss gap under weight perturbation")
-    _add_common(p_flat)
+    # flatness scores pinned points, so no lp ball radius or exponent applies
+    p_flat = _subcommand(subs, "flatness", cmd_flatness, "certified loss gap under weight perturbation", balls=False)
     p_flat.add_argument("--eps-bar", type=float, required=True, help="normalized weight ball radius")
     p_flat.add_argument("--label", type=int, default=None, help="label for the default example")
     p_flat.add_argument("--data", default=None, help="JSON file with [{'x': ..., 'label': ...}]")
-    p_flat.set_defaults(func=cmd_flatness)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 after a usage error, which is exit 1 here
+        return 1 if exc.code else 0
+    try:
+        g, specs = parse_problem(_read(args.graph, "graph document"))
+        for i, spec in specs.items():
+            if isinstance(spec, LpBall) and "eps" in args:  # flatness takes no --eps/--p
+                eps = spec.eps if args.eps is None else args.eps
+                try:
+                    specs[i] = LpBall(spec.center, eps, spec.p if args.p is None else args.p)
+                except GraphError as exc:
+                    raise GraphError(f"node {i}: {exc}") from exc
+        text = json.dumps(_fmt(args.func(args, g, specs)), indent=2)
+        if args.output:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text + "\n")
+            except OSError as exc:
+                raise GraphError(f"cannot write report: {exc}") from exc
     except GraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return 2
+    print(text)
+    return 0
 
 
 if __name__ == "__main__":

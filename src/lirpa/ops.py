@@ -116,14 +116,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _times(x, y, out=None) -> np.ndarray:
+    """x * y, where a zero times an infinite end is 0: x * y is 0 wherever x or y is."""
+    with np.errstate(invalid="ignore"):
+        out = np.multiply(x, y, out=out)
+    out[((x == 0.0) & np.isinf(y)) | (np.isinf(x) & (y == 0.0))] = 0.0
+    return out
+
+
 def _corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
     """Elementwise min and max of x * y over [lx, ux] x [ly, uy]: a mul's interval, and a ``MatVec``'s fallback."""
-    corner, hi = lx * ly, lx * uy
+    corner, hi = _times(lx, ly), _times(lx, uy)
     # in this order: on a tie np.minimum and np.maximum return their second argument, so it picks a zero's sign
     lo = np.minimum(corner, hi)
     np.maximum(corner, hi, out=hi)
     for x, y in ((ux, ly), (ux, uy)):
-        np.multiply(x, y, out=corner)
+        _times(x, y, out=corner)
         np.minimum(lo, corner, out=lo)
         np.maximum(hi, corner, out=hi)
     return lo, hi

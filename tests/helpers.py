@@ -444,8 +444,10 @@ def select_mul_relaxation(lx, ux, ly, uy) -> tuple:
 
 
 def stacked_corners(lx, ux, ly, uy) -> tuple[np.ndarray, np.ndarray]:
-    """Reference ``ops._corners``: the four corner products stacked, then reduced."""
-    corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
+    """Reference ``ops._corners``: the four corner products stacked, then reduced; 0 * inf is taken as 0."""
+    with np.errstate(invalid="ignore"):
+        corners = np.stack([lx * ly, lx * uy, ux * ly, ux * uy])
+    corners[np.isnan(corners)] = 0.0  # the ends hold no NaN, so a NaN product is a zero times an infinite end
     return corners.min(axis=0), corners.max(axis=0)
 
 

@@ -525,7 +525,8 @@ def test_nan_bounds_raise_domain_error(strategy):
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("strategy", list(BoundStrategy))
 def test_nan_intervals_fail_closed_where_they_enter_the_query(strategy):
-    # over x in [-1000, 1000], exp(x) reaches inf and IBP's mul corners read 0 * inf = NaN
+    # over x in [-1000, 1000], exp(x) reaches inf: the linear strategies' lines at node 1 read inf - inf = NaN;
+    # IBP's mul takes 0 * inf as 0, so node 4's interval is [0, inf], and ibp+backward meets NaN in its final pass
     nodes = (
         Node(0, Input(), (), 1),
         Node(1, Exp(), (0,), 1),
@@ -536,8 +537,38 @@ def test_nan_intervals_fail_closed_where_they_enter_the_query(strategy):
         Node(6, Affine([[1.0]], [0.0]), (5,), 1),
     )
     g, specs = Graph(nodes, 6), {0: LpBall([0.0], 1000.0, math.inf)}
-    ibp = strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD)
-    at = re.escape(f"node {4 if ibp else 1}: {strategy.value} bounds are NaN or inverted")
+    at = lambda i: re.escape(f"node {i}: {strategy.value} bounds are NaN or inverted")
+    if strategy in (BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD):
+        boxes = [node_intervals(g, specs, strategy)[4]]
+        if strategy is BoundStrategy.IBP:
+            boxes.append(compute_bounds(g, specs, strategy)[1])
+        else:
+            with pytest.raises(DomainError, match=at(6)):
+                compute_bounds(g, specs, strategy)
+        assert all(box.lower.tolist() == [0.0] and box.upper.tolist() == [math.inf] for box in boxes)
+        return
+    with pytest.raises(DomainError, match=at(1)):
+        compute_bounds(g, specs, strategy)
+    with pytest.raises(DomainError, match=at(1)):
+        node_intervals(g, specs, strategy)
+    with pytest.raises(DomainError, match=at(1)):
+        BoundQuery(g, specs, strategy).forward(g.output)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("strategy", [BoundStrategy.IBP, BoundStrategy.IBP_BACKWARD])
+def test_a_nan_interval_fails_closed_at_the_node_whose_interval_it_is(strategy):
+    # over x in [1000, 2000], exp(x) is [inf, inf]: node 3's interval sums inf and -inf, which is NaN
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Exp(), (0,), 1),
+        Node(2, Affine([[1.0], [-1.0]], [0.0, 0.0]), (1,), 2),
+        Node(3, Affine([[1.0, 1.0]], [0.0]), (2,), 1),
+        Node(4, ReLU(), (3,), 1),
+        Node(5, Affine([[1.0]], [0.0]), (4,), 1),
+    )
+    g, specs = Graph(nodes, 5), {0: LpBall([1500.0], 500.0, math.inf)}
+    at = re.escape(f"node 3: {strategy.value} bounds are NaN or inverted")
     with pytest.raises(DomainError, match=at):
         compute_bounds(g, specs, strategy)
     with pytest.raises(DomainError, match=at):

@@ -480,3 +480,73 @@ def test_reports_print_infinite_and_nan_floats_as_strings():
         "upper": [1.0, "inf"],
         "lower": [0.123456789, "nan"],
     }
+
+
+def test_an_unwritable_output_exits_1_and_prints_nothing(capsys, demo_graph, tmp_path):
+    assert main(["bounds", demo_graph, "--output", str(tmp_path / "missing" / "r.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write report: ") and "r.json" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "GRAPH", "--method", "bogus"], "argument --method: invalid choice: 'bogus'"),
+        (["verify", "GRAPH"], "the following arguments are required: --label"),
+        (["bounds"], "the following arguments are required: graph"),
+        (["verify", "GRAPH", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["compare", "GRAPH", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["fuse", "GRAPH", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["flatness", "GRAPH", "--eps-bar", "0", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["flatness", "GRAPH", "--eps-bar", "0", "--label", "0", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),
+        (["flatness", "GRAPH", "--eps-bar", "0", "--label", "0", "--p", "2"], "unrecognized arguments: --p 2"),
+    ],
+)
+def test_a_usage_error_exits_1_with_the_usage_text(capsys, demo_graph, argv, message):
+    # exit 2 is a domain error; a command line argparse rejects is a usage problem, as a bad document is
+    assert main([demo_graph if a == "GRAPH" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage: lirpa") and message in captured.err
+    assert captured.out == ""
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert main(["bounds", "--help"]) == 0
+    assert "--seed" in capsys.readouterr().out
+
+
+def test_report_key_orders_are_fixed(capsys, tmp_path):
+    path = tmp_path / "clf.json"
+    path.write_text(json.dumps(_classifier_doc(1.0, 0.2)))
+    code, report = _run(capsys, ["verify", str(path), "--label", "0"])
+    assert code == 0 and list(report) == ["method", "lower", "upper", "verdict", "margin_lowers", "time_ms"]
+    code, report = _run(capsys, ["compare", str(path)])
+    assert code == 0 and list(report) == ["methods"]
+    for row in report["methods"]:
+        assert list(row) == ["method", "lower", "upper", "width", "time_ms"]
+    code, report = _run(capsys, ["fuse", str(path), "--label", "0"])
+    assert code == 0 and list(report) == ["method", "fused_upper", "unfused_upper", "margin_lowers", "time_ms"]
+    code, report = _run(capsys, ["flatness", str(path), "--eps-bar", "0.01", "--label", "0"])
+    assert code == 0 and list(report) == ["eps_bar", "flatness", "batch_size", "time_ms"]
+
+
+def test_the_module_entry_point_prints_the_report_main_returns(capsys):
+    import os
+    import subprocess
+    import sys
+
+    root = Path(__file__).resolve().parents[1]
+    demo = str(root / "demo" / "two_layer_relu.json")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "lirpa.cli", "bounds", demo], capture_output=True, text=True, env=env, check=False
+    )
+    assert done.returncode == 0 and done.stderr == ""
+    code, report = _run(capsys, ["bounds", demo])
+    assert code == 0
+    printed = json.loads(done.stdout)
+    assert list(printed) == list(report)
+    del printed["time_ms"], report["time_ms"]
+    assert printed == report

@@ -15,6 +15,7 @@ from lirpa import (
     IntervalBounds,
     Log,
     LpBall,
+    MulElementwise,
     Node,
     Synonym,
     compute_bounds,
@@ -154,6 +155,24 @@ def test_a_zero_weight_ignores_an_infinite_end():
         if strategy is not BoundStrategy.IBP:
             with pytest.raises(DomainError, match="NaN or inverted"), np.errstate(invalid="ignore"):
                 compute_bounds(g, specs, strategy)
+
+
+def test_a_mul_takes_a_zero_end_times_an_infinite_end_as_zero():
+    # exp's interval is [0, inf] and the other factor's is [0, 1]: the product's is [0, inf], not NaN
+    nodes = (
+        Node(0, Input(), (), 1),
+        Node(1, Affine([[1000.0]], [0.0]), (0,), 1),
+        Node(2, Exp(), (1,), 1),
+        Node(3, Input(), (), 1),
+        Node(4, MulElementwise(), (2, 3), 1),
+    )
+    g, specs = Graph(nodes, 4), {0: LpBall([0.0], 1.0, math.inf), 3: LpBall([0.5], 0.5, math.inf)}
+    box = compute_bounds(g, specs, BoundStrategy.IBP)[1]  # under the suite's warnings-as-errors
+    assert box.lower.tobytes() == np.zeros(1).tobytes() and box.upper.tolist() == [math.inf]
+    # a NaN end stays NaN: it is no zero times an infinite end
+    x, y = IntervalBounds([0.0, math.nan], [math.inf, 1.0]), IntervalBounds([0.0, 0.0], [1.0, 1.0])
+    nan = MulElementwise().interval([x, y])
+    assert nan.lower[0] == 0.0 and nan.upper[0] == math.inf and np.isnan([nan.lower[1], nan.upper[1]]).all()
 
 
 def test_affine_interval_with_infinite_ends_sums_the_nonzero_weights_alone():

@@ -301,7 +301,7 @@ def test_mul_planes_and_corners_match_the_select_and_stack_references_bit_for_bi
     s, t = 3, 5
     # y pinned at [-0.0, +0.0]: its exact line reads the lower end, whose zero is negative
     pinned_neg_zero = (np.array([-1.0]), np.array([1.0]), np.array([-0.0]), np.array([0.0]))
-    with np.errstate(invalid="ignore"):  # inf * 0 corners and planes are NaN on both sides
+    with np.errstate(invalid="ignore"):  # inf * 0 planes are NaN on both sides; corners take it as 0 on both
         want = select_mul_relaxation(*pinned_neg_zero)
         _assert_same_bytes(mul_relaxation(*pinned_neg_zero), want)
         ((_, upper_x), _), _, _ = want
