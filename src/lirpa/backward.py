@@ -10,9 +10,9 @@ only all-node sweeps. IBP takes an input's box from its spec and any
 other node's from its op's ``interval`` rule; the forward sweep bounds
 each node by two affine functions of the perturbed input coordinates
 through its op's ``forward`` rule, a nonlinear op's once relaxed. A pass
-steps by the ops the query hands ``run_backward``: each relaxed node's
-lines and each affine weight, on a closed affine -> relaxed unary ->
-affine chain on the live neurons alone.
+steps by the ops the query hands ``run_backward``: relaxed nodes' lines and
+affine weights, on a closed affine -> relaxed unary -> affine chain on the
+live neurons alone, with foldable lines (``_Lines.cap``) in the affine op.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from .concretize import concretize_blocks, concretize_bounds
 from .errors import DomainError, GraphError
 from .graph import Graph, _node_id
 from .linear import InputLayout, IntervalBounds, LinearBounds
-from .ops import Affine, Input, OpKind, UnaryRelaxed, _Lines
+from .ops import Affine, Input, OpKind, UnaryRelaxed, _Clip, _Lines
 from .perturb import PerturbationSpec
 from .relaxation import ReluLowerMode, _inverted
 
@@ -241,28 +241,35 @@ class BoundQuery:
         """The op a pass from o steps node i by: an affine op on its live rows and columns, a relaxed op's lines.
 
         Node i keeps all its rows where it is o or o is its chain's relaxed node, as does every node off
-        a closed chain (``_keeps``); one unpruned op serves all such passes.
+        a closed chain (``_keeps``); one unpruned op serves all such passes. A cut chain whose lines have
+        caps (``_Lines.cap``) folds: its affine op is their upper line composed with it, its relaxed op a clip.
         """
         node, keeps = self.g.nodes[i], self._keeps
         if not (node.op.relaxed or isinstance(node.op, Affine)):
             return node.op
-        # the live rows of i's coefficient, identity lines first (None: all)
-        rows = self._relaxed(keeps[i]).live if i in keeps and o not in (i, keeps[i]) else None
-        key = (i, rows is None)
-        if key not in self._pass_ops:
+        cut = i in keeps and o not in (i, keeps[i])
+        if (i, not cut) not in self._pass_ops:
             j, op = node.inputs[0], node.op
+            lines = self._relaxed(keeps[i]) if cut else None
+            live, cap = (lines.live, lines.cap) if cut else (None, None)
+            rows = slice(None) if live is None else live[0]  # the live rows, identity lines first
             if op.relaxed:
                 op = self._relaxed(i)
-                if rows is not None:
-                    (live, n), ((lo, up),) = rows, op.slopes
-                    op = _Lines(((lo[live], up[live]),), op.lower_const[live], op.upper_const[live], n)
+                if cap is not None:
+                    op = _Clip(cap[rows])
+                elif live is not None:
+                    ((lo, up),) = op.slopes
+                    op = _Lines(((lo[rows], up[rows]),), op.lower_const[rows], op.upper_const[rows], live[1])
             else:  # an affine op's columns are its input's live neurons when that input is kept
                 cols = self._relaxed(j).live if j in keeps else None
-                if rows is not None or cols is not None:
-                    w, b = (op.weight, op.bias) if rows is None else (op.weight[rows[0]], op.bias[rows[0]])
-                    op = Affine(w if cols is None else w.take(cols[0], axis=1), b)
-            self._pass_ops[key] = op
-        return self._pass_ops[key]
+                if live is not None or cap is not None or cols is not None:
+                    w, b = op.weight[rows] if cols is None else op.weight[rows].take(cols[0], axis=1), op.bias[rows]
+                    if cap is not None:  # the upper line of W x + b: su * (W x + b) + uc
+                        ((_, su),) = lines.slopes
+                        w, b = su[rows, None] * w, su[rows] * b + lines.upper_const[rows]
+                    op = Affine(w, b)
+            self._pass_ops[i, not cut] = op
+        return self._pass_ops[i, not cut]
 
     def _pass(self, o: int, out_coeff) -> BackwardState:
         """One backward pass from o over its pass ops."""

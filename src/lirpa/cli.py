@@ -149,8 +149,8 @@ def _flatness_batch(args, g, specs) -> list[tuple[dict[int, np.ndarray], int]]:
         return batch
     if args.label is None:
         raise GraphError("flatness needs --label when no --data file is given")
-    values = {i: specs[i].center for i in g.input_ids}
-    return [(values, args.label)]
+    InputLayout.from_specs(g, specs)  # a spec on each input, as ``bounds`` checks
+    return [({i: specs[i].center for i in g.input_ids}, args.label)]
 
 
 def cmd_flatness(args, g, specs) -> dict:
@@ -161,12 +161,13 @@ def cmd_flatness(args, g, specs) -> dict:
     return {"eps_bar": args.eps_bar, "flatness": score, "batch_size": len(batch), "time_ms": elapsed}
 
 
-def _subcommand(subs, name: str, func, help: str, balls: bool = True) -> argparse.ArgumentParser:
-    """A subcommand's parser with the options they all take, and ``--eps``/``--p`` where ``balls``."""
+def _subcommand(subs, name: str, func, help: str, balls: bool = True, method: bool = True) -> argparse.ArgumentParser:
+    """A subcommand's parser with the options they all take, ``--method`` and ``--eps``/``--p`` where asked."""
     sub = subs.add_parser(name, help=help, allow_abbrev=balls)  # no --eps to read as flatness's --eps-bar
     sub.add_argument("graph", help="path to a graph JSON document")
-    methods = sorted(s.value for s in BoundStrategy)
-    sub.add_argument("--method", choices=methods, default="ibp+backward", help="bound strategy")
+    if method:
+        methods = sorted(s.value for s in BoundStrategy)
+        sub.add_argument("--method", choices=methods, default="ibp+backward", help="bound strategy")
     if balls:
         sub.add_argument("--eps", type=float, default=None, help="override every lp ball radius")
         p = lambda s: math.inf if s == "inf" else float(s)
@@ -192,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = _subcommand(subs, "verify", cmd_verify, "certify a label via margin bounds")
     p_verify.add_argument("--label", type=int, required=True, help="ground-truth class index")
 
-    _subcommand(subs, "compare", cmd_compare, "run all strategies and tabulate widths")
+    _subcommand(subs, "compare", cmd_compare, "run all strategies and tabulate widths", method=False)
 
     p_fuse = _subcommand(subs, "fuse", cmd_fuse, "fused vs unfused certified loss bounds")
     p_fuse.add_argument("--label", type=int, required=True, help="ground-truth class index")

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checked float conversion of document numbers."""
+
+import numpy as np
 
 
 class GraphError(ValueError):
@@ -7,3 +9,11 @@ class GraphError(ValueError):
 
 class DomainError(ValueError):
     """An operation was evaluated or relaxed outside its valid domain."""
+
+
+def _floats(x, convert=lambda x: np.array(x, dtype=np.float64)):
+    """``convert(x)``, a float64 array by default; GraphError where an integer lies past the float range."""
+    try:
+        return convert(x)
+    except OverflowError as exc:
+        raise GraphError(f"number past the float range: {exc}") from exc

@@ -214,6 +214,8 @@ def parse_problem(text: str) -> tuple[Graph, dict[int, PerturbationSpec]]:
     doc = _load_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
         raise GraphError("document must be an object with a 'nodes' array")
+    if not isinstance(doc.get("perturbations", []), list):
+        raise GraphError("'perturbations' must be an array")
     if "output" not in doc:
         raise GraphError("missing output node")
     if not _is_int(doc["output"]):

@@ -33,7 +33,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, GraphError
+from .errors import DomainError, GraphError, _floats
 from .linear import IntervalBounds, LinearBounds
 from .relaxation import _check_interval, mul_relaxation, unary_relaxation
 
@@ -172,10 +172,10 @@ class Affine(_Linear):
     arity = 1
 
     def __post_init__(self):
-        w = np.array(self.weight, dtype=np.float64)
+        w = _floats(self.weight)
         if w.ndim != 2:
             raise GraphError(f"affine weight must be a matrix, got shape {w.shape}")
-        b = np.array(self.bias, dtype=np.float64) if self.bias is not None else np.zeros(w.shape[0])
+        b = _floats(self.bias) if self.bias is not None else np.zeros(w.shape[0])
         if b.ndim != 1 or b.shape[0] != w.shape[0]:
             raise GraphError(
                 f"affine bias length {b.shape} does not match weight rows {w.shape[0]}"
@@ -247,10 +247,9 @@ class _Lines(OpKind):
     ``slopes`` holds one (lower, upper) slope pair per input. The first ``n``
     neurons have identity lines (slopes 1, constants 0): ``backward`` copies
     their columns of the coefficient and computes only the bending ones.
-    Each step computes only the products its lines need: where every bending
-    lower line is 0 below a positive upper slope (a ZERO-mode ReLU's), each
-    side's coefficient bends on one sign only, and where no slope is negative
-    (a monotone op's lines), ``forward`` mixes one input bound per side.
+    Each step computes only the products its lines need: zero lower constants
+    (a ReLU's) take no bias product, and where no slope is negative (a
+    monotone op's lines), ``forward`` mixes one input bound per side.
     """
 
     slopes: tuple[tuple[np.ndarray, np.ndarray], ...]
@@ -271,10 +270,17 @@ class _Lines(OpKind):
         return None if len(first) + len(rest) == len(live) else (np.concatenate([first, rest]), len(first))
 
     @cached_property
-    def zero_lower(self) -> tuple[bool, bool]:
-        """Whether the bending lines' lower constants are 0, and their lower slopes too below positive upper ones."""
-        n, ((sl, su), *more), const = self.n, self.slopes, not np.count_nonzero(self.lower_const[self.n:])
-        return const, const and not more and not np.count_nonzero(sl[n:]) and bool((su[n:] > 0.0).all())
+    def zero_const(self) -> bool:
+        """Whether the bending lines' lower constants are 0."""
+        return not np.count_nonzero(self.lower_const[self.n:])
+
+    @cached_property
+    def cap(self) -> np.ndarray | None:
+        """A unary op's ``_Clip`` caps: 0 where a lower line is the zero line, +inf where it equals the upper
+        line; None where some neuron's is neither, so its lines do not fold into the affine node below."""
+        ((sl, su),), lc, uc = self.slopes, self.lower_const, self.upper_const
+        same = (sl == su) & (lc == uc)
+        return np.where(same, np.inf, 0.0) if (same | ((sl == 0.0) & (lc == 0.0))).all() else None
 
     def forward(self, bounds):
         # the constants join the last input's share; a monotone op's lines (ReLU, exp, log) have no negative slope
@@ -285,25 +291,34 @@ class _Lines(OpKind):
 
     def backward(self, lower_coeff, upper_coeff, in_dim):
         shared, n, slopes, lc, uc = upper_coeff is lower_coeff, self.n, self.slopes, self.lower_const, self.upper_const
-        (zero_const, zero_lower), out = self.zero_lower, (None, None)
+        zero_const, out = self.zero_const, (None, None)
         if n:  # the leading identity lines pass their columns through: copy them, compute only the rest
             block = np.array([lower_coeff, upper_coeff])  # one new block; its bending columns are overwritten
             out, slopes = (block[0, :, n:], block[1, :, n:]), [(sl[n:], su[n:]) for sl, su in slopes]
             lower_coeff, upper_coeff, lc, uc = lower_coeff[:, n:], upper_coeff[:, n:], lc[n:], uc[n:]
-        if zero_lower:  # lower lines 0: only a negative lower and a positive upper coefficient meet a line
-            lo_neg, up_pos, su = np.minimum(lower_coeff, 0.0), np.maximum(upper_coeff, 0.0), slopes[0][1]
-            lams = [(np.multiply(lo_neg, su, out=out[0]), np.multiply(up_pos, su, out=out[1]))]
-        else:
-            lo_pos, lo_neg = _posneg(lower_coeff)
-            up_pos, up_neg = (lo_pos, lo_neg) if shared else _posneg(upper_coeff)
-            lams = [(np.add(lo_pos * sl, lo_neg * su, out=out[0]), np.add(up_pos * su, up_neg * sl, out=out[1]))
-                    for sl, su in slopes]
+        lo_pos, lo_neg = _posneg(lower_coeff)
+        up_pos, up_neg = (lo_pos, lo_neg) if shared else _posneg(upper_coeff)
+        lams = [(np.add(lo_pos * sl, lo_neg * su, out=out[0]), np.add(up_pos * su, up_neg * sl, out=out[1]))
+                for sl, su in slopes]
         # zero lower constants (a ReLU's lines pass through the origin) need no products
         d_lo = lo_neg @ uc if zero_const else lo_pos @ lc + lo_neg @ uc
         d_up = up_pos @ uc if zero_const else up_pos @ uc + up_neg @ lc
         if n:
             lams = [tuple(block)]
         return lams, d_lo, d_up
+
+
+@dataclass(frozen=True, eq=False)
+class _Clip(OpKind):
+    """The step through lines whose upper line U folds into the affine node below: f lies in [rho * U, U] with
+    rho 0 where ``cap`` is 0 and 1 where it is +inf, so each side clips its coefficient's other sign there."""
+
+    cap: np.ndarray
+
+    kind = "clip"
+
+    def backward(self, lower_coeff, upper_coeff, in_dim):
+        return [(np.minimum(lower_coeff, self.cap), np.maximum(upper_coeff, -self.cap))], *_zero_bias(lower_coeff)
 
 
 @dataclass(frozen=True)

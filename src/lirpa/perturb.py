@@ -19,7 +19,7 @@ from typing import ClassVar, Mapping
 
 import numpy as np
 
-from .errors import GraphError
+from .errors import GraphError, _floats
 from .linear import IntervalBounds
 
 __all__ = [
@@ -32,7 +32,7 @@ __all__ = [
 
 
 def _vector(x, what: str) -> np.ndarray:
-    v = np.array(x, dtype=np.float64)
+    v = _floats(x)
     if v.ndim != 1:
         raise GraphError(f"{what} must be a flat vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
@@ -124,8 +124,8 @@ class LpBall(PerturbationSpec):
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vector(self.center, "ball center"))
-        object.__setattr__(self, "eps", float(self.eps))
-        object.__setattr__(self, "p", float(self.p))
+        object.__setattr__(self, "eps", _floats(self.eps, float))
+        object.__setattr__(self, "p", _floats(self.p, float))
         if not (math.isfinite(self.eps) and self.eps >= 0):
             raise GraphError(f"ball radius must be finite and nonnegative, got {self.eps}")
         if not self.p >= 1:  # NaN fails too

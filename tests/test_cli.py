@@ -442,6 +442,14 @@ def _demo(edit):
         (_demo(lambda d: d["perturbations"][0].update(center=[0.0, 1.0, 2.0])),
          "perturbation dim 3 does not match node 0 dim 2"),
         (_demo(lambda d: d.pop("perturbations")), "no perturbation spec for input node 0"),
+        (_demo(lambda d: d.update(perturbations=True)), "'perturbations' must be an array"),
+        # an integer literal past the float range, which float64 conversion overflows on
+        (_demo(lambda d: d["nodes"][1]["weight"][0].__setitem__(0, 10**400)), "node 1: number past the float range"),
+        (_demo(lambda d: d["nodes"][3]["bias"].__setitem__(1, -(10**400))), "node 3: number past the float range"),
+        (_demo(lambda d: d["perturbations"][0]["center"].__setitem__(0, 10**400)),
+         "node 0: malformed perturbation: number past the float range"),
+        (_demo(lambda d: d["perturbations"][0].update(eps=10**400)),
+         "node 0: malformed perturbation: number past the float range"),
         (_demo(lambda d: d["perturbations"][0].pop("type")),
          "node 0: malformed perturbation: perturbation entry must be an object with a 'type' field"),
         (_synonym_problem(delta=-1), "node 0: malformed perturbation: substitution budget must be nonnegative"),
@@ -461,6 +469,15 @@ def test_bounds_rejects_malformed_document(capsys, tmp_path, doc, message):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}"), captured.err
     assert captured.out == ""
+
+
+def test_flatness_on_an_input_without_a_spec_exits_1_as_bounds_does(capsys, tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(_demo(lambda d: d.pop("perturbations"))))
+    for argv in (["bounds", str(path)], ["flatness", str(path), "--label", "0", "--eps-bar", "0.01"]):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no perturbation spec for input node 0\n" and captured.out == ""
 
 
 def test_flatness_without_a_label_or_a_data_file_exits_1(capsys, tmp_path):
@@ -497,6 +514,7 @@ def test_an_unwritable_output_exits_1_and_prints_nothing(capsys, demo_graph, tmp
         (["bounds"], "the following arguments are required: graph"),
         (["verify", "GRAPH", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["compare", "GRAPH", "--seed", "1"], "unrecognized arguments: --seed 1"),
+        (["compare", "GRAPH", "--method", "ibp"], "unrecognized arguments: --method ibp"),
         (["fuse", "GRAPH", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["flatness", "GRAPH", "--eps-bar", "0", "--label", "0", "--seed", "1"], "unrecognized arguments: --seed 1"),
         (["flatness", "GRAPH", "--eps-bar", "0", "--label", "0", "--eps", "0.1"], "unrecognized arguments: --eps 0.1"),

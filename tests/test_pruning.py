@@ -40,7 +40,7 @@ from lirpa import (
 )
 from lirpa.backward import BoundQuery
 from lirpa.concretize import concretize_blocks
-from lirpa.ops import _Lines
+from lirpa.ops import _Clip, _Lines
 
 MODES = list(ReluLowerMode)
 
@@ -116,12 +116,16 @@ def test_pruned_bounds_equal_the_dense_pass(strategy, relu_mode):
 @pytest.mark.parametrize("relu_mode", MODES)
 @pytest.mark.parametrize("strategy", list(BoundStrategy))
 def test_pruned_bounds_are_never_looser_than_the_dense_pass(strategy, relu_mode):
-    # the identity columns and the dead ones only leave sums of exact zeros out: the rounding order moves
+    # the identity columns and the dead ones only leave sums of exact zeros out, and a folded chain's
+    # (c * su) @ W becomes c @ (su * W): the rounding order moves
+    folded = 0
     for n, (g, specs) in enumerate(_corpus()):
         query = BoundQuery(g, specs, strategy, relu_mode)
         box, dense = query.box(g.output, None, "output"), _dense_box(query, g.output)
         slack = 1e-14 * np.maximum(1.0, np.maximum(np.abs(dense.lower), np.abs(dense.upper)))
         assert np.all(box.lower >= dense.lower - slack) and np.all(box.upper <= dense.upper + slack), n
+        folded += any(isinstance(op, _Clip) for op in query._pass_ops.values())
+    assert folded >= 10
 
 
 def _identity(op) -> np.ndarray:
@@ -201,8 +205,8 @@ def test_zero_mode_relu_lines_steps_equal_the_four_product_step():
         if full.live is not None:  # as ``BoundQuery._pass_op`` prunes one
             (live, n), ((lo, up),) = full.live, full.slopes
             ops_.append((_Lines(((lo[live], up[live]),), full.lower_const[live], full.upper_const[live], n), len(live)))
-    # the unpruned ops with dead or active neurons keep the signed split (a dead neuron's upper slope is 0)
-    assert [op.zero_lower[1] for op, _ in ops_] == [False, True, True, False, True]
+    # each would fold on a closed chain; off one, its step is the four signed products'
+    assert all(op.cap is not None for op, _ in ops_)
     assert [op.n for op, _ in ops_] == [0, 4, 0, 0, 0]
     for op, dim in ops_:
         lower = _signed_zeros(rng, (6, dim))
@@ -218,18 +222,73 @@ def test_a_zero_mode_relu_lines_step_never_splits_a_coefficient_into_signed_part
     from lirpa import ops
 
     g, specs = _mlp(np.random.default_rng(71), [4, 9, 9, 9, 3], eps=1.0, mixed=True)
-    steps, split = [], []
-    backward, posneg = _Lines.backward, ops._posneg
+    steps, clips, split = [], [], []
+    backward, clip, posneg = _Lines.backward, _Clip.backward, ops._posneg
     monkeypatch.setattr(_Lines, "backward", lambda op, *args: steps.append(op) or backward(op, *args))
+    monkeypatch.setattr(_Clip, "backward", lambda op, *args: clips.append((op, args[0].shape)) or clip(op, *args))
     monkeypatch.setattr(ops, "_posneg", lambda a: split.append(a.shape) or posneg(a))
     query = BoundQuery(g, specs, BoundStrategy.BACKWARD, ReluLowerMode.ZERO)
     query.box(g.output, margin_transform(0, 3), "margin")
-    assert len(steps) == 1 + 2 + 3 and split == []
+    # every chain folds: each ReLU step is a clip on its live columns, and the affine steps carry the lines
+    assert len(clips) == 1 + 2 + 3 and steps == [] and split == []
     for r in (2, 4, 6):  # every ReLU layer has dead, stable-active and unstable neurons
         box = query.intervals[r - 1]
         dead, active = box.upper <= 0.0, box.lower >= 0.0
         assert dead.any() and active.any() and not (dead | active).all()
-    assert all(op.n > 0 and op.zero_lower[1] for op in steps)
+    for op, shape in clips:
+        assert shape[1] == len(op.cap) < 9 and set(op.cap.tolist()) == {0.0, np.inf}
+
+
+def _chain(rng, dims):
+    """x -> affine 1 -> relu 2 -> affine 3 on one linf ball: a closed chain that a pass from 3 crosses."""
+    nodes = (
+        Node(0, Input(), (), dims[0]),
+        Node(1, Affine(rng.uniform(-1, 1, dims[1::-1]), rng.uniform(-1, 1, dims[1])), (0,), dims[1]),
+        Node(2, ReLU(), (1,), dims[1]),
+        Node(3, Affine(rng.uniform(-1, 1, dims[:0:-1]), rng.uniform(-1, 1, dims[2])), (2,), dims[2]),
+    )
+    return Graph(nodes, 3), {0: LpBall(rng.uniform(-1, 1, dims[0]), 0.5, math.inf)}
+
+
+def test_lines_whose_lower_line_equals_the_upper_one_with_a_constant_fold():
+    rng = np.random.default_rng(73)
+    g, specs = _chain(rng, [3, 6, 2])
+    # neurons 0-2: both lines 0.7 x + 0.3; 3: the identity; 4-5: lower line 0, upper 0.5 x + 0.4
+    sl, su = np.array([0.7, 0.7, 0.7, 1.0, 0.0, 0.0]), np.array([0.7, 0.7, 0.7, 1.0, 0.5, 0.5])
+    lines = _Lines(((sl, su),), np.array([0.3, 0.3, 0.3, 0.0, 0.0, 0.0]), np.array([0.3, 0.3, 0.3, 0.0, 0.4, 0.4]))
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD)
+    query._lines[2] = lines  # as if relaxed so; no neuron is dead, so no row is pruned
+    clip, folded = query._pass_op(2, 3), query._pass_op(1, 3)
+    assert np.array_equal(clip.cap, [np.inf] * 4 + [0.0] * 2)
+    assert np.array_equal(folded.weight, su[:, None] * g.nodes[1].op.weight)
+    assert np.array_equal(folded.bias, su * g.nodes[1].op.bias + lines.upper_const)
+    for _ in range(5):
+        lower = _signed_zeros(rng, (4, 6))
+        for upper in (lower, _signed_zeros(rng, lower.shape)):
+            [(c_lo, c_up)], zero_lo, zero_up = clip.backward(lower, upper, 6)
+            [(lam_lo, lam_up)], d_lo, d_up = folded.backward(c_lo, c_up, 3)
+            [(r_lo, r_up)], ref_d_lo, ref_d_up = four_product_lines_backward(lines, lower, upper, 6)
+            [(ref_lo, ref_up)], e_lo, e_up = g.nodes[1].op.backward(r_lo, r_up, 3)
+            assert not (zero_lo.any() or zero_up.any())
+            for got, ref in ((lam_lo, ref_lo), (lam_up, ref_up), (d_lo, ref_d_lo + e_lo), (d_up, ref_d_up + e_up)):
+                assert np.max(np.abs(got - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_an_adaptive_chain_with_a_slope_one_unstable_neuron_keeps_its_lines():
+    g, specs = _chain(np.random.default_rng(74), [3, 8, 2])
+    query = BoundQuery(g, specs, BoundStrategy.BACKWARD, ReluLowerMode.ADAPTIVE)
+    box = query.box(3, None, "output")
+    pre, lines = query.intervals[1], query._relaxed(2)
+    unstable = (pre.lower < 0.0) & (pre.upper > 0.0)
+    assert (unstable & (lines.slopes[0][0] == 1.0)).any() and lines.cap is None
+    op = query._pass_op
+    assert isinstance(op(2, 3), _Lines) and not any(isinstance(o, _Clip) for o in query._pass_ops.values())
+    assert np.array_equal(op(1, 3).weight, g.nodes[1].op.weight[(lines.live or (slice(None),))[0]])
+    _assert_close(box, _dense_box(query, 3), "output")
+    # the same chain under ZERO mode folds
+    zero = BoundQuery(g, specs, BoundStrategy.BACKWARD, ReluLowerMode.ZERO)
+    zero.box(3, None, "output")
+    assert isinstance(zero._pass_op(2, 3), _Clip)
 
 
 def test_exp_log_and_mul_lines_steps_keep_the_signed_split(monkeypatch):
@@ -251,7 +310,8 @@ def test_exp_log_and_mul_lines_steps_keep_the_signed_split(monkeypatch):
     for mode in ReluLowerMode:
         BoundQuery(g, specs, BoundStrategy.BACKWARD, mode).box(g.output, None, "output")
     assert len(steps) > 6 and {id(op) for op in split} == {id(op) for op in steps}
-    assert not any(op.zero_lower[1] for op in steps)
+    # an exp's or a log's lower line is neither zero nor its upper line: their lines would not fold
+    assert all(op.cap is None for op in steps if len(op.slopes) == 1)
 
 
 def test_a_layer_with_every_neuron_dead_leaves_zero_width_coefficients(monkeypatch):
@@ -319,9 +379,10 @@ def test_only_closed_affine_relu_affine_chains_are_pruned():
         assert query._keeps == {1: 2, 2: 2, 8: 9, 9: 9}
         assert all(len(query._relaxed(r).live[0]) == 2 for r in (2, 9))
         op = query._pass_op
-        # the pass from 10 prunes the two chains' rows, and the columns of the affine nodes that read them
-        assert len(op(2, 10).lower_const) == 2 and op(1, 10).weight.shape == (2, 3)
-        assert len(op(9, 10).lower_const) == 2 and op(8, 10).weight.shape == (2, 3)
+        # the pass from 10 prunes the two chains' rows, and the columns of the affine nodes that read them;
+        # their unstable neurons take lower slope 0, so each chain folds
+        assert len(op(2, 10).cap) == 2 and op(1, 10).weight.shape == (2, 3)
+        assert len(op(9, 10).cap) == 2 and op(8, 10).weight.shape == (2, 3)
         assert op(10, 10).weight.shape == (2, 2) and op(3, 10).weight.shape == (3, 2)
         assert op(4, 10) is query._relaxed(4) and op(7, 10) is query._relaxed(7)
         # the pass from the relu target 9 keeps its lines and its affine input's rows

@@ -30,7 +30,7 @@ def _run(script: str, *args: str) -> list[str]:
 @pytest.mark.parametrize(
     "script, args, setting, fields",
     [
-        ("backward_depth.py", ["--nets", "2x8", "--runs", "1"], {"net": "2x8"}, set()),
+        ("backward_depth.py", ["--nets", "2x8", "--runs", "2"], {"net": "2x8"}, {"min_ms"}),
         ("loss_fusion_k.py", ["--classes", "10"], {"classes": 10}, {"peak_mb"}),
         ("flatness_width.py", ["--widths", "8"], {"width": 8}, {"peak_mb", "minor_faults_per_query"}),
     ],
@@ -41,7 +41,7 @@ def test_a_sweep_prints_one_json_row_per_setting(script, args, setting, fields):
     assert row.items() >= setting.items() and row.keys() >= fields
     numbers = [v for k, v in row.items() if k not in setting]
     assert numbers and all(isinstance(v, (int, float)) and math.isfinite(v) for v in numbers)
-    assert row["time_ms"] > 0.0
+    assert row["time_ms"] > 0.0 and row.get("min_ms", 0.0) <= row["time_ms"]
     if "peak_mb" in row:  # rounded, so rows compare across checkouts
         assert row["peak_mb"] == round(row["peak_mb"], 3)
     if "minor_faults_per_query" in row:

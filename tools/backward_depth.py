@@ -9,7 +9,9 @@ is an l-inf ball of radius 0.01 around x ~ U(-1, 1)^64 from the same
 generator. The query is ``compute_bounds(g, specs, BACKWARD, relu_mode=ZERO)``
 on one BLAS thread, which runs one backward pass per ReLU operand and one
 for the output. Per net: the median wall time of ``--runs`` runs after one
-warm-up run, the output's total width, the share of ReLU neurons whose
+warm-up run and the fastest of them (``min_ms``: ``perfbench`` too keeps
+each query's fastest repeat, the time least moved by a noisy host), the
+output's total width, the share of ReLU neurons whose
 supplier interval proves them dead (upper bound <= 0) and the share it
 proves active (lower bound >= 0 and upper bound > 0), whose lines are the
 identity, read from one more ``BoundQuery`` under the same strategy. ``--src`` imports lirpa from
@@ -66,7 +68,7 @@ def main() -> None:
         dead = sum(int(np.sum(b.upper <= 0.0)) for b in operands)
         identity = sum(int(np.sum((b.lower >= 0.0) & (b.upper > 0.0))) for b in operands)
         total = sum(b.upper.size for b in operands)
-        print(json.dumps({"net": net, "time_ms": statistics.median(times), "runs": args.runs,
+        print(json.dumps({"net": net, "time_ms": statistics.median(times), "min_ms": min(times), "runs": args.runs,
                           "output_width": float(np.sum(box.upper - box.lower)),
                           "dead_frac": dead / total, "identity_frac": identity / total}), flush=True)
 
